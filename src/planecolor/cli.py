@@ -16,7 +16,7 @@ from pathlib import Path
 from . import codec, generators
 from .discharging import audit, report_table
 from .embedding import EmbeddedGraph
-from .errors import Infeasible, PlanecolorError, TooLarge
+from .errors import Infeasible, PlanecolorError, PositiveGenus, TooLarge
 from .oracle import chi2_exact
 from .reductions import color_by_reduction, detect, detect_all
 from .squares import verify_coloring
@@ -28,15 +28,22 @@ EXIT_FALLBACK = 3
 
 
 def _load_graphs(path: str, fmt: str) -> list[EmbeddedGraph]:
+    """Decode the input file; rotation systems of genus above 0 are input errors."""
     data = Path(path).read_bytes()
     if fmt == "auto":
         fmt = "planarcode" if data.startswith(codec.PLANAR_CODE_HEADER) else "json"
     if fmt == "planarcode":
-        return codec.read_planar_code(data)
-    obj = codec.read_json(data.decode("utf-8"))
-    if not isinstance(obj, EmbeddedGraph):
-        raise codec.SchemaMismatch("/schema", "expected an embedded-graph document")
-    return [obj]
+        graphs = codec.read_planar_code(data)
+    else:
+        obj = codec.read_json(data.decode("utf-8"))
+        if not isinstance(obj, EmbeddedGraph):
+            raise codec.SchemaMismatch("/schema", "expected an embedded-graph document")
+        graphs = [obj]
+    for g in graphs:
+        defect = g.euler_defect()
+        if defect:
+            raise PositiveGenus(defect)
+    return graphs
 
 
 def _save_graph(g: EmbeddedGraph, path: str) -> None:

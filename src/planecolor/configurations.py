@@ -14,9 +14,11 @@ graph has been colored; it is always at most 19 against a palette of 20.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
+from ._live import LiveEmbedding, Surgery
 from .embedding import EmbeddedGraph, Face
 from .errors import DegreeTooHigh, PlanInvalid
 
@@ -50,24 +52,98 @@ class PlanSpec:
     forbidden_bound: int
 
 
-class _Ctx:
-    """Per-graph precomputation shared by all scanners."""
+class _Cached(dict):
+    """vertex -> value, computed on the first read after the entry is dropped."""
 
-    __slots__ = ("g", "rot", "deg", "corner", "m3", "m4", "m5p")
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, v):
+        value = self[v] = self.compute(v)
+        return value
+
+
+class _Ctx(LiveEmbedding):
+    """Live embedding plus what the scanners read, and one match index per entry.
+
+    Built from an EmbeddedGraph for a one-off public call, or kept by the
+    reduction engine across its steps: `commit` then drops the corner faces
+    and face counts of the vertices it touches (they are recomputed when
+    read) and marks the anchors whose matches may have changed in every
+    index built so far.
+    """
 
     def __init__(self, g: EmbeddedGraph):
-        self.g = g
-        self.rot = {v: g.rotation(v) for v in g.vertices()}
-        self.deg = {v: len(r) for v, r in self.rot.items()}
-        self.corner = {v: g.corner_faces(v) for v in g.vertices()}
-        self.m3 = {}
-        self.m4 = {}
-        self.m5p = {}
-        for v, faces in self.corner.items():
-            distinct = {f.id: f.degree for f in faces}
-            self.m3[v] = sum(1 for d in distinct.values() if d == 3)
-            self.m4[v] = sum(1 for d in distinct.values() if d == 4)
-            self.m5p[v] = sum(1 for d in distinct.values() if d >= 5)
+        super().__init__(g)
+        self.deg = {v: len(ns) for v, ns in self.rot.items()}
+        self.corner = _Cached(self._corner_faces)
+        self.m3 = _Cached(lambda v: self._count_faces(v, 3))
+        self.m4 = _Cached(lambda v: self._count_faces(v, 4))
+        self.index: dict[CatalogEntry, _EntryIndex] = {}
+        self.pending = None  # (plan, Surgery) validated by the last `plan` call
+
+    @classmethod
+    def of(cls, g) -> "_Ctx":
+        return g if isinstance(g, _Ctx) else cls(g)
+
+    def _corner_faces(self, v: int) -> tuple[Face, ...]:
+        ns = self.rot[v]
+        d = len(ns)
+        return tuple(self.dart_face[(v, ns[(j + 1) % d])] for j in range(d))
+
+    def _count_faces(self, v: int, size: int) -> int:
+        return sum(1 for k in {f.id: f.degree for f in self.corner[v]}.values() if k == size)
+
+    def commit(self, s: Surgery) -> list[Face]:
+        """Apply a surgery, then mark the anchors whose scans may now differ.
+
+        A vertex scan reads its anchor's rotation and corner faces and, for
+        most entries, its neighbors' degrees, rotations, corner triangles
+        and triangle counts. A vertex is touched when its rotation changed
+        or it lies on a replaced face of size <= 4 (the sizes the triggers
+        tell apart). K21/K22 also read where a 3-vertex first occurs on a
+        big face, which moves with the face's start only if the vertex
+        repeats on it, so repeated vertices of replaced faces are touched
+        too. Touched vertices are dirty, and so are their neighbors for
+        entries that read neighbors. A face anchor (K23, K24) is dirty when
+        the face is new or one of its vertices changed degree.
+        """
+        x = s.delete
+        created = super().commit(s)
+        rot = self.rot
+        replaced = s.destroyed + created
+        del self.deg[x]
+        for v in s.rot:
+            self.deg[v] = len(rot[v])
+        for v in {u for f in replaced for u, _ in f.boundary}:
+            for table in (self.corner, self.m3, self.m4):
+                table.pop(v, None)
+        near = set(s.rot)
+        for f in replaced:
+            walk = f.vertex_walk()
+            if f.degree <= 4:
+                near.update(walk)
+            elif len(set(walk)) < len(walk):
+                once: set[int] = set()
+                near.update(u for u in walk if u in once or once.add(u))
+        near.discard(x)
+        wide = set(near)
+        for u in near:
+            wide.update(rot[u])
+        near.add(x)
+        wide.add(x)
+        if len(rot) < 2:  # K01 reads the vertex count
+            near.update(rot)
+            wide.update(rot)
+        face_dirty = {f.id for f in replaced}
+        face_dirty.update(f.id for r in s.rot for w in rot[r]
+                          if (f := self.dart_face[(r, w)]).degree == 5)
+        for idx in self.index.values():
+            e = idx.entry
+            idx.dirty |= face_dirty if e.face_anchored else wide if e.reads_neighbors else near
+        self.pending = None
+        return created
 
     def labelings(self, v: int) -> Iterator[tuple[tuple[int, ...], tuple[Face, ...]]]:
         """All rotations and reflections of the neighbor sequence at v.
@@ -78,21 +154,19 @@ class _Ctx:
         rot = self.rot[v]
         cf = self.corner[v]
         d = len(rot)
-        for k in range(d):
-            labels = tuple(rot[(k + i) % d] for i in range(d))
-            faces = tuple(cf[(k + i) % d] for i in range(d))
-            yield labels, faces
-        for k in range(d):
-            labels = tuple(rot[(k - i) % d] for i in range(d))
-            faces = tuple(cf[(k - i - 1) % d] for i in range(d))
-            yield labels, faces
+        rot2, cf2 = rot * 2, cf * 2
+        for k in range(d):  # labels[i] = rot[k + i], faces[i] = cf[k + i]
+            yield tuple(rot2[k:k + d]), cf2[k:k + d]
+        rot2, cf2 = rot[::-1] * 2, cf[::-1] * 2
+        for k in range(d):  # labels[i] = rot[k - i], faces[i] = cf[k - i - 1]
+            yield tuple(rot2[d - 1 - k:2 * d - 1 - k]), cf2[d - k:2 * d - k]
 
     def doubled(self, a: int, b: int) -> bool:
         """Edge ab lies on two distinct triangular faces."""
-        if not self.g.has_edge(a, b):
+        if b not in self.rot[a]:
             return False
-        f1 = self.g.face_of_dart((a, b))
-        f2 = self.g.face_of_dart((b, a))
+        f1 = self.dart_face[(a, b)]
+        f2 = self.dart_face[(b, a)]
         return f1.degree == 3 and f2.degree == 3 and f1.id != f2.id
 
     def doubled_induced(self, v: int) -> list[tuple[int, int]]:
@@ -132,13 +206,13 @@ def _m(config_id, center, bindings, faces, variant=""):
 
 
 # ---------------------------------------------------------------------------
-# Scanners. Each yields the matches anchored at one vertex (or, for the
-# 5-face entries, anchored at one face's 3-vertex).
+# Scanners. Each yields the matches anchored at one vertex, or, for the
+# 5-face entries, at one face (their center is the face's 3-vertex).
 # ---------------------------------------------------------------------------
 
 def _scan_k01(ctx: _Ctx, v: int):
     # Degree <= 1 in a graph with something else left to color.
-    if ctx.deg[v] <= 1 and ctx.g.vertex_count >= 2:
+    if ctx.deg[v] <= 1 and ctx.vertex_count >= 2:
         b = {"v": v}
         if ctx.deg[v] == 1:
             b["v1"] = ctx.rot[v][0]
@@ -594,27 +668,26 @@ def _scan_k22(ctx: _Ctx, v: int):
             yield _m("K22", v, b, fids, "flank_third")
 
 
-def _five_face_layouts(ctx: _Ctx):
-    """Rotations/reflections of every 5-face with five distinct vertices."""
-    for f in ctx.g.faces():
-        if f.degree != 5:
-            continue
-        walk = f.vertex_walk()
-        if len(set(walk)) != 5:
-            continue
-        seqs = [tuple(walk[(k + i) % 5] for i in range(5)) for k in range(5)]
-        seqs += [tuple(walk[(k - i) % 5] for i in range(5)) for k in range(5)]
-        for seq in seqs:
-            yield f, seq
+def _five_face_layouts(f: Face):
+    """Rotations/reflections of a 5-face with five distinct vertices."""
+    if f.degree != 5:
+        return
+    walk = f.vertex_walk()
+    if len(set(walk)) != 5:
+        return
+    for k in range(5):
+        yield tuple(walk[(k + i) % 5] for i in range(5))
+    for k in range(5):
+        yield tuple(walk[(k - i) % 5] for i in range(5))
 
 
 def _third_neighbor(ctx: _Ctx, u: int, a: int, b: int) -> int:
     return next(w for w in ctx.rot[u] if w not in (a, b))
 
 
-def _face_scan_k23(ctx: _Ctx):
+def _face_scan_k23(ctx: _Ctx, f: Face):
     # 5-face carrying two 3-vertices (necessarily two apart on the boundary).
-    for f, seq in _five_face_layouts(ctx):
+    for seq in _five_face_layouts(f):
         if ctx.deg[seq[0]] == 3 and ctx.deg[seq[3]] == 3:
             v1, v2, v3, v4, v5 = seq
             b = {"v1": v1, "v2": v2, "v3": v3, "v4": v4, "v5": v5,
@@ -623,9 +696,9 @@ def _face_scan_k23(ctx: _Ctx):
             yield _m("K23", v1, b, (f.id,))
 
 
-def _face_scan_k24(ctx: _Ctx):
+def _face_scan_k24(ctx: _Ctx, f: Face):
     # 5-face carrying a 3-vertex and a 4-vertex two apart.
-    for f, seq in _five_face_layouts(ctx):
+    for seq in _five_face_layouts(f):
         if ctx.deg[seq[0]] == 3 and ctx.deg[seq[3]] == 4:
             v1, v2, v3, v4, v5 = seq
             b = {"v1": v1, "v2": v2, "v3": v3, "v4": v4, "v5": v5,
@@ -656,7 +729,7 @@ def _spec_k11(ctx: _Ctx, m: ConfigurationMatch) -> PlanSpec:
     bm = m.binding_map()
     vi = bm["vi"]
     others = [u for u in ctx.rot[bm["v"]] if u != vi]
-    chords = tuple((vi, u) for u in others if not ctx.g.has_edge(vi, u))
+    chords = tuple((vi, u) for u in others if not ctx.has_edge(vi, u))
     return PlanSpec(bm["v"], chords, 18 if m.variant == "m4=2" else 19)
 
 
@@ -742,28 +815,37 @@ class CatalogEntry:
     scan: Callable
     build: Callable
     face_anchored: bool = False
+    # False when the scan reads only its anchor's rotation and corner faces;
+    # the engine then rescans fewer anchors after a step.
+    reads_neighbors: bool = True
 
 
 CATALOG: tuple[CatalogEntry, ...] = (
     CatalogEntry("K01", "vertex of degree <= 1: delete it",
-                 _scan_k01, _simple_spec("v", (), 6)),
+                 _scan_k01, _simple_spec("v", (), 6),
+                 reads_neighbors=False),
     CatalogEntry("K02", "2-vertex: delete, join its neighbors",
-                 _scan_k02, _simple_spec("v", (("x", "y"),), 12)),
+                 _scan_k02, _simple_spec("v", (("x", "y"),), 12),
+                 reads_neighbors=False),
     CatalogEntry("K03", "3-vertex with a light neighbor: delete, fan from that neighbor",
                  _scan_k03, _simple_spec("v", (("v1", "v2"), ("v1", "v3")), 17)),
     CatalogEntry("K04", "3-vertex on a triangle: delete, one chord",
-                 _scan_k04, _simple_spec("v", (("v1", "v3"),), 16)),
+                 _scan_k04, _simple_spec("v", (("v1", "v3"),), 16),
+                 reads_neighbors=False),
     CatalogEntry("K05", "3-vertex between two 4-faces: delete, one chord",
-                 _scan_k05, _simple_spec("v", (("v1", "v3"),), 16)),
+                 _scan_k05, _simple_spec("v", (("v1", "v3"),), 16),
+                 reads_neighbors=False),
     CatalogEntry("K06", "4-vertex on three triangles: delete, close the fan",
-                 _scan_k06, _simple_spec("v", (("v1", "v4"),), 18)),
+                 _scan_k06, _simple_spec("v", (("v1", "v4"),), 18),
+                 reads_neighbors=False),
     CatalogEntry("K07", "4-vertex, two triangles plus a 4-face",
                  _scan_k07,
                  lambda ctx, m: PlanSpec(
                      m.binding("v"),
                      ((m.binding("v1"), m.binding("v4")),) if m.variant == "adjacent"
                      else ((m.binding("v3"), m.binding("v4")),),
-                     19)),
+                     19),
+                 reads_neighbors=False),
     CatalogEntry("K08", "4-vertex, two triangles, a light neighbor",
                  _scan_k08,
                  lambda ctx, m: PlanSpec(
@@ -781,7 +863,8 @@ CATALOG: tuple[CatalogEntry, ...] = (
                            (m.binding("v4"), m.binding("v1"))),
                      19)),
     CatalogEntry("K10", "4-vertex, one triangle and three 4-faces",
-                 _scan_k10, _simple_spec("v", (("v2", "v3"), ("v1", "v4")), 19)),
+                 _scan_k10, _simple_spec("v", (("v2", "v3"), ("v1", "v4")), 19),
+                 reads_neighbors=False),
     CatalogEntry("K11", "4-vertex with a 4-neighbor: delete, star the 4-neighbor",
                  _scan_k11, _spec_k11),
     CatalogEntry("K12", "4-vertex with two 5-neighbors",
@@ -830,41 +913,93 @@ def catalog_entry(config_id: str) -> CatalogEntry:
 # Detection
 # ---------------------------------------------------------------------------
 
+class _EntryIndex:
+    """One catalog entry's matches on a live context, kept in detection order.
+
+    `keys` holds (center, variant, bindings) sorted; `found` maps each key
+    to the anchors that produced it and their matches, so a match two 5-face
+    anchors both produce stays until neither does. Anchors marked dirty are
+    rescanned when detection next reaches this entry.
+    """
+
+    __slots__ = ("entry", "by_anchor", "found", "keys", "dirty")
+
+    def __init__(self, ctx: _Ctx, entry: CatalogEntry):
+        self.entry = entry
+        self.by_anchor: dict[int, list] = {}
+        self.found: dict[tuple, dict[int, ConfigurationMatch]] = {}
+        self.dirty: set[int] = set()
+        for a in (ctx.faces if entry.face_anchored else sorted(ctx.rot)):
+            self._scan(ctx, a)
+        self.keys = sorted(self.found)
+
+    def _scan(self, ctx: _Ctx, a: int) -> list:
+        """Record anchor a's matches; returns the keys no other anchor had."""
+        fresh = []
+        for m in self.entry.scan(ctx, ctx.faces[a] if self.entry.face_anchored else a):
+            key = (m.center, m.variant, m.bindings)
+            holders = self.found.get(key)
+            if holders is None:
+                holders = self.found[key] = {}
+                fresh.append(key)
+            elif a in holders:
+                continue
+            holders[a] = m
+            self.by_anchor.setdefault(a, []).append(key)
+        return fresh
+
+    def flush(self, ctx: _Ctx) -> None:
+        anchors = ctx.faces if self.entry.face_anchored else ctx.rot
+        keys = self.keys
+        for a in self.dirty:
+            for key in self.by_anchor.pop(a, ()):
+                holders = self.found[key]
+                del holders[a]
+                if not holders:
+                    del self.found[key]
+                    del keys[bisect_left(keys, key)]
+            if a in anchors:
+                for key in self._scan(ctx, a):
+                    insort(keys, key)
+        self.dirty.clear()
+
+
 def _check_degree(g: EmbeddedGraph) -> None:
     for v in g.vertices():
         if g.degree(v) > 6:
             raise DegreeTooHigh(v, g.degree(v))
 
 
-def detect_iter(g: EmbeddedGraph, catalog=None) -> Iterator[ConfigurationMatch]:
-    """Matches in priority order: ascending entry id, then center, then bindings."""
-    _check_degree(g)
-    ctx = _Ctx(g)
+def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
+    """Matches in priority order: catalog position, then center, variant and bindings.
+
+    `g` is an EmbeddedGraph or the engine's live context. An entry's index
+    is built, or its dirty anchors rescanned, only when iteration reaches
+    it, so taking the first match costs the entries before it; running out
+    means every entry has been brought up to date. The context must not
+    change while the iterator is in use.
+    """
+    if isinstance(g, EmbeddedGraph):
+        _check_degree(g)
+    ctx = _Ctx.of(g)
     for entry in (catalog or CATALOG):
-        found = []
-        seen = set()
-        if entry.face_anchored:
-            candidates = entry.scan(ctx)
-        else:
-            candidates = (m for v in sorted(ctx.rot) for m in entry.scan(ctx, v))
-        for m in candidates:
-            key = (m.center, m.variant, m.bindings)
-            if key not in seen:
-                seen.add(key)
-                found.append(m)
-        found.sort(key=lambda m: (m.center, m.variant, m.bindings))
-        yield from found
+        idx = ctx.index.get(entry)
+        if idx is None:
+            idx = ctx.index[entry] = _EntryIndex(ctx, entry)
+        elif idx.dirty:
+            idx.flush(ctx)
+        for key in idx.keys:
+            yield next(iter(idx.found[key].values()))
 
 
-def detect_all(g: EmbeddedGraph, catalog=None) -> list[ConfigurationMatch]:
+def detect_all(g, catalog=None) -> list[ConfigurationMatch]:
     return list(detect_iter(g, catalog))
 
 
-def detect(g: EmbeddedGraph, catalog=None) -> Optional[ConfigurationMatch]:
+def detect(g, catalog=None) -> Optional[ConfigurationMatch]:
     return next(detect_iter(g, catalog), None)
 
 
-def build_plan_spec(g: EmbeddedGraph, match: ConfigurationMatch) -> PlanSpec:
+def build_plan_spec(g, match: ConfigurationMatch) -> PlanSpec:
     """Raw (delete, chords, bound) for a match, before validation."""
-    ctx = _Ctx(g)
-    return _BY_ID[match.config_id].build(ctx, match)
+    return _BY_ID[match.config_id].build(_Ctx.of(g), match)

@@ -239,6 +239,16 @@ class EmbeddedGraph:
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count + self.face_count()
 
+    def euler_defect(self) -> int:
+        """V - E + F + I - 2C, with I the isolated vertices (they trace no face).
+
+        Zero exactly when every component is embedded in the sphere; each
+        handle of a component's surface lowers it by two.
+        """
+        isolated = sum(1 for ns in self._rot.values() if not ns)
+        return (self.euler_characteristic() + isolated
+                - 2 * len(self.connected_components()))
+
     # -- local statistics ----------------------------------------------------
 
     def vertex_stats(self, v: int) -> VertexStats:
@@ -328,57 +338,73 @@ class EmbeddedGraph:
         """
         if not chords:
             return self
-        walk = face.vertex_walk()
-        length = len(walk)
-        first_pos: dict[int, int] = {}
-        for i, x in enumerate(walk):
-            first_pos.setdefault(x, i)
-
-        seen_pairs: set[frozenset[int]] = set()
-        placed: list[tuple[int, int, int, int]] = []  # (pos_a, a, pos_b, b)
-        for a, b in chords:
-            if a == b:
-                raise EndpointNotOnFace((a, b))
-            if a not in first_pos or b not in first_pos:
-                raise EndpointNotOnFace((a, b))
-            if self.has_edge(a, b):
-                raise ChordAlreadyEdge((a, b))
-            key = frozenset((a, b))
-            if key in seen_pairs:
-                raise ChordAlreadyEdge((a, b))
-            seen_pairs.add(key)
-            placed.append((first_pos[a], a, first_pos[b], b))
-
-        for i in range(len(placed)):
-            for j in range(i + 1, len(placed)):
-                i1, _, j1, _ = placed[i]
-                i2, _, j2, _ = placed[j]
-                if {i1, j1} & {i2, j2}:
-                    continue
-                in1 = _strictly_inside(i2, i1, j1, length)
-                in2 = _strictly_inside(j2, i1, j1, length)
-                if in1 != in2:
-                    raise CrossingChords((chords[i], chords[j]))
-
-        # Group new darts by boundary corner, then insert each group right
-        # after the corner's incoming neighbor, farthest target first.
-        by_corner: dict[int, list[tuple[int, int]]] = {}
-        for pa, a, pb, b in placed:
-            by_corner.setdefault(pa, []).append(((pb - pa) % length, b))
-            by_corner.setdefault(pb, []).append(((pa - pb) % length, a))
-
-        new_rot = {u: list(ns) for u, ns in self._rot.items()}
-        for pos, targets in by_corner.items():
-            a = walk[pos]
-            prev_vertex = walk[(pos - 1) % length]
-            targets.sort(reverse=True)
-            at = new_rot[a].index(prev_vertex) + 1
-            new_rot[a][at:at] = [b for _, b in targets]
-
+        new_rot = dict(self._rot)
+        new_rot.update(place_chords(face.vertex_walk(), chords, self.rotation, self.has_edge))
         g2 = EmbeddedGraph(new_rot, self._labels)
-        if g2.face_count() != self.face_count() + len(placed):
+        if g2.face_count() != self.face_count() + len(chords):
             raise CrossingChords(tuple(chords))
         return g2
+
+
+def place_chords(walk: Sequence[int], chords: Sequence[tuple[int, int]],
+                 rotation, has_edge) -> dict[int, list[int]]:
+    """New rotations of the endpoints after drawing `chords` inside one face.
+
+    `walk` is the face's vertex walk from its traced start; an endpoint that
+    repeats on it is placed at its first occurrence. `rotation(v)` and
+    `has_edge(a, b)` describe the graph before insertion. Each new dart goes
+    into the corner after the walk's incoming neighbor, farthest target
+    first, so the chords are drawn inside the face. Raises EndpointNotOnFace,
+    ChordAlreadyEdge or CrossingChords; whether a placement really splits
+    the face once per chord is left to the caller, who can count faces.
+    """
+    length = len(walk)
+    first_pos: dict[int, int] = {}
+    for i, x in enumerate(walk):
+        first_pos.setdefault(x, i)
+
+    seen_pairs: set[frozenset[int]] = set()
+    placed: list[tuple[int, int, int, int]] = []  # (pos_a, a, pos_b, b)
+    for a, b in chords:
+        if a == b:
+            raise EndpointNotOnFace((a, b))
+        if a not in first_pos or b not in first_pos:
+            raise EndpointNotOnFace((a, b))
+        if has_edge(a, b):
+            raise ChordAlreadyEdge((a, b))
+        key = frozenset((a, b))
+        if key in seen_pairs:
+            raise ChordAlreadyEdge((a, b))
+        seen_pairs.add(key)
+        placed.append((first_pos[a], a, first_pos[b], b))
+
+    for i in range(len(placed)):
+        for j in range(i + 1, len(placed)):
+            i1, _, j1, _ = placed[i]
+            i2, _, j2, _ = placed[j]
+            if {i1, j1} & {i2, j2}:
+                continue
+            in1 = _strictly_inside(i2, i1, j1, length)
+            in2 = _strictly_inside(j2, i1, j1, length)
+            if in1 != in2:
+                raise CrossingChords((chords[i], chords[j]))
+
+    # Group new darts by boundary corner, then insert each group right
+    # after the corner's incoming neighbor, farthest target first.
+    by_corner: dict[int, list[tuple[int, int]]] = {}
+    for pa, a, pb, b in placed:
+        by_corner.setdefault(pa, []).append(((pb - pa) % length, b))
+        by_corner.setdefault(pb, []).append(((pa - pb) % length, a))
+
+    out: dict[int, list[int]] = {}
+    for pos, targets in by_corner.items():
+        a = walk[pos]
+        ns = list(rotation(a))
+        targets.sort(reverse=True)
+        at = ns.index(walk[(pos - 1) % length]) + 1
+        ns[at:at] = [b for _, b in targets]
+        out[a] = ns
+    return out
 
 
 def _strictly_inside(x: int, i: int, j: int, n: int) -> bool:

@@ -44,6 +44,17 @@ class DanglingVertexId(GraphInputError):
         super().__init__(f"dart {dart} references an unknown vertex id")
 
 
+class PositiveGenus(GraphInputError):
+    """The rotation system does not embed every component in the sphere."""
+
+    def __init__(self, euler_defect):
+        self.euler_defect = euler_defect
+        super().__init__(
+            f"rotation system has genus above 0: V - E + F + isolated - 2C = {euler_defect}, "
+            "expected 0"
+        )
+
+
 class ChordError(PlanecolorError):
     """Invalid chord insertion request."""
 

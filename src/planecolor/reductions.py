@@ -19,12 +19,12 @@ from .errors import (
     ChordError,
     CrossingChords,
     DegreeTooHigh,
-    EndpointNotOnFace,
     ForbiddenBoundExceeded,
     NoSafeColor,
     PlanInvalid,
+    PositiveGenus,
 )
-from .squares import Coloring, greedy_square_color
+from .squares import Coloring, _min_free, greedy_square_color
 
 __all__ = [
     "ReductionPlan", "ReductionStep", "ReductionResult",
@@ -79,93 +79,27 @@ class ReductionResult:
     max_forbidden: int
 
 
-def _hole_position(g: EmbeddedGraph, delete: int, w: int, current: list[int]) -> int:
-    """Rotation slot at w for a new dart drawn into the hole left by `delete`.
-
-    A former neighbor takes the slot where its dart to the deleted vertex sat;
-    any other endpoint must have a corner whose face touched the deleted
-    vertex, and the dart goes into that corner.
-    """
-    ns = g.rotation(w)
-    if delete in g.neighbor_set(w):
-        if len(ns) == 1:
-            return 0
-        p = ns[ns.index(delete) - 1]
-        return current.index(p) + 1
-    d = len(ns)
-    for j in range(d):
-        q = ns[(j + 1) % d]
-        if delete in g.face_of_dart((w, q)).vertices():
-            return current.index(ns[j]) + 1
-    raise PlanInvalid("NotOnMergedFace", (w,))
-
-
-def _hole_face(g: EmbeddedGraph, delete: int, g2: EmbeddedGraph):
-    """Face of g2 bordering the hole left by deleting `delete` from g."""
-    for u in g.rotation(delete):
-        if g2.degree(u) >= 1:
-            ns = g.rotation(u)
-            q = ns[(ns.index(delete) + 1) % len(ns)]
-            if g2.has_edge(u, q):
-                return g2.face_of_dart((u, q))
-    return None
-
-
-def _execute_reduction(g: EmbeddedGraph, delete: int,
-                       chords: list[tuple[int, int]]) -> EmbeddedGraph:
-    """Delete a vertex and draw the chords inside the resulting hole.
-
-    Chords whose endpoints end up in different fragments of the remainder are
-    inserted by placing their darts where the deleted vertex's darts used to
-    sit (the fragments float freely in the hole, so this stays planar); chords
-    within one fragment go through the ordinary in-face insertion on the
-    hole-bordering face.
-    """
-    g2, _ = g.delete_vertex(delete)
-    if not chords:
-        return g2
-    comp_of = {}
-    for i, comp in enumerate(g2.connected_components()):
-        for u in comp:
-            comp_of[u] = i
-    same = [c for c in chords if comp_of[c[0]] == comp_of[c[1]]]
-    bridging = [c for c in chords if comp_of[c[0]] != comp_of[c[1]]]
-    if bridging:
-        rot = {u: list(ns) for u, ns in g2.rotation_map().items()}
-        for a, b in sorted(bridging):
-            rot[a].insert(_hole_position(g, delete, a, rot[a]), b)
-            rot[b].insert(_hole_position(g, delete, b, rot[b]), a)
-        g2 = EmbeddedGraph(rot, g2.labels())
-    if same:
-        merged = _hole_face(g, delete, g2)
-        if merged is None:
-            raise EndpointNotOnFace(same[0])
-        g2 = g2.add_chords(merged, same)
-    if g2.vertex_count - g2.edge_count + g2.face_count() \
-            != 2 * len(g2.connected_components()):
-        raise CrossingChords(tuple(chords))
-    return g2
-
-
-def plan(g: EmbeddedGraph, match: ConfigurationMatch) -> ReductionPlan:
+def plan(g, match: ConfigurationMatch) -> ReductionPlan:
     """Validated plan for a match, or PlanInvalid when it cannot be executed.
 
     Chords already present in the graph are dropped: a distance-1 pair needs
     no help staying within distance 2. Rejection reasons are DegreeOverflow,
     NotOnMergedFace, and ChordCrossing; the caller is expected to try the next
-    match rather than abort.
+    match rather than abort. `g` is an EmbeddedGraph or the engine's live
+    context, which keeps the validated surgery for `apply_plan`.
     """
-    spec = cfg.build_plan_spec(g, match)
+    ctx = cfg._Ctx.of(g)
+    spec = cfg.build_plan_spec(ctx, match)
     delete = spec.delete
     chords = []
     seen = set()
     for a, b in spec.chords:
         if a == b:
             continue  # coincident role bindings: the pair constraint is vacuous
-        if a == delete or b == delete or not g.has_vertex(a) or not g.has_vertex(b):
+        if a == delete or b == delete or not ctx.has_vertex(a) or not ctx.has_vertex(b):
             raise PlanInvalid("NotOnMergedFace", (a, b))
         key = (min(a, b), max(a, b))
-        if key in seen or g.has_edge(a, b):
+        if key in seen or ctx.has_edge(a, b):
             continue
         seen.add(key)
         chords.append(key)
@@ -176,33 +110,41 @@ def plan(g: EmbeddedGraph, match: ConfigurationMatch) -> ReductionPlan:
         gains[a] = gains.get(a, 0) + 1
         gains[b] = gains.get(b, 0) + 1
     for w, inc in gains.items():
-        after = g.degree(w) - (1 if g.has_edge(w, delete) else 0) + inc
+        after = ctx.degree(w) - (1 if ctx.has_edge(w, delete) else 0) + inc
         if after > 6:
             raise PlanInvalid("DegreeOverflow", (w, after))
 
     try:
-        g2 = _execute_reduction(g, delete, chords)
+        surgery = ctx.surgery(delete, chords)
     except CrossingChords as exc:
         raise PlanInvalid("ChordCrossing", exc.chords) from None
     except ChordError as exc:
         raise PlanInvalid("NotOnMergedFace", getattr(exc, "chord", None)) from None
-    if g2.max_degree() > 6:
-        raise PlanInvalid("DegreeOverflow", ("result", g2.max_degree()))
 
-    return ReductionPlan(
+    p = ReductionPlan(
         delete=delete,
         add_edges=tuple(chords),
         source=match.config_id,
         forbidden_bound=spec.forbidden_bound,
         variant=match.variant,
     )
+    ctx.pending = (p, surgery)
+    return p
 
 
-def apply_plan(g: EmbeddedGraph, p: ReductionPlan) -> EmbeddedGraph:
-    """Execute a validated plan: delete, then draw its chords into the hole."""
-    g2 = _execute_reduction(g, p.delete, list(p.add_edges))
-    assert g2.vertex_count + g2.edge_count < g.vertex_count + g.edge_count
-    return g2
+def apply_plan(g, p: ReductionPlan):
+    """Execute a validated plan: delete, then draw its chords into the hole.
+
+    On an EmbeddedGraph this returns the reduced graph; the engine's live
+    context is reduced in place and returned.
+    """
+    ctx = cfg._Ctx.of(g)
+    if ctx.pending is not None and ctx.pending[0] is p:
+        surgery = ctx.pending[1]
+    else:
+        surgery = ctx.surgery(p.delete, list(p.add_edges))
+    ctx.commit(surgery)
+    return ctx if ctx is g else ctx.to_graph()
 
 
 def extend(g: EmbeddedGraph, phi: Coloring, v: int, *,
@@ -227,19 +169,42 @@ def _forbidden_colors(g: EmbeddedGraph, assignment: Mapping[int, int], v: int) -
     return {assignment[u] for u in g.distance2_neighborhood(v) if u in assignment}
 
 
-def _min_free(forbidden, palette_size: int) -> Optional[int]:
-    for c in range(1, palette_size + 1):
-        if c not in forbidden:
-            return c
-    return None
-
-
 def _witness_doc(g: EmbeddedGraph, assignment: Mapping[int, int], v: int) -> dict:
     return {
         "vertex": v,
         "rotation": {str(u): list(g.neighbors(u)) for u in g.vertices()},
         "partial_coloring": {str(u): c for u, c in sorted(assignment.items())},
     }
+
+
+def _peel(ctx, catalog):
+    """Reduce the live context in place, one step per item yielded.
+
+    Each step takes the first match in detection order whose plan
+    validates; it yields (match, plan, distance-2 neighborhood of the
+    deleted vertex just before deletion). Stops at one vertex left, or
+    earlier when no match can be planned.
+    """
+    while ctx.vertex_count > 1:
+        for m in detect_iter(ctx, catalog):
+            try:
+                p = plan(ctx, m)
+            except PlanInvalid:
+                continue
+            break
+        else:
+            return
+        near = ctx.distance2_neighborhood(p.delete)
+        apply_plan(ctx, p)
+        yield m, p, near
+
+
+def _level_graph(g: EmbeddedGraph, plans) -> EmbeddedGraph:
+    """g after the given steps, rebuilt for an error report."""
+    ctx = cfg._Ctx(g)
+    for p in plans:
+        ctx.commit(ctx.surgery(p.delete, list(p.add_edges)))
+    return ctx.to_graph()
 
 
 def color_by_reduction(g: EmbeddedGraph, palette_size: int = 20,
@@ -250,48 +215,38 @@ def color_by_reduction(g: EmbeddedGraph, palette_size: int = 20,
     two or more vertices, falls back to the greedy colorer and flags the
     result), then extends backwards, asserting each step's forbidden-set
     ceiling. The returned coloring always satisfies the distance-2 constraint
-    or an error is raised.
+    or an error is raised. Rotation systems of genus above 0 are refused
+    with PositiveGenus.
     """
     if g.max_degree() > 6:
         v = max(g.vertices(), key=g.degree)
         raise DegreeTooHigh(v, g.degree(v))
+    defect = g.euler_defect()
+    if defect:
+        raise PositiveGenus(defect)
 
-    levels: list[tuple[EmbeddedGraph, ConfigurationMatch, ReductionPlan]] = []
-    current = g
-    fallback = False
-    while current.vertex_count > 1:
-        found = None
-        for m in detect_iter(current, catalog):
-            try:
-                found = (m, plan(current, m))
-                break
-            except PlanInvalid:
-                continue
-        if found is None:
-            fallback = True
-            break
-        match, p = found
-        levels.append((current, match, p))
-        current = apply_plan(current, p)
-
+    ctx = cfg._Ctx(g)
+    levels = list(_peel(ctx, catalog))
+    fallback = ctx.vertex_count > 1
     if fallback:
-        base = greedy_square_color(current, palette_size=palette_size)
-        assignment = dict(base.assignment)
-        witness = current
+        witness = ctx.to_graph()
+        assignment = dict(greedy_square_color(witness, palette_size=palette_size).assignment)
     else:
-        assignment = {v: 1 for v in current.vertices()}
         witness = None
+        assignment = {v: 1 for v in ctx.rot}
 
     steps: list[ReductionStep] = []
     max_forbidden = 0
-    for gi, match, p in reversed(levels):
-        forbidden = _forbidden_colors(gi, assignment, p.delete)
+    for i in range(len(levels) - 1, -1, -1):
+        match, p, near = levels[i]
+        forbidden = {assignment[u] for u in near if u in assignment}
         if len(forbidden) > p.forbidden_bound:
             raise ForbiddenBoundExceeded(p.delete, len(forbidden),
                                          p.forbidden_bound, p.source)
         max_forbidden = max(max_forbidden, len(forbidden))
         c = _min_free(forbidden, palette_size)
         if c is None:
+            gi = _level_graph(g, [q for _, q, _ in levels[:i]])
             raise NoSafeColor(p.delete, forbidden,
                               witness=_witness_doc(gi, assignment, p.delete))
         assignment[p.delete] = c

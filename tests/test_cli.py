@@ -135,3 +135,12 @@ def test_fallback_exit_code(tmp_path, monkeypatch, capsys):
     path.write_bytes(codec.write_planar_code([G.cycle(6)]))
     assert main(["color", "--in", str(path)]) == 3
     assert "FALLBACK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["toroidal_k7", "grid_with_reversed_rotation"])
+def test_positive_genus_is_input_error(tmp_path, name):
+    import test_reductions
+
+    path = tmp_path / "g.json"
+    path.write_text(codec.write_json(getattr(test_reductions, name)()))
+    assert main(["color", "--in", str(path)]) == 1

@@ -1,0 +1,143 @@
+"""The incremental engine against fresh recomputation, step by step.
+
+After every step the live context is exported to an EmbeddedGraph. Its face
+walks must equal a fresh trace of the exported rotations, walk starts
+included; its match index must list exactly what `detect_all` finds on the
+exported graph, in the same order; and the neighborhood recorded for the
+extension must be the deleted vertex's distance-2 neighborhood in the graph
+before the step. This is what shows the rule for rescanning anchors misses
+nothing.
+"""
+
+import dataclasses
+import math
+
+from conftest import build_corpus
+from planecolor import generators as G
+from planecolor.configurations import CATALOG, _Ctx, detect_all
+from planecolor.embedding import EmbeddedGraph, build_embedded
+from planecolor.reductions import _peel, apply_plan, color_by_reduction, plan
+
+REVERSED = tuple(reversed(CATALOG))
+
+
+def _keys(matches):
+    return [(m.config_id, m.center, m.variant, m.bindings) for m in matches]
+
+
+def _check_every_step(g, catalog):
+    ctx = _Ctx(g)
+    before = g
+    for _, p, near in _peel(ctx, catalog):
+        exported = ctx.to_graph()
+        assert {f.boundary for f in ctx.faces.values()} == \
+            {f.boundary for f in exported.faces()}
+        assert _keys(detect_all(ctx, catalog)) == _keys(detect_all(exported, catalog))
+        assert near == before.distance2_neighborhood(p.delete)
+        before = exported
+
+
+def _random_graphs():
+    return [(f"random:s{s}", G.random_planar(10 + (s * 7) % 50, 500 + s)) for s in range(30)]
+
+
+def test_index_matches_fresh_detection_on_corpus():
+    # Fresh detection after every step is quadratic per graph, so only one
+    # in six of the corpus's 150 random members is checked here; the lattice,
+    # platonic, cycle and path members all are.
+    graphs = build_corpus()
+    randoms = [item for item in graphs if item[0].startswith("random:")]
+    others = [item for item in graphs if not item[0].startswith("random:")]
+    for name, g in others + randoms[::6]:
+        _check_every_step(g, CATALOG)
+
+
+def test_index_matches_fresh_detection_on_random_graphs():
+    for name, g in _random_graphs():
+        _check_every_step(g, CATALOG)
+
+
+def test_index_matches_fresh_detection_on_disconnected_graphs():
+    # K01 needs two vertices left: the last one must lose its match even
+    # when the step before deleted a vertex far from it.
+    graphs = [build_embedded(2, [(), ()]),
+              build_embedded(4, [(1, 2), (2, 0), (0, 1), ()]),
+              build_embedded(6, [(1, 2), (2, 0), (0, 1), (4, 5), (5, 3), (3, 4)])]
+    for g in graphs:
+        _check_every_step(g, CATALOG)
+        _check_every_step(g, REVERSED)
+
+
+def _straight_line_graph(pos, edges):
+    """Plane graph from coordinates: each rotation sorted by edge angle."""
+    ids = {name: i for i, name in enumerate(pos)}
+    nbrs = {name: [] for name in pos}
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+
+    def angle(a, b):
+        return -math.atan2(pos[b][1] - pos[a][1], pos[b][0] - pos[a][0])
+
+    g = EmbeddedGraph({ids[a]: [ids[b] for b in sorted(ns, key=lambda b: angle(a, b))]
+                       for a, ns in nbrs.items()})
+    return g, ids
+
+
+def test_far_change_of_big_face_start_rescans_k21():
+    # K21 at v reads y, v2's neighbor where v2 first occurs on the big face
+    # at v. Here v2 is a cut vertex (a triangle hangs off it) and occurs on
+    # that face twice, with different neighbors. Deleting Z, three edges
+    # from v, moves the face's smallest vertex from Z to C, across v2, and y
+    # changes although no vertex within distance 2 of v changed.
+    pos = {"Z": (-4.5, -0.8), "C": (0.8, -4.2), "X": (-1.2, -2.6), "B": (1, -3),
+           "D": (1.8, -3.8), "v": (0, 0), "v2": (0, -2), "l0": (-2, -1), "l2": (2, -1),
+           "l3": (2, 1), "l4": (0, 2), "l5": (-2, 1), "Y": (-3, 0), "W": (-4.5, 0.8)}
+    edges = [("v", u) for u in ("v2", "l2", "l3", "l4", "l5", "l0")] + [
+        ("l2", "l3"), ("l3", "l4"), ("l4", "l5"), ("l5", "l0"), ("l0", "X"), ("X", "v2"),
+        ("v2", "B"), ("B", "C"), ("B", "D"), ("C", "D"), ("Y", "l0"), ("Y", "l5"),
+        ("Y", "W"), ("Y", "Z"), ("W", "Z")]
+    g, ids = _straight_line_graph(pos, edges)
+    assert g.euler_defect() == 0
+
+    def k21_y(matches):
+        return [m.binding("y") for m in matches if m.config_id == "K21"]
+
+    ctx = _Ctx(g)
+    assert k21_y(detect_all(ctx)) == [ids["B"]]
+    m = next(m for m in detect_all(ctx) if m.config_id == "K02" and m.center == ids["Z"])
+    apply_plan(ctx, plan(ctx, m))
+    fresh = detect_all(ctx.to_graph())
+    assert k21_y(fresh) == [ids["X"]]
+    assert _keys(detect_all(ctx)) == _keys(fresh)
+
+
+def test_index_matches_fresh_detection_with_reversed_catalog():
+    for name, g in _random_graphs() + [("tri:6x6", G.tri_grid(6, 6)),
+                                       ("hex:2", G.hex_grid(2))]:
+        _check_every_step(g, REVERSED)
+
+
+def _scanner_calls_per_step(g) -> float:
+    calls = 0
+
+    def counted(scan):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return scan(*args)
+        return wrapper
+
+    catalog = tuple(dataclasses.replace(e, scan=counted(e.scan)) for e in CATALOG)
+    result = color_by_reduction(g, catalog=catalog)
+    assert not result.fallback
+    return calls / len(result.steps)
+
+
+def test_scanner_work_per_step_stays_flat():
+    # Deterministic stand-in for a timing check: rescanning only touched
+    # anchors keeps the scanner calls per step nearly independent of size,
+    # where a full rescan per step grows with the vertex count.
+    small = _scanner_calls_per_step(G.tri_grid(8, 8))
+    large = _scanner_calls_per_step(G.tri_grid(16, 16))
+    assert large <= 1.5 * small, (small, large)

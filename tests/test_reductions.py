@@ -3,8 +3,8 @@ import pytest
 import fixtures
 from planecolor import generators as G
 from planecolor.configurations import CATALOG
-from planecolor.embedding import build_embedded
-from planecolor.errors import DegreeTooHigh, NoSafeColor
+from planecolor.embedding import EmbeddedGraph, build_embedded
+from planecolor.errors import DegreeTooHigh, NoSafeColor, PositiveGenus
 from planecolor.oracle import chi2_exact, is_proper_wrt
 from planecolor.reductions import (
     apply_plan,
@@ -214,3 +214,33 @@ def test_reversed_priority_still_colors_validly():
         assert not result.fallback
         assert result.max_forbidden <= 19
         assert verify_coloring(g, result.coloring).valid
+
+
+def toroidal_k7():
+    """K7 on the torus: every face a triangle, Euler characteristic 0."""
+    return EmbeddedGraph({i: [(i + d) % 7 for d in (1, 3, 2, 6, 4, 5)] for i in range(7)})
+
+
+def grid_with_reversed_rotation():
+    """tri_grid 5x5 with one interior rotation reversed: Euler characteristic -2."""
+    g = G.tri_grid(5, 5)
+    v = next(v for v in g.vertices() if g.degree(v) == 6)
+    rot = g.rotation_map()
+    rot[v] = tuple(reversed(rot[v]))
+    return EmbeddedGraph(rot)
+
+
+@pytest.mark.parametrize("make, euler", [(toroidal_k7, 0), (grid_with_reversed_rotation, -2)])
+def test_color_rejects_positive_genus(make, euler):
+    g = make()
+    assert g.euler_characteristic() == euler
+    with pytest.raises(PositiveGenus):
+        color_by_reduction(g)
+
+
+def test_color_accepts_isolated_vertices():
+    # An isolated vertex traces no face but is plane: V - E + F = 2C - 1.
+    g = build_embedded(4, [(1, 2), (2, 0), (0, 1), ()])
+    result = color_by_reduction(g)
+    assert not result.fallback
+    assert verify_coloring(g, result.coloring).valid
