@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedding import Dart, EmbeddedGraph, Face, place_chords
+from .embedding import (
+    Dart, EmbeddedGraph, Face, place_chords, trace_walks, within_distance2,
+)
 from .errors import CrossingChords, EndpointNotOnFace
 
 
@@ -67,11 +69,7 @@ class LiveEmbedding:
         return len(self.rot[v])
 
     def distance2_neighborhood(self, v: int) -> frozenset[int]:
-        out = set(self.rot[v])
-        for u in self.rot[v]:
-            out.update(self.rot[u])
-        out.discard(v)
-        return frozenset(out)
+        return within_distance2(self.rot, v)
 
     def to_graph(self) -> EmbeddedGraph:
         return EmbeddedGraph(self.rot, self.labels)
@@ -109,7 +107,7 @@ class LiveEmbedding:
 
         seeds = [d for f in destroyed.values() for d in f.boundary
                  if d[0] != x and d[1] != x]
-        holes = _trace(seeds, look, set())
+        holes = trace_walks(seeds, look, set())
         isolated = [u for u in around if not new_rot[u]]
         fragments = len(holes) + len(isolated)
         if not chords:
@@ -136,16 +134,16 @@ class LiveEmbedding:
             if same:
                 u = next(u for u in around if len(rot[u]) >= 2)
                 ns = rot[u]
-                merged = _canonical(_trace([(u, ns[(ns.index(x) + 1) % len(ns)])],
-                                           look, set())[0], look)
+                merged = _canonical(trace_walks([(u, ns[(ns.index(x) + 1) % len(ns)])],
+                                                look, set())[0], look)
                 new_rot.update(place_chords([a for a, _ in merged], same, look,
                                             lambda a, b: b in look(a)))
                 split = [d for a, b in same for d in ((a, b), (b, a))]
-                created = _trace(list(merged) + split, look, seen)
+                created = trace_walks(list(merged) + split, look, seen)
                 if len(created) != len(same) + 1:
                     raise CrossingChords(tuple(same))
-            created += _trace(seeds + [d for a, b in bridging for d in ((a, b), (b, a))],
-                              look, seen)
+            created += trace_walks(seeds + [d for a, b in bridging for d in ((a, b), (b, a))],
+                                   look, seen)
         # One vertex and its edges go, the chords come, the faces around x
         # are replaced, and x's component becomes `fragments` components.
         gap_change = (-1 + len(around) - len(chords) + len(created) - len(destroyed)
@@ -191,23 +189,6 @@ class LiveEmbedding:
         if self.euler_gap is not None:
             self.euler_gap += s.gap_change
         return created
-
-
-def _trace(seeds, look, seen: set) -> list[list[Dart]]:
-    """Face walks through the seed darts not yet in `seen`, under rotations `look`."""
-    walks = []
-    for d in seeds:
-        if d in seen:
-            continue
-        walk = []
-        while d not in seen:
-            seen.add(d)
-            walk.append(d)
-            a, b = d
-            ns = look(b)
-            d = (b, ns[(ns.index(a) + 1) % len(ns)])
-        walks.append(walk)
-    return walks
 
 
 def _canonical(walk: list[Dart], look) -> tuple[Dart, ...]:

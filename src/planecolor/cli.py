@@ -148,7 +148,10 @@ def _cmd_gen(args) -> int:
         if "=" not in kv:
             raise generators.BadParams(f"--params expects key=value, got {kv!r}")
         k, v = kv.split("=", 1)
-        params[k] = v if k == "name" else int(v)
+        try:
+            params[k] = v if k == "name" else int(v)
+        except ValueError:
+            raise generators.BadParams(f"--params {k} expects an integer, got {v!r}") from None
     if args.seed is not None:
         params["seed"] = args.seed
     g = generators.generate(generators.GeneratorSpec(args.kind, params))

@@ -17,7 +17,7 @@ from typing import Union
 
 from .discharging import DischargeReport, Transfer
 from .embedding import EmbeddedGraph
-from .errors import BadHeader, IndexOutOfRange, SchemaMismatch, TruncatedRecord
+from .errors import BadHeader, IndexOutOfRange, PlanarCodeLimit, SchemaMismatch, TruncatedRecord
 from .reductions import ReductionResult, ReductionStep
 from .squares import Coloring
 
@@ -39,7 +39,7 @@ def write_planar_code(graphs) -> bytes:
     for g in graphs:
         n = g.vertex_count
         if n < 1 or n > 255:
-            raise ValueError(f"planar code here supports 1..255 vertices, got {n}")
+            raise PlanarCodeLimit(n)
         index = {v: i + 1 for i, v in enumerate(sorted(g.vertices()))}
         out.append(n)
         for v in sorted(g.vertices()):
@@ -214,7 +214,16 @@ def trace_to_doc(result: ReductionResult) -> dict:
         "palette_size": result.coloring.palette_size,
         "fallback": result.fallback,
         "max_forbidden": result.max_forbidden,
-        "steps": [s.to_doc() for s in result.steps],
+        "steps": [{
+            "config": s.config_id,
+            "variant": s.variant,
+            "center": s.center,
+            "bindings": dict(s.bindings),
+            "deleted": s.deleted,
+            "added_edges": [list(e) for e in s.added_edges],
+            "color": s.color,
+            "forbidden_size": s.forbidden_size,
+        } for s in result.steps],
         "coloring": coloring_to_doc(result.coloring),
     }
     if result.fallback_witness is not None:

@@ -30,7 +30,6 @@ class ConfigurationMatch:
     config_id: str
     center: int
     bindings: tuple[tuple[str, int], ...]
-    matched_faces: tuple[int, ...]
     variant: str = ""
 
     def binding(self, role: str) -> int:
@@ -44,12 +43,18 @@ class ConfigurationMatch:
 
 
 @dataclass(frozen=True)
-class PlanSpec:
-    """Raw construction for one match: vertex to delete, chords, color bound."""
+class ReductionPlan:
+    """One deletion plus chords in the merged face, and the forbidden-color ceiling.
+
+    A catalog builder returns the raw plan of a match; `reductions.plan`
+    validates it and returns it with its chords normalised.
+    """
 
     delete: int
-    chords: tuple[tuple[int, int], ...]
+    add_edges: tuple[tuple[int, int], ...]
+    source: str
     forbidden_bound: int
+    variant: str = ""
 
 
 class _Cached(dict):
@@ -195,12 +200,11 @@ def _face_neighbor(face: Face, u: int, exclude: int) -> int:
     return min(cands)
 
 
-def _m(config_id, center, bindings, faces, variant=""):
+def _m(config_id, center, bindings, variant=""):
     return ConfigurationMatch(
         config_id=config_id,
         center=center,
         bindings=tuple(sorted(bindings.items())),
-        matched_faces=tuple(faces),
         variant=variant,
     )
 
@@ -216,13 +220,13 @@ def _scan_k01(ctx: _Ctx, v: int):
         b = {"v": v}
         if ctx.deg[v] == 1:
             b["v1"] = ctx.rot[v][0]
-        yield _m("K01", v, b, ())
+        yield _m("K01", v, b)
 
 
 def _scan_k02(ctx: _Ctx, v: int):
     if ctx.deg[v] == 2:
         x, y = ctx.rot[v]
-        yield _m("K02", v, {"v": v, "x": x, "y": y}, ())
+        yield _m("K02", v, {"v": v, "x": x, "y": y})
 
 
 def _scan_k03(ctx: _Ctx, v: int):
@@ -231,7 +235,7 @@ def _scan_k03(ctx: _Ctx, v: int):
         return
     for labels, _ in ctx.labelings(v):
         if ctx.deg[labels[0]] <= 5:
-            yield _m("K03", v, {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2]}, ())
+            yield _m("K03", v, {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2]})
 
 
 def _scan_k04(ctx: _Ctx, v: int):
@@ -240,9 +244,7 @@ def _scan_k04(ctx: _Ctx, v: int):
         return
     for labels, faces in ctx.labelings(v):
         if faces[0].degree == 3:
-            yield _m("K04", v,
-                     {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2]},
-                     (faces[0].id,))
+            yield _m("K04", v, {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2]})
 
 
 def _scan_k05(ctx: _Ctx, v: int):
@@ -254,8 +256,7 @@ def _scan_k05(ctx: _Ctx, v: int):
             yield _m("K05", v,
                      {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2],
                       "x": _opposite_on_quad(faces[0], v),
-                      "y": _opposite_on_quad(faces[1], v)},
-                     (faces[0].id, faces[1].id))
+                      "y": _opposite_on_quad(faces[1], v)})
 
 
 def _scan_k06(ctx: _Ctx, v: int):
@@ -264,18 +265,16 @@ def _scan_k06(ctx: _Ctx, v: int):
         return
     for labels, faces in ctx.labelings(v):
         if faces[0].degree == 3 and faces[1].degree == 3 and faces[2].degree == 3:
-            yield _m("K06", v,
-                     {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}},
-                     (faces[0].id, faces[1].id, faces[2].id))
+            yield _m("K06", v, {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}})
 
 
 def _k0789_layouts(ctx: _Ctx, v: int):
-    """Common 4-vertex / two-triangle layouts: yields (labels, faces, adjacent?)."""
+    """Common 4-vertex / two-triangle layouts: yields (labels, "adjacent" or "split")."""
     for labels, faces in ctx.labelings(v):
         if faces[0].degree == 3 and faces[1].degree == 3:
-            yield labels, faces, True
+            yield labels, "adjacent"
         if faces[0].degree == 3 and faces[2].degree == 3 and faces[1].degree != 3:
-            yield labels, faces, False
+            yield labels, "split"
 
 
 def _scan_k07(ctx: _Ctx, v: int):
@@ -288,9 +287,9 @@ def _scan_k07(ctx: _Ctx, v: int):
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(4)},
              "x": _opposite_on_quad(faces[0], v)}
         if faces[1].degree == 3 and faces[2].degree == 3:
-            yield _m("K07", v, b, (faces[0].id, faces[1].id, faces[2].id), "adjacent")
+            yield _m("K07", v, b, "adjacent")
         if faces[1].degree == 3 and faces[3].degree == 3:
-            yield _m("K07", v, b, (faces[0].id, faces[1].id, faces[3].id), "split")
+            yield _m("K07", v, b, "split")
 
 
 def _scan_k08(ctx: _Ctx, v: int):
@@ -300,24 +299,18 @@ def _scan_k08(ctx: _Ctx, v: int):
     light = [u for u in sorted(ctx.rot[v]) if ctx.deg[u] <= 5]
     if not light:
         return
-    for labels, faces, adjacent in _k0789_layouts(ctx, v):
+    for labels, variant in _k0789_layouts(ctx, v):
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}, "w5": light[0]}
-        variant = "adjacent" if adjacent else "split"
-        fids = (faces[0].id, faces[1].id) if adjacent else (faces[0].id, faces[2].id)
-        yield _m("K08", v, b, fids, variant)
+        yield _m("K08", v, b, variant)
 
 
 def _scan_k09(ctx: _Ctx, v: int):
     # 4-vertex, exactly two triangles, the first triangle's outer edge doubled.
     if ctx.deg[v] != 4 or ctx.m3[v] != 2:
         return
-    for labels, faces, adjacent in _k0789_layouts(ctx, v):
-        if not ctx.doubled(labels[0], labels[1]):
-            continue
-        b = {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}}
-        variant = "adjacent" if adjacent else "split"
-        fids = (faces[0].id, faces[1].id) if adjacent else (faces[0].id, faces[2].id)
-        yield _m("K09", v, b, fids, variant)
+    for labels, variant in _k0789_layouts(ctx, v):
+        if ctx.doubled(labels[0], labels[1]):
+            yield _m("K09", v, {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}}, variant)
 
 
 def _scan_k10(ctx: _Ctx, v: int):
@@ -331,8 +324,7 @@ def _scan_k10(ctx: _Ctx, v: int):
                      {"v": v, **{f"v{i+1}": labels[i] for i in range(4)},
                       "x": _opposite_on_quad(faces[1], v),
                       "y": _opposite_on_quad(faces[2], v),
-                      "z": _opposite_on_quad(faces[3], v)},
-                     tuple(f.id for f in faces))
+                      "z": _opposite_on_quad(faces[3], v)})
 
 
 def _scan_k11(ctx: _Ctx, v: int):
@@ -346,9 +338,8 @@ def _scan_k11(ctx: _Ctx, v: int):
         if faces[0].degree != 3:
             continue
         for vi in four:
-            yield _m("K11", v,
-                     {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}, "vi": vi},
-                     (faces[0].id,), f"m4={ctx.m4[v]}")
+            yield _m("K11", v, {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}, "vi": vi},
+                     f"m4={ctx.m4[v]}")
 
 
 def _scan_k12(ctx: _Ctx, v: int):
@@ -362,11 +353,11 @@ def _scan_k12(ctx: _Ctx, v: int):
             continue
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}}
         if ctx.m4[v] == 2:
-            yield _m("K12", v, b, (faces[0].id,), "m4=2")
+            yield _m("K12", v, b, "m4=2")
         elif faces[1].degree == 4:
-            yield _m("K12", v, b, (faces[0].id, faces[1].id), "m4=1 near")
+            yield _m("K12", v, b, "m4=1 near")
         elif faces[2].degree == 4:
-            yield _m("K12", v, b, (faces[0].id, faces[2].id), "m4=1 far")
+            yield _m("K12", v, b, "m4=1 far")
 
 
 def _scan_k13(ctx: _Ctx, v: int):
@@ -375,7 +366,7 @@ def _scan_k13(ctx: _Ctx, v: int):
         return
     for labels, _ in ctx.labelings(v):
         if ctx.deg[labels[0]] <= 5:
-            yield _m("K13", v, {"v": v, **{f"v{i+1}": labels[i] for i in range(5)}}, ())
+            yield _m("K13", v, {"v": v, **{f"v{i+1}": labels[i] for i in range(5)}})
 
 
 def _scan_k14(ctx: _Ctx, v: int):
@@ -383,13 +374,13 @@ def _scan_k14(ctx: _Ctx, v: int):
     if ctx.deg[v] != 5 or ctx.m3[v] != 5:
         return
     for a, b in ctx.doubled_induced(v):
-        yield _m("K14", v, {"v": v, "v1": a, "v2": b}, ())
+        yield _m("K14", v, {"v": v, "v1": a, "v2": b})
 
 
-def _fan5_layout(ctx: _Ctx, v: int, last_degree):
-    """5-vertex layouts: four triangle corners then one corner passing last_degree."""
+def _fan_layout(ctx: _Ctx, v: int, last_degree):
+    """Layouts with a triangle in every corner but the last, which passes last_degree."""
     for labels, faces in ctx.labelings(v):
-        if all(faces[i].degree == 3 for i in range(4)) and last_degree(faces[4].degree):
+        if all(f.degree == 3 for f in faces[:-1]) and last_degree(faces[-1].degree):
             yield labels, faces
 
 
@@ -397,18 +388,17 @@ def _scan_k15(ctx: _Ctx, v: int):
     # 5-vertex: four triangles and a 4-face, with a structural violation.
     if ctx.deg[v] != 5:
         return
-    for labels, faces in _fan5_layout(ctx, v, lambda d: d == 4):
+    for labels, faces in _fan_layout(ctx, v, lambda d: d == 4):
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(5)},
              "x": _opposite_on_quad(faces[4], v)}
-        fids = tuple(f.id for f in faces)
         degs = [ctx.deg[u] for u in labels]
         if any(d <= 4 for d in degs):
-            yield _m("K15", v, b, fids, "low_neighbor")
+            yield _m("K15", v, b, "low_neighbor")
         if sum(1 for d in degs if d == 5) >= 2:
-            yield _m("K15", v, b, fids, "two_fives")
+            yield _m("K15", v, b, "two_fives")
         for w in labels[1:4]:
             if ctx.deg[w] == 6 and ctx.m3[w] == 6:
-                yield _m("K15", v, {**b, "w": w}, fids, "saturated_six")
+                yield _m("K15", v, {**b, "w": w}, "saturated_six")
                 break
 
 
@@ -416,18 +406,17 @@ def _scan_k16(ctx: _Ctx, v: int):
     # 5-vertex: four triangles and a big face, neighbor-degree violations.
     if ctx.deg[v] != 5:
         return
-    for labels, faces in _fan5_layout(ctx, v, lambda d: d >= 5):
+    for labels, _ in _fan_layout(ctx, v, lambda d: d >= 5):
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(5)}}
-        fids = tuple(f.id for f in faces)
         degs = [ctx.deg[u] for u in labels]
         n4 = sum(1 for d in degs if d == 4)
         n5 = sum(1 for d in degs if d == 5)
         if n4 >= 2:
-            yield _m("K16", v, b, fids, "two_fours")
+            yield _m("K16", v, b, "two_fours")
         if n5 >= 3:
-            yield _m("K16", v, b, fids, "three_fives")
+            yield _m("K16", v, b, "three_fives")
         if n4 >= 1 and n5 >= 1:
-            yield _m("K16", v, b, fids, "four_plus_five")
+            yield _m("K16", v, b, "four_plus_five")
 
 
 def _scan_k17(ctx: _Ctx, v: int):
@@ -437,7 +426,7 @@ def _scan_k17(ctx: _Ctx, v: int):
     dbl = ctx.doubled_induced(v)
     if not dbl:
         return
-    for labels, faces in _fan5_layout(ctx, v, lambda d: d >= 5):
+    for labels, _ in _fan_layout(ctx, v, lambda d: d >= 5):
         degs = [ctx.deg[u] for u in labels]
         n3 = sum(1 for d in degs if d == 3)
         n4 = sum(1 for d in degs if d == 4)
@@ -447,15 +436,7 @@ def _scan_k17(ctx: _Ctx, v: int):
         if n3 == 0 and profile in ((1, 0, 4), (0, 2, 3)):
             b = {"v": v, **{f"v{i+1}": labels[i] for i in range(5)},
                  "a": dbl[0][0], "b": dbl[0][1]}
-            yield _m("K17", v, b, tuple(f.id for f in faces),
-                     "one_four" if profile == (1, 0, 4) else "two_fives")
-
-
-def _fan6_layout(ctx: _Ctx, v: int, last_degree):
-    """6-vertex layouts: five triangle corners then one corner passing last_degree."""
-    for labels, faces in ctx.labelings(v):
-        if all(faces[i].degree == 3 for i in range(5)) and last_degree(faces[5].degree):
-            yield labels, faces
+            yield _m("K17", v, b, "one_four" if profile == (1, 0, 4) else "two_fives")
 
 
 def _doubled_fan_count(ctx: _Ctx, labels) -> int:
@@ -520,7 +501,7 @@ def _scan_k18(ctx: _Ctx, v: int):
     # 6-vertex: five triangles and one 4-face.
     if ctx.deg[v] != 6:
         return
-    for labels, faces in _fan6_layout(ctx, v, lambda d: d == 4):
+    for labels, faces in _fan_layout(ctx, v, lambda d: d == 4):
         degs = [ctx.deg[u] for u in labels]
         if any(d == 3 for d in degs):
             continue
@@ -528,72 +509,70 @@ def _scan_k18(ctx: _Ctx, v: int):
         n5 = sum(1 for d in degs if d == 5)
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)},
              "x": _opposite_on_quad(faces[5], v)}
-        fids = tuple(f.id for f in faces)
 
         if n4 == 2 and degs[0] == 4 and degs[5] == 4 and n5 >= 2:
-            yield _m("K18", v, b, fids, "a")
+            yield _m("K18", v, b, "a")
         if n4 == 1 and degs[0] == 4:
             if n5 >= 4:
-                yield _m("K18", v, b, fids, "b")
+                yield _m("K18", v, b, "b")
             elif n5 == 3 and ctx.doubled_induced(v):
-                yield _m("K18", v, b, fids, "c")
+                yield _m("K18", v, b, "c")
         if n4 == 0 and n5 == 6:
-            yield _m("K18", v, b, fids, "d")
+            yield _m("K18", v, b, "d")
         if n4 == 0 and n5 == 5 and 6 in degs[:3] and ctx.doubled_induced(v):
-            yield _m("K18", v, b, fids, "e")
+            yield _m("K18", v, b, "e")
         if n4 == 0 and n5 == 4:
             if degs[0] == 6 and degs[5] == 6:
                 for u, um, up in ((labels[2], labels[1], labels[3]),
                                   (labels[3], labels[2], labels[4])):
                     hit = _fan_neighbor_reduction(ctx, v, u, um, up)
                     if hit:
-                        yield _m("K18", v, {**b, **hit[0]}, fids, "f")
+                        yield _m("K18", v, {**b, **hit[0]}, "f")
             elif _doubled_fan_count(ctx, labels) >= 2:
                 for i in range(1, 5):
                     if degs[i] == 5:
-                        yield _m("K18", v, {**b, "vi": labels[i]}, fids, f"g{i+1}")
+                        yield _m("K18", v, {**b, "vi": labels[i]}, f"g{i+1}")
         if n4 == 0 and n5 == 3:
             positions = {i + 1 for i in range(6) if degs[i] == 5}
             if positions in _SIX_PROFILE_V6 and ctx.deg[labels[5]] == 5 \
                     and ctx.m3[labels[5]] == 4:
-                yield _m("K18", v, b, fids, "h_last")
+                yield _m("K18", v, b, "h_last")
             elif positions in _SIX_PROFILE_V4:
                 hit = _fan_neighbor_reduction(ctx, v, labels[3], labels[2], labels[4])
                 if hit:
-                    yield _m("K18", v, {**b, **hit[0]}, fids, "h_mid")
+                    yield _m("K18", v, {**b, **hit[0]}, "h_mid")
             elif positions in _SIX_PROFILE_V3:
                 hit = _fan_neighbor_reduction(ctx, v, labels[2], labels[1], labels[3])
                 if hit:
-                    yield _m("K18", v, {**b, **hit[0]}, fids, "h_mid")
+                    yield _m("K18", v, {**b, **hit[0]}, "h_mid")
             elif positions in _SIX_PROFILE_3DBL and _doubled_fan_count(ctx, labels) >= 3:
-                yield _m("K18", v, b, fids, "h_triple")
+                yield _m("K18", v, b, "h_triple")
 
 
 def _scan_k19(ctx: _Ctx, v: int):
     # 6-vertex: five triangles and one face of degree >= 5.
     if ctx.deg[v] != 6:
         return
-    for labels, faces in _fan6_layout(ctx, v, lambda d: d >= 5):
+    for labels, _ in _fan_layout(ctx, v, lambda d: d >= 5):
         degs = [ctx.deg[u] for u in labels]
         if any(d == 3 for d in degs):
             continue
         n4 = sum(1 for d in degs if d == 4)
         n5 = sum(1 for d in degs if d == 5)
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)}}
-        fids = tuple(f.id for f in faces)
 
         if n4 == 2 and degs[0] == 4 and degs[5] == 4 and n5 >= 3:
-            yield _m("K19", v, b, fids, "a")
+            yield _m("K19", v, b, "a")
         if n4 == 1 and degs[0] == 4:
             if n5 >= 5:
-                yield _m("K19", v, b, fids, "b")
+                yield _m("K19", v, b, "b")
             elif n5 == 4 and ctx.doubled_induced(v):
-                yield _m("K19", v, b, fids, "c")
+                yield _m("K19", v, b, "c")
         if n4 == 0 and n5 == 6 and ctx.doubled_induced(v):
-            yield _m("K19", v, b, fids, "d")
+            yield _m("K19", v, b, "d")
         if n4 == 0 and n5 == 5 and 6 in degs[:3] \
                 and _doubled_fan_count(ctx, labels) >= 2:
-            yield _m("K19", v, b, fids, "e")
+            yield _m("K19", v, b, "e")
 
 
 def _scan_k20(ctx: _Ctx, v: int):
@@ -618,11 +597,10 @@ def _scan_k20(ctx: _Ctx, v: int):
         if case is None:
             continue
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)}}
-        fids = tuple(f.id for f in faces)
         if n4 == 1 and n5 == 5:
-            yield _m("K20", v, b, fids, f"{case}/one_four")
+            yield _m("K20", v, b, f"{case}/one_four")
         if n5 == 6 and ctx.doubled_induced(v):
-            yield _m("K20", v, b, fids, f"{case}/doubled")
+            yield _m("K20", v, b, f"{case}/doubled")
 
 
 def _scan_k21(ctx: _Ctx, v: int):
@@ -640,11 +618,10 @@ def _scan_k21(ctx: _Ctx, v: int):
         x = _opposite_on_quad(faces[0], v)
         y = _face_neighbor(faces[1], v2, v)
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)}, "x": x, "y": y}
-        fids = tuple(f.id for f in faces)
         if ctx.deg[labels[0]] == 4:
-            yield _m("K21", v, b, fids, "flank_first")
+            yield _m("K21", v, b, "flank_first")
         elif ctx.deg[labels[2]] == 4:
-            yield _m("K21", v, b, fids, "flank_third")
+            yield _m("K21", v, b, "flank_third")
 
 
 def _scan_k22(ctx: _Ctx, v: int):
@@ -661,11 +638,10 @@ def _scan_k22(ctx: _Ctx, v: int):
         y = _face_neighbor(faces[0], v2, v)
         z = _face_neighbor(faces[1], v2, v)
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)}, "y": y, "z": z}
-        fids = tuple(f.id for f in faces)
         if ctx.deg[labels[0]] == 4:
-            yield _m("K22", v, b, fids, "flank_first")
+            yield _m("K22", v, b, "flank_first")
         elif ctx.deg[labels[2]] == 4:
-            yield _m("K22", v, b, fids, "flank_third")
+            yield _m("K22", v, b, "flank_third")
 
 
 def _five_face_layouts(f: Face):
@@ -693,7 +669,7 @@ def _face_scan_k23(ctx: _Ctx, f: Face):
             b = {"v1": v1, "v2": v2, "v3": v3, "v4": v4, "v5": v5,
                  "v6": _third_neighbor(ctx, v1, v2, v5),
                  "v7": _third_neighbor(ctx, v4, v3, v5)}
-            yield _m("K23", v1, b, (f.id,))
+            yield _m("K23", v1, b)
 
 
 def _face_scan_k24(ctx: _Ctx, f: Face):
@@ -703,109 +679,88 @@ def _face_scan_k24(ctx: _Ctx, f: Face):
             v1, v2, v3, v4, v5 = seq
             b = {"v1": v1, "v2": v2, "v3": v3, "v4": v4, "v5": v5,
                  "v6": _third_neighbor(ctx, v1, v2, v5)}
-            yield _m("K24", v1, b, (f.id,))
+            yield _m("K24", v1, b)
 
 
 # ---------------------------------------------------------------------------
 # Plan construction per entry
 # ---------------------------------------------------------------------------
 
-def _spec_k12(ctx: _Ctx, m: ConfigurationMatch) -> PlanSpec:
+def _plan(m: ConfigurationMatch, delete: int, chords, bound: int) -> ReductionPlan:
+    return ReductionPlan(delete, tuple(chords), m.config_id, bound, m.variant)
+
+
+def _by_roles(delete: str, table: dict):
+    """Builder for plans read off the match's bindings alone.
+
+    `table` maps each variant to (chord role pairs, forbidden bound); the
+    vertex bound to the role `delete` is the one deleted.
+    """
+    def build(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
+        pairs, bound = table[m.variant]
+        bm = m.binding_map()
+        return _plan(m, bm[delete], ((bm[a], bm[b]) for a, b in pairs), bound)
+    return build
+
+
+# K08 and K09: the two triangles at a 4-vertex share an edge or sit apart.
+_TWO_TRIANGLES = {"adjacent": ((("v2", "v4"),), 19),
+                  "split": ((("v2", "v3"), ("v4", "v1")), 19)}
+# K18 and K19 a-c: fan from the first neighbor.
+_FAN_FROM_V1 = (("v1", "v3"), ("v1", "v5"), ("v1", "v6"))
+
+# The K18 variants whose plan reads only the bindings; _spec_k18 builds the rest.
+_k18_by_roles = _by_roles("v", {
+    **dict.fromkeys(("a", "b", "c"), (_FAN_FROM_V1, 19)),
+    "d": ((("v6", "v1"), ("v3", "v1"), ("v3", "v5")), 19),
+    "e": ((("v6", "v1"), ("v4", "v2"), ("v4", "v6")), 19),
+    "h_triple": ((("v2", "v4"), ("v4", "v6"), ("v6", "v1")), 19),
+})
+
+
+def _spec_k11(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
+    bm = m.binding_map()
+    vi = bm["vi"]
+    others = [u for u in ctx.rot[bm["v"]] if u != vi]
+    chords = [(vi, u) for u in others if not ctx.has_edge(vi, u)]
+    return _plan(m, bm["v"], chords, 18 if m.variant == "m4=2" else 19)
+
+
+def _spec_k12(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
     bm = m.binding_map()
     v1, v2, v3, v4 = bm["v1"], bm["v2"], bm["v3"], bm["v4"]
     bound = 18 if m.variant == "m4=2" else 19
     if m.variant == "m4=1 far":
-        return PlanSpec(bm["v"], ((v2, v3), (v4, v1)), bound)
-    if ctx.deg[v1] == 5:
+        chords = ((v2, v3), (v4, v1))
+    elif ctx.deg[v1] == 5:
         chords = ((v1, v3), (v1, v4))
     elif ctx.deg[v2] == 5:
         chords = ((v2, v3), (v2, v4))
     else:
         chords = ((v2, v3), (v3, v4), (v4, v1))
-    return PlanSpec(bm["v"], chords, bound)
+    return _plan(m, bm["v"], chords, bound)
 
 
-def _spec_k11(ctx: _Ctx, m: ConfigurationMatch) -> PlanSpec:
-    bm = m.binding_map()
-    vi = bm["vi"]
-    others = [u for u in ctx.rot[bm["v"]] if u != vi]
-    chords = tuple((vi, u) for u in others if not ctx.has_edge(vi, u))
-    return PlanSpec(bm["v"], chords, 18 if m.variant == "m4=2" else 19)
-
-
-def _spec_k18(ctx: _Ctx, m: ConfigurationMatch) -> PlanSpec:
+def _spec_k18(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
     bm = m.binding_map()
     v = bm["v"]
-    v1, v2, v3, v4, v5, v6 = (bm[f"v{i}"] for i in range(1, 7))
+    ring = tuple(bm[f"v{i}"] for i in range(1, 7))
     var = m.variant
-    if var in ("a", "b", "c"):
-        return PlanSpec(v, ((v1, v3), (v1, v5), (v1, v6)), 19)
-    if var == "d":
-        return PlanSpec(v, ((v6, v1), (v3, v1), (v3, v5)), 19)
-    if var == "e":
-        return PlanSpec(v, ((v6, v1), (v4, v2), (v4, v6)), 19)
-    if var.startswith("g"):
-        ring = (v1, v2, v3, v4, v5, v6)
-        i = ring.index(bm["vi"])
-        chords = ((v6, v1), (bm["vi"], ring[(i - 2) % 6]), (bm["vi"], ring[(i + 2) % 6]))
-        return PlanSpec(v, chords, 19)
-    if var == "h_triple":
-        return PlanSpec(v, ((v2, v4), (v4, v6), (v6, v1)), 19)
     if var == "h_last":
-        return PlanSpec(v6, ((v, bm["x"]),), 19)
+        return _plan(m, ring[5], ((v, bm["x"]),), 19)
+    if var.startswith("g"):
+        vi = bm["vi"]
+        i = ring.index(vi)
+        return _plan(m, v, ((ring[5], ring[0]), (vi, ring[(i - 2) % 6]),
+                            (vi, ring[(i + 2) % 6])), 19)
     if var in ("f", "h_mid"):
         u = bm["u"]
-        ring = (v1, v2, v3, v4, v5, v6)
         i = ring.index(u)
         hit = _fan_neighbor_reduction(ctx, v, u, ring[i - 1], ring[(i + 1) % 6])
         if hit is None:
             raise PlanInvalid("NotOnMergedFace", ("fan-neighbor shape vanished", u))
-        return PlanSpec(u, (hit[1],), 18 if var == "f" else 19)
-    raise PlanInvalid("NotOnMergedFace", ("unknown variant", var))
-
-
-def _spec_k19(ctx: _Ctx, m: ConfigurationMatch) -> PlanSpec:
-    bm = m.binding_map()
-    v = bm["v"]
-    v1, v2, v3, v4, v5, v6 = (bm[f"v{i}"] for i in range(1, 7))
-    if m.variant in ("a", "b", "c"):
-        return PlanSpec(v, ((v1, v3), (v1, v5), (v1, v6)), 19)
-    return PlanSpec(v, ((v4, v2), (v4, v6), (v1, v6)), 19)
-
-
-def _spec_k20(ctx: _Ctx, m: ConfigurationMatch) -> PlanSpec:
-    bm = m.binding_map()
-    v = bm["v"]
-    v1, v2, v3, v4, v5, _ = (bm[f"v{i}"] for i in range(1, 7))
-    case = m.variant.split("/")[0]
-    if case == "near":
-        chords = ((v1, v2), (v2, v3), (v3, v5), (v5, v1))
-    elif case == "mid":
-        chords = ((v1, v2), (v3, v4), (v3, v5), (v5, v1))
-    else:
-        chords = ((v1, v2), (v4, v5), (v1, v3), (v3, v5))
-    return PlanSpec(v, chords, 19)
-
-
-def _simple_spec(delete_role, chord_roles, bound):
-    def build(ctx: _Ctx, m: ConfigurationMatch) -> PlanSpec:
-        bm = m.binding_map()
-        chords = tuple((bm[a], bm[b]) for a, b in chord_roles)
-        return PlanSpec(bm[delete_role], chords, bound)
-    return build
-
-
-def _spec_k21(ctx: _Ctx, m: ConfigurationMatch) -> PlanSpec:
-    bm = m.binding_map()
-    if m.variant == "flank_first":
-        return PlanSpec(bm["v2"], ((bm["v1"], bm["y"]),), 17)
-    return PlanSpec(bm["v2"], ((bm["v3"], bm["x"]), (bm["v3"], bm["y"])), 17)
-
-
-def _spec_k22(ctx: _Ctx, m: ConfigurationMatch) -> PlanSpec:
-    bm = m.binding_map()
-    anchor = bm["v1"] if m.variant == "flank_first" else bm["v3"]
-    return PlanSpec(bm["v2"], ((anchor, bm["y"]), (anchor, bm["z"])), 18)
+        return _plan(m, u, (hit[1],), 18 if var == "f" else 19)
+    return _k18_by_roles(ctx, m)
 
 
 @dataclass(frozen=True)
@@ -822,91 +777,84 @@ class CatalogEntry:
 
 CATALOG: tuple[CatalogEntry, ...] = (
     CatalogEntry("K01", "vertex of degree <= 1: delete it",
-                 _scan_k01, _simple_spec("v", (), 6),
+                 _scan_k01, _by_roles("v", {"": ((), 6)}),
                  reads_neighbors=False),
     CatalogEntry("K02", "2-vertex: delete, join its neighbors",
-                 _scan_k02, _simple_spec("v", (("x", "y"),), 12),
+                 _scan_k02, _by_roles("v", {"": ((("x", "y"),), 12)}),
                  reads_neighbors=False),
     CatalogEntry("K03", "3-vertex with a light neighbor: delete, fan from that neighbor",
-                 _scan_k03, _simple_spec("v", (("v1", "v2"), ("v1", "v3")), 17)),
+                 _scan_k03, _by_roles("v", {"": ((("v1", "v2"), ("v1", "v3")), 17)})),
     CatalogEntry("K04", "3-vertex on a triangle: delete, one chord",
-                 _scan_k04, _simple_spec("v", (("v1", "v3"),), 16),
+                 _scan_k04, _by_roles("v", {"": ((("v1", "v3"),), 16)}),
                  reads_neighbors=False),
     CatalogEntry("K05", "3-vertex between two 4-faces: delete, one chord",
-                 _scan_k05, _simple_spec("v", (("v1", "v3"),), 16),
+                 _scan_k05, _by_roles("v", {"": ((("v1", "v3"),), 16)}),
                  reads_neighbors=False),
     CatalogEntry("K06", "4-vertex on three triangles: delete, close the fan",
-                 _scan_k06, _simple_spec("v", (("v1", "v4"),), 18),
+                 _scan_k06, _by_roles("v", {"": ((("v1", "v4"),), 18)}),
                  reads_neighbors=False),
     CatalogEntry("K07", "4-vertex, two triangles plus a 4-face",
-                 _scan_k07,
-                 lambda ctx, m: PlanSpec(
-                     m.binding("v"),
-                     ((m.binding("v1"), m.binding("v4")),) if m.variant == "adjacent"
-                     else ((m.binding("v3"), m.binding("v4")),),
-                     19),
+                 _scan_k07, _by_roles("v", {"adjacent": ((("v1", "v4"),), 19),
+                                            "split": ((("v3", "v4"),), 19)}),
                  reads_neighbors=False),
     CatalogEntry("K08", "4-vertex, two triangles, a light neighbor",
-                 _scan_k08,
-                 lambda ctx, m: PlanSpec(
-                     m.binding("v"),
-                     ((m.binding("v2"), m.binding("v4")),) if m.variant == "adjacent"
-                     else ((m.binding("v2"), m.binding("v3")),
-                           (m.binding("v4"), m.binding("v1"))),
-                     19)),
+                 _scan_k08, _by_roles("v", _TWO_TRIANGLES)),
     CatalogEntry("K09", "4-vertex, two triangles, triangle edge doubled",
-                 _scan_k09,
-                 lambda ctx, m: PlanSpec(
-                     m.binding("v"),
-                     ((m.binding("v2"), m.binding("v4")),) if m.variant == "adjacent"
-                     else ((m.binding("v2"), m.binding("v3")),
-                           (m.binding("v4"), m.binding("v1"))),
-                     19)),
+                 _scan_k09, _by_roles("v", _TWO_TRIANGLES)),
     CatalogEntry("K10", "4-vertex, one triangle and three 4-faces",
-                 _scan_k10, _simple_spec("v", (("v2", "v3"), ("v1", "v4")), 19),
+                 _scan_k10, _by_roles("v", {"": ((("v2", "v3"), ("v1", "v4")), 19)}),
                  reads_neighbors=False),
     CatalogEntry("K11", "4-vertex with a 4-neighbor: delete, star the 4-neighbor",
                  _scan_k11, _spec_k11),
     CatalogEntry("K12", "4-vertex with two 5-neighbors",
                  _scan_k12, _spec_k12),
     CatalogEntry("K13", "5-vertex, full fan, light neighbor: plain deletion",
-                 _scan_k13, _simple_spec("v", (), 19)),
+                 _scan_k13, _by_roles("v", {"": ((), 19)})),
     CatalogEntry("K14", "5-vertex, full fan, doubled neighbor edge: plain deletion",
-                 _scan_k14, _simple_spec("v", (), 19)),
+                 _scan_k14, _by_roles("v", {"": ((), 19)})),
     CatalogEntry("K15", "5-vertex, four triangles + 4-face: close the gap",
-                 _scan_k15, _simple_spec("v", (("v5", "v1"),), 19)),
+                 _scan_k15, _by_roles("v", dict.fromkeys(
+                     ("low_neighbor", "two_fives", "saturated_six"), ((("v5", "v1"),), 19)))),
     CatalogEntry("K16", "5-vertex, four triangles + big face: close the gap",
-                 _scan_k16,
-                 lambda ctx, m: PlanSpec(
-                     m.binding("v"), ((m.binding("v1"), m.binding("v5")),),
-                     18 if m.variant == "two_fours" else 19)),
+                 _scan_k16, _by_roles("v", {
+                     "two_fours": ((("v1", "v5"),), 18),
+                     **dict.fromkeys(("three_fives", "four_plus_five"),
+                                     ((("v1", "v5"),), 19))})),
     CatalogEntry("K17", "5-vertex, four triangles + big face, doubled edge",
-                 _scan_k17, _simple_spec("v", (("v5", "v1"),), 19)),
+                 _scan_k17, _by_roles("v", dict.fromkeys(
+                     ("one_four", "two_fives"), ((("v5", "v1"),), 19)))),
     CatalogEntry("K18", "6-vertex, five triangles + 4-face family",
                  _scan_k18, _spec_k18),
     CatalogEntry("K19", "6-vertex, five triangles + big face family",
-                 _scan_k19, _spec_k19),
+                 _scan_k19, _by_roles("v", {
+                     **dict.fromkeys(("a", "b", "c"), (_FAN_FROM_V1, 19)),
+                     **dict.fromkeys(("d", "e"),
+                                     ((("v4", "v2"), ("v4", "v6"), ("v1", "v6")), 19))})),
     CatalogEntry("K20", "6-vertex, four triangles + two 4-faces family",
-                 _scan_k20, _spec_k20),
+                 _scan_k20, _by_roles("v", {
+                     f"{case}/{kind}": (pairs, 19)
+                     for case, pairs in (
+                         ("near", (("v1", "v2"), ("v2", "v3"), ("v3", "v5"), ("v5", "v1"))),
+                         ("mid", (("v1", "v2"), ("v3", "v4"), ("v3", "v5"), ("v5", "v1"))),
+                         ("far", (("v1", "v2"), ("v4", "v5"), ("v1", "v3"), ("v3", "v5"))))
+                     for kind in ("one_four", "doubled")})),
     CatalogEntry("K21", "3-vertex between a 4-face and a big face at a 6-vertex",
-                 _scan_k21, _spec_k21),
+                 _scan_k21, _by_roles("v2", {
+                     "flank_first": ((("v1", "y"),), 17),
+                     "flank_third": ((("v3", "x"), ("v3", "y")), 17)})),
     CatalogEntry("K22", "3-vertex between two big faces at a 6-vertex",
-                 _scan_k22, _spec_k22),
+                 _scan_k22, _by_roles("v2", {
+                     "flank_first": ((("v1", "y"), ("v1", "z")), 18),
+                     "flank_third": ((("v3", "y"), ("v3", "z")), 18)})),
     CatalogEntry("K23", "5-face with two 3-vertices",
-                 _face_scan_k23,
-                 _simple_spec("v1", (("v2", "v4"), ("v4", "v6")), 18),
+                 _face_scan_k23, _by_roles("v1", {"": ((("v2", "v4"), ("v4", "v6")), 18)}),
                  face_anchored=True),
     CatalogEntry("K24", "5-face with a 3-vertex and a 4-vertex",
-                 _face_scan_k24,
-                 _simple_spec("v1", (("v2", "v4"), ("v4", "v6")), 18),
+                 _face_scan_k24, _by_roles("v1", {"": ((("v2", "v4"), ("v4", "v6")), 18)}),
                  face_anchored=True),
 )
 
 _BY_ID = {e.config_id: e for e in CATALOG}
-
-
-def catalog_entry(config_id: str) -> CatalogEntry:
-    return _BY_ID[config_id]
 
 
 # ---------------------------------------------------------------------------
@@ -964,10 +912,11 @@ class _EntryIndex:
         self.dirty.clear()
 
 
-def _check_degree(g: EmbeddedGraph) -> None:
-    for v in g.vertices():
-        if g.degree(v) > 6:
-            raise DegreeTooHigh(v, g.degree(v))
+def check_degree(g: EmbeddedGraph) -> None:
+    """Raise DegreeTooHigh naming the first vertex of degree above 6."""
+    if g.max_degree() > 6:
+        v = next(v for v in g.vertices() if g.degree(v) > 6)
+        raise DegreeTooHigh(v, g.degree(v))
 
 
 def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
@@ -980,7 +929,7 @@ def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
     change while the iterator is in use.
     """
     if isinstance(g, EmbeddedGraph):
-        _check_degree(g)
+        check_degree(g)
     ctx = _Ctx.of(g)
     for entry in (catalog or CATALOG):
         idx = ctx.index.get(entry)
@@ -1000,6 +949,6 @@ def detect(g, catalog=None) -> Optional[ConfigurationMatch]:
     return next(detect_iter(g, catalog), None)
 
 
-def build_plan_spec(g, match: ConfigurationMatch) -> PlanSpec:
-    """Raw (delete, chords, bound) for a match, before validation."""
+def build_plan_spec(g, match: ConfigurationMatch) -> ReductionPlan:
+    """The raw plan for a match, before validation."""
     return _BY_ID[match.config_id].build(_Ctx.of(g), match)

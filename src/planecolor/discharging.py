@@ -15,7 +15,6 @@ from typing import Optional
 
 from . import configurations as cfg
 from .embedding import EmbeddedGraph
-from .errors import DegreeTooHigh
 
 Element = tuple[str, int]  # ("v", vertex_id) or ("f", face_id)
 
@@ -65,10 +64,7 @@ def apply_rules(g: EmbeddedGraph) -> tuple[dict[Element, Fraction], tuple[Transf
     Amounts are fixed per qualifying incidence, so the outcome does not depend
     on any ordering; the ledger is sorted by rule then element ids.
     """
-    for v in g.vertices():
-        if g.degree(v) > 6:
-            raise DegreeTooHigh(v, g.degree(v))
-
+    cfg.check_degree(g)
     faces = g.faces()
     deg = {v: g.degree(v) for v in g.vertices()}
     incident_faces = {v: sorted({f.id for f in g.corner_faces(v)}) for v in g.vertices()}
@@ -115,13 +111,9 @@ def apply_rules(g: EmbeddedGraph) -> tuple[dict[Element, Fraction], tuple[Transf
                 rule, amount = ("R9", Fraction(1, 9)) if has_close_3 else ("R8", Fraction(1, 5))
                 ledger.append(Transfer(rule, ("f", fid), ("v", v), amount))
 
-    ledger.sort(key=lambda t: (RULE_IDS.index(t.rule), element_key(t.source),
-                               element_key(t.target)))
-    final = dict(initial_charges(g))
-    for t in ledger:
-        final[t.source] -= t.amount
-        final[t.target] += t.amount
-    return final, tuple(ledger)
+    ordered = tuple(sorted(ledger, key=lambda t: (RULE_IDS.index(t.rule), element_key(t.source),
+                                                  element_key(t.target))))
+    return replay_ledger(initial_charges(g), ordered), ordered
 
 
 def replay_ledger(initial: dict[Element, Fraction],

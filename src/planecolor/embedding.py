@@ -153,9 +153,6 @@ class EmbeddedGraph:
                 if v < u:
                     yield (v, u)
 
-    def label(self, v: int) -> Optional[str]:
-        return self._labels.get(v)
-
     def labels(self) -> dict[int, str]:
         return dict(self._labels)
 
@@ -175,29 +172,11 @@ class EmbeddedGraph:
 
     # -- faces ---------------------------------------------------------------
 
-    def successor(self, v: int, u: int) -> int:
-        """Neighbor following u in the rotation at v."""
-        ns = self._rot[v]
-        return ns[(ns.index(u) + 1) % len(ns)]
-
     def _trace(self) -> None:
-        walks = []
-        seen: set[Dart] = set()
-        for v in self._rot:
-            for u in self._rot[v]:
-                d = (v, u)
-                if d in seen:
-                    continue
-                walk = []
-                cur = d
-                while cur not in seen:
-                    seen.add(cur)
-                    walk.append(cur)
-                    a, b = cur
-                    cur = (b, self.successor(b, a))
-                walks.append(tuple(walk))
-        walks.sort(key=lambda w: min(w))
-        faces = tuple(Face(i, w) for i, w in enumerate(walks))
+        rot = self._rot
+        walks = trace_walks([(v, u) for v, ns in rot.items() for u in ns], rot.__getitem__, set())
+        walks.sort(key=min)
+        faces = tuple(Face(i, tuple(w)) for i, w in enumerate(walks))
         dart_face = {}
         for f in faces:
             for d in f.boundary:
@@ -227,14 +206,6 @@ class EmbeddedGraph:
         ns = self._rot[v]
         d = len(ns)
         return tuple(self.face_of_dart((v, ns[(j + 1) % d])) for j in range(d))
-
-    def face_between(self, v: int, a: int, b: int) -> Face:
-        """Face in the corner of v between rotation-adjacent neighbors a and b."""
-        if self.successor(v, a) == b:
-            return self.face_of_dart((v, b))
-        if self.successor(v, b) == a:
-            return self.face_of_dart((v, a))
-        raise ValueError(f"{a} and {b} are not rotation-adjacent at {v}")
 
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count + self.face_count()
@@ -275,12 +246,7 @@ class EmbeddedGraph:
         )
 
     def distance2_neighborhood(self, v: int) -> frozenset[int]:
-        """All vertices at distance 1 or 2 from v (two-level breadth expansion)."""
-        out = set(self._rot[v])
-        for u in self._rot[v]:
-            out.update(self._rot[u])
-        out.discard(v)
-        return frozenset(out)
+        return within_distance2(self._rot, v)
 
     # -- connectivity ----------------------------------------------------------
 
@@ -344,6 +310,36 @@ class EmbeddedGraph:
         if g2.face_count() != self.face_count() + len(chords):
             raise CrossingChords(tuple(chords))
         return g2
+
+
+def trace_walks(seeds, rotation, seen: set) -> list[list[Dart]]:
+    """Face walks through the seed darts not yet in `seen`, under `rotation(v)`.
+
+    The walk from dart (a, b) continues with (b, c), c the neighbor after a
+    in b's rotation. Every dart walked is added to `seen`.
+    """
+    walks = []
+    for d in seeds:
+        if d in seen:
+            continue
+        walk = []
+        while d not in seen:
+            seen.add(d)
+            walk.append(d)
+            a, b = d
+            ns = rotation(b)
+            d = (b, ns[(ns.index(a) + 1) % len(ns)])
+        walks.append(walk)
+    return walks
+
+
+def within_distance2(rot: Mapping[int, Sequence[int]], v: int) -> frozenset[int]:
+    """All vertices at distance 1 or 2 from v under rotations `rot`."""
+    out = set(rot[v])
+    for u in rot[v]:
+        out.update(rot[u])
+    out.discard(v)
+    return frozenset(out)
 
 
 def place_chords(walk: Sequence[int], chords: Sequence[tuple[int, int]],

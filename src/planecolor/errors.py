@@ -180,6 +180,15 @@ class BadParams(PlanecolorError):
     pass
 
 
+class PlanarCodeLimit(PlanecolorError, ValueError):
+    """A graph planar code's one-byte records cannot hold."""
+
+    def __init__(self, vertex_count):
+        self.vertex_count = vertex_count
+        super().__init__(f"planar code holds 1..255 vertices per graph, got {vertex_count}; "
+                         "write .json output instead")
+
+
 class BadHeader(PlanecolorError):
     pass
 

@@ -9,16 +9,15 @@ pairs at distance 2, which is what makes the extension safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from . import configurations as cfg
-from .configurations import ConfigurationMatch, detect, detect_all, detect_iter
+from .configurations import ConfigurationMatch, ReductionPlan, detect, detect_all, detect_iter
 from .embedding import EmbeddedGraph
 from .errors import (
     ChordError,
     CrossingChords,
-    DegreeTooHigh,
     ForbiddenBoundExceeded,
     NoSafeColor,
     PlanInvalid,
@@ -33,17 +32,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReductionPlan:
-    """Validated executable reduction: one deletion plus chords in the merged face."""
-
-    delete: int
-    add_edges: tuple[tuple[int, int], ...]
-    source: str
-    forbidden_bound: int
-    variant: str = ""
-
-
 @dataclass
 class ReductionStep:
     """One pipeline step, recorded in reduction order; `color` filled on extension."""
@@ -56,18 +44,6 @@ class ReductionStep:
     added_edges: tuple[tuple[int, int], ...]
     color: Optional[int] = None
     forbidden_size: Optional[int] = None
-
-    def to_doc(self) -> dict:
-        return {
-            "config": self.config_id,
-            "variant": self.variant,
-            "center": self.center,
-            "bindings": {role: v for role, v in self.bindings},
-            "deleted": self.deleted,
-            "added_edges": [list(e) for e in self.added_edges],
-            "color": self.color,
-            "forbidden_size": self.forbidden_size,
-        }
 
 
 @dataclass
@@ -89,11 +65,11 @@ def plan(g, match: ConfigurationMatch) -> ReductionPlan:
     context, which keeps the validated surgery for `apply_plan`.
     """
     ctx = cfg._Ctx.of(g)
-    spec = cfg.build_plan_spec(ctx, match)
-    delete = spec.delete
+    raw = cfg.build_plan_spec(ctx, match)
+    delete = raw.delete
     chords = []
     seen = set()
-    for a, b in spec.chords:
+    for a, b in raw.add_edges:
         if a == b:
             continue  # coincident role bindings: the pair constraint is vacuous
         if a == delete or b == delete or not ctx.has_vertex(a) or not ctx.has_vertex(b):
@@ -121,13 +97,7 @@ def plan(g, match: ConfigurationMatch) -> ReductionPlan:
     except ChordError as exc:
         raise PlanInvalid("NotOnMergedFace", getattr(exc, "chord", None)) from None
 
-    p = ReductionPlan(
-        delete=delete,
-        add_edges=tuple(chords),
-        source=match.config_id,
-        forbidden_bound=spec.forbidden_bound,
-        variant=match.variant,
-    )
+    p = replace(raw, add_edges=tuple(chords))
     ctx.pending = (p, surgery)
     return p
 
@@ -156,25 +126,30 @@ def extend(g: EmbeddedGraph, phi: Coloring, v: int, *,
     matched a structure whose guarantees do not hold, which is a bug worth a
     loud failure.
     """
-    forbidden = _forbidden_colors(g, phi.assignment, v)
+    return _extension(v, g.distance2_neighborhood(v), phi.assignment, phi.palette_size,
+                      bound, source, lambda: g)[0]
+
+
+def _extension(v: int, near, assignment: Mapping[int, int], palette_size: int,
+               bound: Optional[int], source: str, graph_at) -> tuple[int, int]:
+    """Color v from the colors of its distance-two neighborhood `near`.
+
+    Returns (color, number of forbidden colors). Raises ForbiddenBoundExceeded
+    when more than `bound` colors are forbidden, and NoSafeColor when none is
+    free; only then is `graph_at()` called, for the witness's rotations.
+    """
+    forbidden = {assignment[u] for u in near if u in assignment}
     if bound is not None and len(forbidden) > bound:
         raise ForbiddenBoundExceeded(v, len(forbidden), bound, source)
-    c = _min_free(forbidden, phi.palette_size)
+    c = _min_free(forbidden, palette_size)
     if c is None:
-        raise NoSafeColor(v, forbidden, witness=_witness_doc(g, phi.assignment, v))
-    return c
-
-
-def _forbidden_colors(g: EmbeddedGraph, assignment: Mapping[int, int], v: int) -> set[int]:
-    return {assignment[u] for u in g.distance2_neighborhood(v) if u in assignment}
-
-
-def _witness_doc(g: EmbeddedGraph, assignment: Mapping[int, int], v: int) -> dict:
-    return {
-        "vertex": v,
-        "rotation": {str(u): list(g.neighbors(u)) for u in g.vertices()},
-        "partial_coloring": {str(u): c for u, c in sorted(assignment.items())},
-    }
+        g = graph_at()
+        raise NoSafeColor(v, forbidden, witness={
+            "vertex": v,
+            "rotation": {str(u): list(g.neighbors(u)) for u in g.vertices()},
+            "partial_coloring": {str(u): k for u, k in sorted(assignment.items())},
+        })
+    return c, len(forbidden)
 
 
 def _peel(ctx, catalog):
@@ -218,9 +193,7 @@ def color_by_reduction(g: EmbeddedGraph, palette_size: int = 20,
     or an error is raised. Rotation systems of genus above 0 are refused
     with PositiveGenus.
     """
-    if g.max_degree() > 6:
-        v = max(g.vertices(), key=g.degree)
-        raise DegreeTooHigh(v, g.degree(v))
+    cfg.check_degree(g)
     defect = g.euler_defect()
     if defect:
         raise PositiveGenus(defect)
@@ -239,16 +212,10 @@ def color_by_reduction(g: EmbeddedGraph, palette_size: int = 20,
     max_forbidden = 0
     for i in range(len(levels) - 1, -1, -1):
         match, p, near = levels[i]
-        forbidden = {assignment[u] for u in near if u in assignment}
-        if len(forbidden) > p.forbidden_bound:
-            raise ForbiddenBoundExceeded(p.delete, len(forbidden),
-                                         p.forbidden_bound, p.source)
-        max_forbidden = max(max_forbidden, len(forbidden))
-        c = _min_free(forbidden, palette_size)
-        if c is None:
-            gi = _level_graph(g, [q for _, q, _ in levels[:i]])
-            raise NoSafeColor(p.delete, forbidden,
-                              witness=_witness_doc(gi, assignment, p.delete))
+        c, size = _extension(p.delete, near, assignment, palette_size,
+                             p.forbidden_bound, p.source,
+                             lambda: _level_graph(g, [q for _, q, _ in levels[:i]]))
+        max_forbidden = max(max_forbidden, size)
         assignment[p.delete] = c
         steps.append(ReductionStep(
             config_id=match.config_id,
@@ -258,7 +225,7 @@ def color_by_reduction(g: EmbeddedGraph, palette_size: int = 20,
             deleted=p.delete,
             added_edges=p.add_edges,
             color=c,
-            forbidden_size=len(forbidden),
+            forbidden_size=size,
         ))
 
     steps.reverse()  # reduction order: first deletion first

@@ -32,14 +32,6 @@ class Coloring:
     def colors_used(self) -> int:
         return len(set(self.assignment.values()))
 
-    def is_total(self, g: EmbeddedGraph) -> bool:
-        return all(v in self.assignment for v in g.vertices())
-
-    def with_color(self, v: int, c: int) -> "Coloring":
-        new = dict(self.assignment)
-        new[v] = c
-        return Coloring(new, self.palette_size)
-
 
 @dataclass(frozen=True)
 class ValidityReport:

@@ -144,3 +144,23 @@ def test_positive_genus_is_input_error(tmp_path, name):
     path = tmp_path / "g.json"
     path.write_text(codec.write_json(getattr(test_reductions, name)()))
     assert main(["color", "--in", str(path)]) == 1
+
+
+def test_gen_non_integer_param_is_input_error(tmp_path, capsys):
+    out = tmp_path / "x.pc"
+    assert main(["gen", "--kind", "tri_grid", "--params", "rows=abc", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "rows" in err and "abc" in err
+    assert not out.exists()
+
+
+def test_gen_too_large_for_planar_code_is_input_error(tmp_path, capsys):
+    out = tmp_path / "x.pc"
+    assert main(["gen", "--kind", "tri_grid", "--params", "rows=16", "cols=16",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "255" in err and ".json" in err
+    big = tmp_path / "x.json"
+    assert main(["gen", "--kind", "tri_grid", "--params", "rows=16", "cols=16",
+                 "--out", str(big)]) == 0

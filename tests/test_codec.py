@@ -85,7 +85,7 @@ def test_trace_json_round_trip():
     result = color_by_reduction(g)
     back = codec.read_json(codec.write_json(result))
     assert back.coloring.assignment == result.coloring.assignment
-    assert [s.to_doc() for s in back.steps] == [s.to_doc() for s in result.steps]
+    assert back.steps == result.steps
     assert back.fallback == result.fallback
 
 

@@ -31,7 +31,7 @@ def plan_digest(graphs) -> tuple[str, int]:
         digest.update(f"{name}\n".encode())
         for m in detect_all(g):
             spec = build_plan_spec(g, m)
-            chords = sorted({(min(a, b), max(a, b)) for a, b in spec.chords})
+            chords = sorted({(min(a, b), max(a, b)) for a, b in spec.add_edges})
             rec = [m.config_id, m.variant, m.center, spec.delete,
                    [list(c) for c in chords], spec.forbidden_bound]
             digest.update(json.dumps(rec, separators=(",", ":")).encode() + b"\n")

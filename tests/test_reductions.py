@@ -112,7 +112,7 @@ def test_extend_bound_violation_is_loud():
 
 def test_plan_rejects_degree_overflow(monkeypatch):
     from planecolor import configurations as cfg
-    from planecolor.configurations import PlanSpec
+    from planecolor.configurations import ReductionPlan
     from planecolor.errors import PlanInvalid
 
     g = G.tri_grid(3, 3)
@@ -122,7 +122,8 @@ def test_plan_rejects_degree_overflow(monkeypatch):
     far = next(v for v in g.vertices()
                if v not in (center, m.binding("v")) and not g.has_edge(center, v))
     monkeypatch.setattr(cfg, "build_plan_spec",
-                        lambda graph, match: PlanSpec(m.binding("v"), ((center, far),), 19))
+                        lambda graph, match: ReductionPlan(m.binding("v"), ((center, far),),
+                                                           match.config_id, 19))
     with pytest.raises(PlanInvalid) as exc:
         plan(g, m)
     assert exc.value.reason == "DegreeOverflow"
