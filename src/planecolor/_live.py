@@ -14,10 +14,11 @@ order), because positions read from a walk pick a repeated vertex's first
 occurrence. Face ids are only distinct: a fresh state takes them from
 `g.faces()`, and later faces count on from there.
 
-Local validation assumes each component is embedded in the sphere (see
-EmbeddedGraph.euler_defect): then the faces that border the hole give one
-walk per fragment the deletion leaves, and component counts follow from
-them without a search of the whole graph.
+Validation is local and assumes each component is embedded in the sphere
+(see EmbeddedGraph.euler_defect): then the faces that border the hole give
+one walk per fragment the deletion leaves, so a step changes the components
+by what it sees around the hole, and chords keep the graph plane exactly
+when the step leaves V - E + F + I - 2C unchanged.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class Surgery:
     rot: dict[int, list[int]]  # rotation after the step of every vertex it changes
     destroyed: list[Face]  # the faces that contain the deleted vertex
     created: list[tuple[Dart, ...]]  # dart walks of the faces that replace them
-    gap_change: int  # change of V - E + F - 2C
 
 
 class LiveEmbedding:
@@ -50,7 +50,6 @@ class LiveEmbedding:
         self.faces = {f.id: f for f in faces}
         self.dart_face = {d: f for f in faces for d in f.boundary}
         self.labels = g.labels()
-        self.euler_gap = None  # V - E + F - 2C, computed when a chord check first needs it
         self._next_face = len(faces)
 
     # -- queries ---------------------------------------------------------------
@@ -73,13 +72,6 @@ class LiveEmbedding:
 
     def to_graph(self) -> EmbeddedGraph:
         return EmbeddedGraph(self.rot, self.labels)
-
-    def _euler_gap(self) -> int:
-        if self.euler_gap is None:
-            edges = sum(len(ns) for ns in self.rot.values()) // 2
-            self.euler_gap = (len(self.rot) - edges + len(self.faces)
-                              - 2 * _component_count(self.rot))
-        return self.euler_gap
 
     # -- surgery ---------------------------------------------------------------
 
@@ -144,14 +136,16 @@ class LiveEmbedding:
                     raise CrossingChords(tuple(same))
             created += trace_walks(seeds + [d for a, b in bridging for d in ((a, b), (b, a))],
                                    look, seen)
-        # One vertex and its edges go, the chords come, the faces around x
-        # are replaced, and x's component becomes `fragments` components.
-        gap_change = (-1 + len(around) - len(chords) + len(created) - len(destroyed)
-                      - 2 * (fragments - 1))
-        if chords and self._euler_gap() + gap_change != 0:
-            raise CrossingChords(tuple(chords))
+            # One vertex and its edges go, the chords come, the faces around
+            # x are replaced, neighbors no chord reached are left isolated,
+            # and x's component becomes `fragments` components: V - E + F +
+            # I - 2C must not change.
+            left = sum(1 for u in isolated if not new_rot[u])
+            if (len(around) - len(chords) + len(created) - len(destroyed) + left
+                    - 2 * fragments + 1):
+                raise CrossingChords(tuple(chords))
         return Surgery(x, new_rot, list(destroyed.values()),
-                       [_canonical(w, look) for w in created], gap_change)
+                       [_canonical(w, look) for w in created])
 
     def _hole_slot(self, x: int, w: int, current: list[int], destroyed) -> int:
         """Rotation slot at w for a dart drawn into the hole left by x.
@@ -186,8 +180,6 @@ class LiveEmbedding:
             for d in walk:
                 self.dart_face[d] = f
             created.append(f)
-        if self.euler_gap is not None:
-            self.euler_gap += s.gap_change
         return created
 
 
@@ -203,20 +195,3 @@ def _root(parent: list[int], i: int) -> int:
     while parent[i] != i:
         i = parent[i]
     return i
-
-
-def _component_count(rot) -> int:
-    seen: set[int] = set()
-    count = 0
-    for start in rot:
-        if start in seen:
-            continue
-        count += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            for u in rot[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-    return count

@@ -80,10 +80,6 @@ def read_planar_code(data: bytes) -> list[EmbeddedGraph]:
 # JSON
 # ---------------------------------------------------------------------------
 
-def _charge_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _charge_from(s: str, pointer: str) -> Fraction:
     try:
         return Fraction(s)
@@ -143,7 +139,7 @@ def coloring_from_doc(doc: dict) -> Coloring:
 
 def report_to_doc(report: DischargeReport) -> dict:
     def charge_map(d):
-        return {f"{el[0]}{el[1]}": _charge_str(q)
+        return {f"{el[0]}{el[1]}": str(q)
                 for el, q in sorted(d.items(), key=lambda kv: kv[0])}
 
     return {
@@ -151,14 +147,14 @@ def report_to_doc(report: DischargeReport) -> dict:
         "initial": charge_map(report.initial),
         "final": charge_map(report.final),
         "ledger": [[t.rule, f"{t.source[0]}{t.source[1]}",
-                    f"{t.target[0]}{t.target[1]}", _charge_str(t.amount)]
+                    f"{t.target[0]}{t.target[1]}", str(t.amount)]
                    for t in report.ledger],
-        "negative_elements": [[f"{el[0]}{el[1]}", _charge_str(q)]
+        "negative_elements": [[f"{el[0]}{el[1]}", str(q)]
                               for el, q in report.negative_elements],
         "conservation_ok": report.conservation_ok,
-        "total_initial": _charge_str(report.total_initial),
-        "total_final": _charge_str(report.total_final),
-        "component_totals": [_charge_str(q) for q in report.component_totals],
+        "total_initial": str(report.total_initial),
+        "total_final": str(report.total_final),
+        "component_totals": [str(q) for q in report.component_totals],
         "match_count": report.match_count,
         "proof_shadow_ok": report.proof_shadow_ok,
         "face_walks": {str(fid): list(walk)

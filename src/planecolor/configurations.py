@@ -69,6 +69,17 @@ class _Cached(dict):
         return value
 
 
+def _corner_faces(rot, dart_face, v: int) -> tuple[Face, ...]:
+    ns = rot[v]
+    d = len(ns)
+    return tuple(dart_face[(v, ns[(j + 1) % d])] for j in range(d))
+
+
+def _count_faces(faces, size: int) -> int:
+    """Distinct faces of the given size among `faces`."""
+    return sum(1 for k in {f.id: f.degree for f in faces}.values() if k == size)
+
+
 class _Ctx(LiveEmbedding):
     """Live embedding plus what the scanners read, and one match index per entry.
 
@@ -82,23 +93,19 @@ class _Ctx(LiveEmbedding):
     def __init__(self, g: EmbeddedGraph):
         super().__init__(g)
         self.deg = {v: len(ns) for v, ns in self.rot.items()}
-        self.corner = _Cached(self._corner_faces)
-        self.m3 = _Cached(lambda v: self._count_faces(v, 3))
-        self.m4 = _Cached(lambda v: self._count_faces(v, 4))
+        # The tables close over the maps they read, not over the context, so
+        # a context is freed when its last reference goes instead of waiting,
+        # caches and all, for the cycle collector.
+        rot, dart_face = self.rot, self.dart_face
+        corner = self.corner = _Cached(lambda v: _corner_faces(rot, dart_face, v))
+        self.m3 = _Cached(lambda v: _count_faces(corner[v], 3))
+        self.m4 = _Cached(lambda v: _count_faces(corner[v], 4))
         self.index: dict[CatalogEntry, _EntryIndex] = {}
         self.pending = None  # (plan, Surgery) validated by the last `plan` call
 
     @classmethod
     def of(cls, g) -> "_Ctx":
         return g if isinstance(g, _Ctx) else cls(g)
-
-    def _corner_faces(self, v: int) -> tuple[Face, ...]:
-        ns = self.rot[v]
-        d = len(ns)
-        return tuple(self.dart_face[(v, ns[(j + 1) % d])] for j in range(d))
-
-    def _count_faces(self, v: int, size: int) -> int:
-        return sum(1 for k in {f.id: f.degree for f in self.corner[v]}.values() if k == size)
 
     def commit(self, s: Surgery) -> list[Face]:
         """Apply a surgery, then mark the anchors whose scans may now differ.
@@ -912,11 +919,14 @@ class _EntryIndex:
         self.dirty.clear()
 
 
-def check_degree(g: EmbeddedGraph) -> None:
-    """Raise DegreeTooHigh naming the first vertex of degree above 6."""
-    if g.max_degree() > 6:
-        v = next(v for v in g.vertices() if g.degree(v) > 6)
-        raise DegreeTooHigh(v, g.degree(v))
+def check_degree(g) -> None:
+    """Raise DegreeTooHigh naming the first vertex of degree above 6.
+
+    `g` is an EmbeddedGraph or a live embedding.
+    """
+    for v in (g.rot if isinstance(g, LiveEmbedding) else g.vertices()):
+        if g.degree(v) > 6:
+            raise DegreeTooHigh(v, g.degree(v))
 
 
 def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:

@@ -44,76 +44,66 @@ class DischargeReport:
     face_walks: dict[int, tuple[int, ...]]
 
 
-def element_key(el: Element):
-    return (el[0], el[1])
-
-
-def initial_charges(g: EmbeddedGraph) -> dict[Element, Fraction]:
-    """Degree-minus-4 on every vertex and every face."""
-    charges: dict[Element, Fraction] = {}
-    for v in g.vertices():
-        charges[("v", v)] = Fraction(g.degree(v) - 4)
-    for f in g.faces():
-        charges[("f", f.id)] = Fraction(f.degree - 4)
+def initial_charges(g) -> dict[Element, Fraction]:
+    """Degree-minus-4 on every vertex and every face; `g` as for apply_rules."""
+    ctx = cfg._Ctx.of(g)
+    charges = {("v", v): Fraction(d - 4) for v, d in ctx.deg.items()}
+    charges.update((("f", f.id), Fraction(f.degree - 4)) for f in ctx.faces.values())
     return charges
 
 
-def apply_rules(g: EmbeddedGraph) -> tuple[dict[Element, Fraction], tuple[Transfer, ...]]:
+def apply_rules(g) -> tuple[dict[Element, Fraction], tuple[Transfer, ...]]:
     """Run all nine rules simultaneously from the initial state.
 
-    Amounts are fixed per qualifying incidence, so the outcome does not depend
-    on any ordering; the ledger is sorted by rule then element ids.
+    `g` is an EmbeddedGraph or a context built from one by
+    `configurations._Ctx`, whose degrees, corner faces and triangle counts
+    the rules read. Amounts are fixed per qualifying incidence, so the
+    outcome does not depend on any ordering; the ledger is sorted by rule
+    then element ids.
     """
-    cfg.check_degree(g)
-    faces = g.faces()
-    deg = {v: g.degree(v) for v in g.vertices()}
-    incident_faces = {v: sorted({f.id for f in g.corner_faces(v)}) for v in g.vertices()}
-    by_id = {f.id: f for f in faces}
-    m3 = {v: sum(1 for fid in incident_faces[v] if by_id[fid].degree == 3)
-          for v in g.vertices()}
-
+    ctx = cfg._Ctx.of(g)
+    cfg.check_degree(ctx)
+    deg, rot = ctx.deg, ctx.rot
     ledger: list[Transfer] = []
 
     def heavy_senders(v):
         """Adjacent 6-vertices still below a full triangle fan."""
-        return [w for w in sorted(g.neighbor_set(v)) if deg[w] == 6 and m3[w] <= 5]
+        return [w for w in rot[v] if deg[w] == 6 and ctx.m3[w] <= 5]
 
     def big_faces(v):
-        return [fid for fid in incident_faces[v] if by_id[fid].degree >= 5]
+        return {f.id: f for f in ctx.corner[v] if f.degree >= 5}.values()
 
     # R1: triangles collect 1/3 from each incident vertex.
-    for f in faces:
+    for f in ctx.faces.values():
         if f.degree == 3:
-            for v in sorted(f.vertices()):
+            for v in f.vertices():
                 ledger.append(Transfer("R1", ("v", v), ("f", f.id), Fraction(1, 3)))
 
-    for v in sorted(g.vertices()):
-        if deg[v] == 3:
+    for v, d in deg.items():
+        if d == 3:
             for w in heavy_senders(v):
                 ledger.append(Transfer("R2", ("v", w), ("v", v), Fraction(1, 9)))
-            for fid in big_faces(v):
-                ledger.append(Transfer("R3", ("f", fid), ("v", v), Fraction(1, 3)))
-        elif deg[v] == 4:
-            for fid in big_faces(v):
-                ledger.append(Transfer("R4", ("f", fid), ("v", v), Fraction(1, 5)))
+            for f in big_faces(v):
+                ledger.append(Transfer("R3", ("f", f.id), ("v", v), Fraction(1, 3)))
+        elif d == 4:
+            for f in big_faces(v):
+                ledger.append(Transfer("R4", ("f", f.id), ("v", v), Fraction(1, 5)))
             for w in heavy_senders(v):
                 ledger.append(Transfer("R5", ("v", w), ("v", v), Fraction(1, 15)))
-        elif deg[v] == 5:
-            for fid in big_faces(v):
-                ledger.append(Transfer("R6", ("f", fid), ("v", v), Fraction(1, 5)))
-            if m3[v] >= 4:
+        elif d == 5:
+            for f in big_faces(v):
+                ledger.append(Transfer("R6", ("f", f.id), ("v", v), Fraction(1, 5)))
+            if ctx.m3[v] >= 4:
                 for w in heavy_senders(v):
                     ledger.append(Transfer("R7", ("v", w), ("v", v), Fraction(2, 15)))
-        elif deg[v] == 6:
-            for fid in big_faces(v):
-                face_verts = by_id[fid].vertices()
-                has_close_3 = any(deg[u] == 3 and g.has_edge(u, v) for u in face_verts)
+        elif d == 6:
+            for f in big_faces(v):
+                has_close_3 = any(deg[u] == 3 and u in rot[v] for u in f.vertices())
                 rule, amount = ("R9", Fraction(1, 9)) if has_close_3 else ("R8", Fraction(1, 5))
-                ledger.append(Transfer(rule, ("f", fid), ("v", v), amount))
+                ledger.append(Transfer(rule, ("f", f.id), ("v", v), amount))
 
-    ordered = tuple(sorted(ledger, key=lambda t: (RULE_IDS.index(t.rule), element_key(t.source),
-                                                  element_key(t.target))))
-    return replay_ledger(initial_charges(g), ordered), ordered
+    ordered = tuple(sorted(ledger, key=lambda t: (RULE_IDS.index(t.rule), t.source, t.target)))
+    return replay_ledger(initial_charges(ctx), ordered), ordered
 
 
 def replay_ledger(initial: dict[Element, Fraction],
@@ -134,33 +124,27 @@ def audit(g: EmbeddedGraph) -> DischargeReport:
     negative element must exist (the total is below zero) and the catalog must
     find at least one configuration.
     """
-    initial = initial_charges(g)
-    final, ledger = apply_rules(g)
-    replayed = replay_ledger(initial, ledger)
-    total_i = sum(initial.values(), Fraction(0))
-    total_f = sum(final.values(), Fraction(0))
-    conservation_ok = (replayed == final) and (total_i == total_f)
+    ctx = cfg._Ctx(g)
+    final, ledger = apply_rules(ctx)
+    initial = initial_charges(ctx)
 
-    negatives = tuple(sorted(
-        ((el, q) for el, q in final.items() if q < 0),
-        key=lambda item: element_key(item[0]),
-    ))
-
+    # Charge moves only inside a component, so each component must end
+    # with the total it started with.
     comps = g.connected_components()
-    face_owner = {}
-    for f in g.faces():
-        anchor = f.boundary[0][0] if f.boundary else None
-        face_owner[f.id] = anchor
-    comp_totals = []
-    for comp in comps:
-        t = sum((q for el, q in final.items()
-                 if (el[0] == "v" and el[1] in comp)
-                 or (el[0] == "f" and face_owner[el[1]] in comp)), Fraction(0))
-        comp_totals.append(t)
+    owner = {("v", v): i for i, comp in enumerate(comps) for v in comp}
+    owner.update((("f", f.id), owner[("v", f.boundary[0][0])]) for f in ctx.faces.values())
+    start_totals = [Fraction(0)] * len(comps)
+    comp_totals = [Fraction(0)] * len(comps)
+    for el, q in initial.items():
+        start_totals[owner[el]] += q
+    for el, q in final.items():
+        comp_totals[owner[el]] += q
 
-    matches = cfg.detect_all(g) if g.max_degree() <= 6 else []
+    negatives = tuple(sorted(((el, q) for el, q in final.items() if q < 0),
+                             key=lambda item: item[0]))
+    matches = cfg.detect_all(ctx)
     shadow: Optional[bool] = None
-    if g.is_connected() and g.vertex_count >= 2 and g.max_degree() <= 6:
+    if len(comps) == 1 and g.vertex_count >= 2:
         shadow = bool(negatives) and bool(matches)
 
     return DischargeReport(
@@ -168,13 +152,13 @@ def audit(g: EmbeddedGraph) -> DischargeReport:
         final=final,
         ledger=ledger,
         negative_elements=negatives,
-        conservation_ok=conservation_ok,
-        total_initial=total_i,
-        total_final=total_f,
+        conservation_ok=start_totals == comp_totals,
+        total_initial=sum(start_totals, Fraction(0)),
+        total_final=sum(comp_totals, Fraction(0)),
         component_totals=tuple(comp_totals),
         match_count=len(matches),
         proof_shadow_ok=shadow,
-        face_walks={f.id: f.vertex_walk() for f in g.faces()},
+        face_walks={f.id: f.vertex_walk() for f in ctx.faces.values()},
     )
 
 
@@ -188,7 +172,7 @@ def report_table(report: DischargeReport) -> str:
         deltas[t.target][t.rule] += t.amount
 
     lines = ["element  initial  " + "  ".join(f"{r:>6}" for r in RULE_IDS) + "   final"]
-    for el in sorted(report.initial, key=element_key):
+    for el in sorted(report.initial):
         name = f"{el[0]}{el[1]}"
         row = [f"{name:<7}", f"{str(report.initial[el]):>7}"]
         for r in RULE_IDS:

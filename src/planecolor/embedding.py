@@ -251,21 +251,7 @@ class EmbeddedGraph:
     # -- connectivity ----------------------------------------------------------
 
     def connected_components(self) -> list[frozenset[int]]:
-        remaining = set(self._rot)
-        comps = []
-        while remaining:
-            start = min(remaining)
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                x = frontier.pop()
-                for u in self._rot[x]:
-                    if u not in comp:
-                        comp.add(u)
-                        frontier.append(u)
-            remaining -= comp
-            comps.append(frozenset(comp))
-        return comps
+        return components(self._rot)
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
@@ -331,6 +317,25 @@ def trace_walks(seeds, rotation, seen: set) -> list[list[Dart]]:
             d = (b, ns[(ns.index(a) + 1) % len(ns)])
         walks.append(walk)
     return walks
+
+
+def components(rot: Mapping[int, Sequence[int]]) -> list[frozenset[int]]:
+    """Vertex sets of the connected components under `rot`, by smallest vertex."""
+    seen: set[int] = set()
+    comps = []
+    for start in sorted(rot):
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            for u in rot[frontier.pop()]:
+                if u not in comp:
+                    comp.add(u)
+                    frontier.append(u)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
 
 
 def within_distance2(rot: Mapping[int, Sequence[int]], v: int) -> frozenset[int]:

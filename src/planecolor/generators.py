@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from .embedding import EmbeddedGraph, build_embedded
+from .embedding import EmbeddedGraph, build_embedded, components
 from .errors import BadParams
 
 
@@ -239,56 +239,56 @@ class SplitMix64:
         return seq[self.below(len(seq))]
 
 
-def random_planar(n: int, seed: int, max_degree: int = 6) -> EmbeddedGraph:
-    """Connected random planar graph on exactly n vertices with Delta <= max_degree.
+def random_planar(n: int, seed: int) -> EmbeddedGraph:
+    """Connected random planar graph on exactly n vertices with Delta <= 6.
 
     Grows a triangular-lattice patch of at least n vertices, then removes
     random vertices and a random fraction of edges, keeping the graph
     connected at every step. Vertex removal and edge removal only lower
-    degrees, so the degree bound of the patch is preserved.
+    degrees, so the degree bound of the patch is preserved, and they keep
+    its embedding, so only the rotation map is edited until the end.
     """
     if n < 2:
         raise BadParams("random_planar needs n >= 2")
-    if max_degree < 6:
-        raise BadParams("max_degree below 6 is not supported by the lattice seed")
     rng = SplitMix64((seed << 1) ^ 0xA5A5A5A5A5A5A5A5)
     side = max(2, math.isqrt(n - 1) + 2)
-    g = tri_grid(side, side)
+    rot = tri_grid(side, side).rotation_map()
 
-    while g.vertex_count > n:
-        verts = sorted(g.vertices())
+    def cut(v, drop):
+        """rot without the edges from v to the vertices in `drop`."""
+        out = dict(rot)
+        out[v] = tuple(x for x in rot[v] if x not in drop)
+        for u in drop:
+            out[u] = tuple(x for x in rot[u] if x != v)
+        return out
+
+    while len(rot) > n:
+        verts = sorted(rot)
         for _ in range(8 * len(verts)):
             v = rng.choice(verts)
-            g2, _ = g.delete_vertex(v)
-            if g2.is_connected():
-                g = g2
+            rot2 = cut(v, rot[v])
+            del rot2[v]
+            if len(components(rot2)) == 1:
+                rot = rot2
                 break
         else:
             raise BadParams("could not shrink patch while staying connected")
 
-    surplus = g.edge_count - (g.vertex_count - 1)
+    surplus = sum(map(len, rot.values())) // 2 - (len(rot) - 1)
     target_removals = (rng.below(30) * surplus) // 100  # thin 0..29% of the slack
     removed = 0
     attempts = 0
     while removed < target_removals and attempts < 20 * target_removals + 20:
         attempts += 1
-        edges = sorted(g.edges())
+        edges = sorted((v, u) for v, ns in rot.items() for u in ns if v < u)
         u, w = rng.choice(edges)
-        g2 = _delete_edge(g, u, w)
-        if g2.is_connected():
-            g = g2
+        rot2 = cut(u, (w,))
+        if len(components(rot2)) == 1:
+            rot = rot2
             removed += 1
 
-    relabel = {old: new for new, old in enumerate(sorted(g.vertices()))}
-    rot = {relabel[v]: tuple(relabel[u] for u in g.neighbors(v)) for v in g.vertices()}
-    return EmbeddedGraph(rot)
-
-
-def _delete_edge(g: EmbeddedGraph, u: int, w: int) -> EmbeddedGraph:
-    rot = g.rotation_map()
-    rot[u] = tuple(x for x in rot[u] if x != w)
-    rot[w] = tuple(x for x in rot[w] if x != u)
-    return EmbeddedGraph(rot, g.labels())
+    relabel = {old: new for new, old in enumerate(sorted(rot))}
+    return EmbeddedGraph({relabel[v]: tuple(relabel[u] for u in ns) for v, ns in rot.items()})
 
 
 _KINDS = {

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from planecolor import discharging
 from planecolor import generators as G
 from planecolor.discharging import (
+    Transfer,
     apply_rules,
     audit,
     initial_charges,
@@ -189,6 +191,26 @@ def test_component_totals_multi_component():
     report = audit(g)
     assert sorted(report.component_totals) == [-8, -8]
     assert report.proof_shadow_ok is None  # disconnected: shadow not asserted
+
+
+def test_conservation_fails_on_a_transfer_between_components(monkeypatch):
+    # Totals still agree, but each component must keep its own.
+    rules = discharging.apply_rules
+
+    def leaky(g):
+        final, ledger = rules(g)
+        leak = Transfer("R1", ("v", 0), ("v", 2), Fraction(1, 3))
+        final = dict(final)
+        final[leak.source] -= leak.amount
+        final[leak.target] += leak.amount
+        return final, ledger + (leak,)
+
+    g = EmbeddedGraph({0: [1], 1: [0], 2: [3], 3: [2, 4], 4: [3]})
+    assert audit(g).conservation_ok
+    monkeypatch.setattr(discharging, "apply_rules", leaky)
+    report = audit(g)
+    assert report.total_initial == report.total_final
+    assert not report.conservation_ok
 
 
 def test_report_table_renders():

@@ -30,6 +30,7 @@ def _check_every_step(g, catalog):
     before = g
     for _, p, near in _peel(ctx, catalog):
         exported = ctx.to_graph()
+        assert exported.euler_defect() == 0
         assert {f.boundary for f in ctx.faces.values()} == \
             {f.boundary for f in exported.faces()}
         assert _keys(detect_all(ctx, catalog)) == _keys(detect_all(exported, catalog))
@@ -113,9 +114,26 @@ def test_far_change_of_big_face_start_rescans_k21():
 
 
 def test_index_matches_fresh_detection_with_reversed_catalog():
+    # The first match on random_planar(37, 32), K11 with m4=1, has chords
+    # that pass the face count but would leave an Euler defect of -2; only
+    # the surgery's Euler check rejects them.
     for name, g in _random_graphs() + [("tri:6x6", G.tri_grid(6, 6)),
-                                       ("hex:2", G.hex_grid(2))]:
+                                       ("hex:2", G.hex_grid(2)),
+                                       ("random:37s32", G.random_planar(37, 32))]:
         _check_every_step(g, REVERSED)
+
+
+def test_surgery_counts_a_neighbor_it_leaves_isolated():
+    # Deleting 0 leaves its pendant neighbor 4 isolated while the chord
+    # (1, 3) closes the path 1-2-3 into a triangle. The step is plane, and
+    # the Euler check accepts it only by counting 4 as an isolated vertex.
+    g = EmbeddedGraph({0: (1, 2, 3, 4), 1: (2, 0), 2: (3, 0, 1), 3: (0, 2), 4: (0,)})
+    assert g.euler_defect() == 0
+    ctx = _Ctx(g)
+    ctx.commit(ctx.surgery(0, [(1, 3)]))
+    reduced = ctx.to_graph()
+    assert reduced.euler_defect() == 0
+    assert sorted(reduced.edges()) == [(1, 2), (1, 3), (2, 3)]
 
 
 def _scanner_calls_per_step(g) -> float:

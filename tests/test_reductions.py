@@ -245,3 +245,14 @@ def test_color_accepts_isolated_vertices():
     result = color_by_reduction(g)
     assert not result.fallback
     assert verify_coloring(g, result.coloring).valid
+
+
+def test_plan_ignores_an_isolated_vertex_elsewhere():
+    # The chord check counts V - E + F + I - 2C around the hole only, so a
+    # vertex far from it, isolated or not, cannot change the verdict.
+    c5 = G.cycle(5)
+    with_isolated = build_embedded(6, [c5.rotation(v) for v in c5.vertices()] + [()])
+    m = next(m for m in detect_all(c5) if m.config_id == "K02")
+    p = plan(c5, m)
+    assert p.add_edges == ((1, 4),)
+    assert plan(with_isolated, m) == p
