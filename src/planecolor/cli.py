@@ -35,10 +35,7 @@ def _load_graphs(path: str, fmt: str) -> list[EmbeddedGraph]:
     if fmt == "planarcode":
         graphs = codec.read_planar_code(data)
     else:
-        obj = codec.read_json(data.decode("utf-8"))
-        if not isinstance(obj, EmbeddedGraph):
-            raise codec.SchemaMismatch("/schema", "expected an embedded-graph document")
-        graphs = [obj]
+        graphs = [codec.graph_from_doc(json.loads(data.decode("utf-8")))]
     for g in graphs:
         defect = g.euler_defect()
         if defect:
@@ -81,7 +78,7 @@ def _cmd_color(args) -> int:
 
 def _cmd_verify(args) -> int:
     graphs = _load_graphs(args.graph, "auto")
-    phi = codec.read_json(Path(args.coloring).read_text())
+    phi = codec.coloring_from_doc(json.loads(Path(args.coloring).read_text()))
     code = EXIT_OK
     for i, g in enumerate(graphs):
         report = verify_coloring(g, phi)

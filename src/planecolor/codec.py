@@ -111,7 +111,10 @@ def graph_from_doc(doc: dict) -> EmbeddedGraph:
     if "labels" in doc:
         if not isinstance(doc["labels"], dict):
             raise SchemaMismatch("/labels", "expected an object")
-        labels = {int(v): str(s) for v, s in doc["labels"].items()}
+        try:
+            labels = {int(v): str(s) for v, s in doc["labels"].items()}
+        except (TypeError, ValueError):
+            raise SchemaMismatch("/labels", "vertex ids must be integers")
     return EmbeddedGraph(rot, labels)
 
 
@@ -279,15 +282,15 @@ def write_json(obj, indent=None) -> str:
 def read_json(text: Union[str, bytes, dict]):
     """Parse any schema-versioned document into its object."""
     doc = json.loads(text) if isinstance(text, (str, bytes)) else text
-    if not isinstance(doc, dict):
-        raise SchemaMismatch("", "expected a JSON object")
-    schema = doc.get("schema")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
     reader = _READERS.get(schema)
     if reader is None:
         raise SchemaMismatch("/schema", f"unknown schema {schema!r}")
     return reader(doc)
 
 
-def _expect_schema(doc: dict, schema: str) -> None:
+def _expect_schema(doc, schema: str) -> None:
+    if not isinstance(doc, dict):
+        raise SchemaMismatch("", "expected a JSON object")
     if doc.get("schema") != schema:
         raise SchemaMismatch("/schema", f"expected {schema!r}, got {doc.get('schema')!r}")

@@ -14,8 +14,9 @@ graph has been colored; it is always at most 19 against a palette of 20.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
 from ._live import LiveEmbedding, Surgery
@@ -81,7 +82,7 @@ def _count_faces(faces, size: int) -> int:
 
 
 class _Ctx(LiveEmbedding):
-    """Live embedding plus what the scanners read, and one match index per entry.
+    """Live embedding plus what the scanners read, and one anchor index per entry.
 
     Built from an EmbeddedGraph for a one-off public call, or kept by the
     reduction engine across its steps: `commit` then drops the corner faces
@@ -117,9 +118,14 @@ class _Ctx(LiveEmbedding):
         tell apart). K21/K22 also read where a 3-vertex first occurs on a
         big face, which moves with the face's start only if the vertex
         repeats on it, so repeated vertices of replaced faces are touched
-        too. Touched vertices are dirty, and so are their neighbors for
-        entries that read neighbors. A face anchor (K23, K24) is dirty when
-        the face is new or one of its vertices changed degree.
+        too. Touched vertices are dirty for every entry. For entries that
+        read neighbors, so are their neighbors and the vertices on 5-faces
+        at a vertex whose rotation changed: K23/K24 read the 5-faces at
+        their anchor and the degrees and rotations on them. That covers the
+        vertices of every replaced 5-face too: a destroyed face's vertices
+        lie within two face edges of the deleted vertex, so among the
+        neighbors of its neighbors, and every created face passes a vertex
+        whose rotation changed.
         """
         x = s.delete
         created = super().commit(s)
@@ -140,7 +146,9 @@ class _Ctx(LiveEmbedding):
                 once: set[int] = set()
                 near.update(u for u in walk if u in once or once.add(u))
         near.discard(x)
-        wide = set(near)
+        wide = {u for r in s.rot for w in rot[r]
+                if (f := self.dart_face[(r, w)]).degree == 5 for u in f.vertex_walk()}
+        wide |= near
         for u in near:
             wide.update(rot[u])
         near.add(x)
@@ -148,12 +156,8 @@ class _Ctx(LiveEmbedding):
         if len(rot) < 2:  # K01 reads the vertex count
             near.update(rot)
             wide.update(rot)
-        face_dirty = {f.id for f in replaced}
-        face_dirty.update(f.id for r in s.rot for w in rot[r]
-                          if (f := self.dart_face[(r, w)]).degree == 5)
         for idx in self.index.values():
-            e = idx.entry
-            idx.dirty |= face_dirty if e.face_anchored else wide if e.reads_neighbors else near
+            idx.dirty |= wide if idx.entry.reads_neighbors else near
         self.pending = None
         return created
 
@@ -217,8 +221,7 @@ def _m(config_id, center, bindings, variant=""):
 
 
 # ---------------------------------------------------------------------------
-# Scanners. Each yields the matches anchored at one vertex, or, for the
-# 5-face entries, at one face (their center is the face's 3-vertex).
+# Scanners. Each yields the matches anchored at one vertex, their center.
 # ---------------------------------------------------------------------------
 
 def _scan_k01(ctx: _Ctx, v: int):
@@ -651,39 +654,39 @@ def _scan_k22(ctx: _Ctx, v: int):
             yield _m("K22", v, b, "flank_third")
 
 
-def _five_face_layouts(f: Face):
-    """Rotations/reflections of a 5-face with five distinct vertices."""
-    if f.degree != 5:
-        return
-    walk = f.vertex_walk()
-    if len(set(walk)) != 5:
-        return
-    for k in range(5):
-        yield tuple(walk[(k + i) % 5] for i in range(5))
-    for k in range(5):
-        yield tuple(walk[(k - i) % 5] for i in range(5))
+def _five_face_walks(ctx: _Ctx, v: int):
+    """Each 5-face at v with five distinct vertices, walked both ways from v."""
+    for f in ctx.corner[v]:
+        walk = f.vertex_walk()
+        if f.degree == 5 and len(set(walk)) == 5:
+            i = walk.index(v)
+            seq = walk[i:] + walk[:i]
+            yield seq
+            yield seq[:1] + seq[:0:-1]
 
 
 def _third_neighbor(ctx: _Ctx, u: int, a: int, b: int) -> int:
     return next(w for w in ctx.rot[u] if w not in (a, b))
 
 
-def _face_scan_k23(ctx: _Ctx, f: Face):
-    # 5-face carrying two 3-vertices (necessarily two apart on the boundary).
-    for seq in _five_face_layouts(f):
-        if ctx.deg[seq[0]] == 3 and ctx.deg[seq[3]] == 3:
-            v1, v2, v3, v4, v5 = seq
+def _scan_k23(ctx: _Ctx, v: int):
+    # 3-vertex on a 5-face carrying a second 3-vertex two apart on the boundary.
+    if ctx.deg[v] != 3:
+        return
+    for v1, v2, v3, v4, v5 in _five_face_walks(ctx, v):
+        if ctx.deg[v4] == 3:
             b = {"v1": v1, "v2": v2, "v3": v3, "v4": v4, "v5": v5,
                  "v6": _third_neighbor(ctx, v1, v2, v5),
                  "v7": _third_neighbor(ctx, v4, v3, v5)}
             yield _m("K23", v1, b)
 
 
-def _face_scan_k24(ctx: _Ctx, f: Face):
-    # 5-face carrying a 3-vertex and a 4-vertex two apart.
-    for seq in _five_face_layouts(f):
-        if ctx.deg[seq[0]] == 3 and ctx.deg[seq[3]] == 4:
-            v1, v2, v3, v4, v5 = seq
+def _scan_k24(ctx: _Ctx, v: int):
+    # 3-vertex on a 5-face carrying a 4-vertex two apart on the boundary.
+    if ctx.deg[v] != 3:
+        return
+    for v1, v2, v3, v4, v5 in _five_face_walks(ctx, v):
+        if ctx.deg[v4] == 4:
             b = {"v1": v1, "v2": v2, "v3": v3, "v4": v4, "v5": v5,
                  "v6": _third_neighbor(ctx, v1, v2, v5)}
             yield _m("K24", v1, b)
@@ -776,9 +779,10 @@ class CatalogEntry:
     summary: str
     scan: Callable
     build: Callable
-    face_anchored: bool = False
     # False when the scan reads only its anchor's rotation and corner faces;
-    # the engine then rescans fewer anchors after a step.
+    # the engine then re-checks fewer anchors after a step. True when it
+    # also reads the vertices around its anchor: its neighbors or, for K23
+    # and K24, the vertices on its 5-faces.
     reads_neighbors: bool = True
 
 
@@ -854,11 +858,9 @@ CATALOG: tuple[CatalogEntry, ...] = (
                      "flank_first": ((("v1", "y"), ("v1", "z")), 18),
                      "flank_third": ((("v3", "y"), ("v3", "z")), 18)})),
     CatalogEntry("K23", "5-face with two 3-vertices",
-                 _face_scan_k23, _by_roles("v1", {"": ((("v2", "v4"), ("v4", "v6")), 18)}),
-                 face_anchored=True),
+                 _scan_k23, _by_roles("v1", {"": ((("v2", "v4"), ("v4", "v6")), 18)})),
     CatalogEntry("K24", "5-face with a 3-vertex and a 4-vertex",
-                 _face_scan_k24, _by_roles("v1", {"": ((("v2", "v4"), ("v4", "v6")), 18)}),
-                 face_anchored=True),
+                 _scan_k24, _by_roles("v1", {"": ((("v2", "v4"), ("v4", "v6")), 18)})),
 )
 
 _BY_ID = {e.config_id: e for e in CATALOG}
@@ -869,53 +871,36 @@ _BY_ID = {e.config_id: e for e in CATALOG}
 # ---------------------------------------------------------------------------
 
 class _EntryIndex:
-    """One catalog entry's matches on a live context, kept in detection order.
+    """The anchors at which one catalog entry matches on a live context.
 
-    `keys` holds (center, variant, bindings) sorted; `found` maps each key
-    to the anchors that produced it and their matches, so a match two 5-face
-    anchors both produce stays until neither does. Anchors marked dirty are
-    rescanned when detection next reaches this entry.
+    Every entry is anchored at a vertex, the center of each match its scan
+    yields there. `anchors` is sorted and holds the vertices whose scan
+    yields at least one match; `detect_iter` builds an anchor's matches only
+    when it reaches that anchor. Anchors marked dirty are re-checked, by
+    taking the first item of their scan, when detection next reaches this
+    entry.
     """
 
-    __slots__ = ("entry", "by_anchor", "found", "keys", "dirty")
+    __slots__ = ("entry", "anchors", "dirty")
 
     def __init__(self, ctx: _Ctx, entry: CatalogEntry):
         self.entry = entry
-        self.by_anchor: dict[int, list] = {}
-        self.found: dict[tuple, dict[int, ConfigurationMatch]] = {}
+        self.anchors = [v for v in sorted(ctx.rot) if self._matches(ctx, v)]
         self.dirty: set[int] = set()
-        for a in (ctx.faces if entry.face_anchored else sorted(ctx.rot)):
-            self._scan(ctx, a)
-        self.keys = sorted(self.found)
 
-    def _scan(self, ctx: _Ctx, a: int) -> list:
-        """Record anchor a's matches; returns the keys no other anchor had."""
-        fresh = []
-        for m in self.entry.scan(ctx, ctx.faces[a] if self.entry.face_anchored else a):
-            key = (m.center, m.variant, m.bindings)
-            holders = self.found.get(key)
-            if holders is None:
-                holders = self.found[key] = {}
-                fresh.append(key)
-            elif a in holders:
-                continue
-            holders[a] = m
-            self.by_anchor.setdefault(a, []).append(key)
-        return fresh
+    def _matches(self, ctx: _Ctx, v: int) -> bool:
+        return next(self.entry.scan(ctx, v), None) is not None
 
     def flush(self, ctx: _Ctx) -> None:
-        anchors = ctx.faces if self.entry.face_anchored else ctx.rot
-        keys = self.keys
+        anchors = self.anchors
         for a in self.dirty:
-            for key in self.by_anchor.pop(a, ()):
-                holders = self.found[key]
-                del holders[a]
-                if not holders:
-                    del self.found[key]
-                    del keys[bisect_left(keys, key)]
-            if a in anchors:
-                for key in self._scan(ctx, a):
-                    insort(keys, key)
+            i = bisect_left(anchors, a)
+            had = i < len(anchors) and anchors[i] == a
+            if a in ctx.rot and self._matches(ctx, a):
+                if not had:
+                    anchors.insert(i, a)
+            elif had:
+                del anchors[i]
         self.dirty.clear()
 
 
@@ -933,10 +918,11 @@ def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
     """Matches in priority order: catalog position, then center, variant and bindings.
 
     `g` is an EmbeddedGraph or the engine's live context. An entry's index
-    is built, or its dirty anchors rescanned, only when iteration reaches
-    it, so taking the first match costs the entries before it; running out
-    means every entry has been brought up to date. The context must not
-    change while the iterator is in use.
+    is built, or its dirty anchors re-checked, only when iteration reaches
+    it, and an anchor's matches are built only when iteration reaches that
+    anchor, so taking the first match costs the entries before it and one
+    anchor's scan; running out means every entry has been brought up to
+    date. The context must not change while the iterator is in use.
     """
     if isinstance(g, EmbeddedGraph):
         check_degree(g)
@@ -947,8 +933,8 @@ def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
             idx = ctx.index[entry] = _EntryIndex(ctx, entry)
         elif idx.dirty:
             idx.flush(ctx)
-        for key in idx.keys:
-            yield next(iter(idx.found[key].values()))
+        for a in idx.anchors:
+            yield from sorted(entry.scan(ctx, a), key=attrgetter("variant", "bindings"))
 
 
 def detect_all(g, catalog=None) -> list[ConfigurationMatch]:

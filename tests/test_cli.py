@@ -119,6 +119,32 @@ def test_bad_json_is_input_error(tmp_path):
     assert main(["color", "--in", str(path), "--format", "json"]) == 1
 
 
+_TRACE = {"schema": "reduction-trace/1", "steps": [{"center": 0}]}
+_GRAPH = {"schema": "embedded-graph/1", "rotation": {"0": [1], "1": [0]}}
+
+
+@pytest.mark.parametrize("option, doc", [
+    ("--in", _TRACE),
+    ("--in", [1, 2]),
+    ("--in", {**_GRAPH, "labels": {"x": "a"}}),
+    ("--coloring", _TRACE),
+    ("--coloring", json.loads(codec.write_json(color_by_reduction(G.cycle(4))))),
+    ("--coloring", _GRAPH),
+    ("--coloring", [1, 2]),
+], ids=["malformed-trace-as-graph", "array-as-graph", "label-key", "malformed-trace-as-coloring",
+        "trace-as-coloring", "graph-as-coloring", "array-as-coloring"])
+def test_wrong_document_is_input_error(tmp_path, graph_file, capsys, option, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if option == "--in":
+        argv = ["color", "--in", str(path)]
+    else:
+        argv = ["verify", "--graph", graph_file, "--coloring", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_fallback_exit_code(tmp_path, monkeypatch, capsys):
     # Cripple the catalog so the engine cannot reduce a cycle.
     from planecolor import reductions

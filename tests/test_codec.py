@@ -99,3 +99,10 @@ def test_schema_pointer_on_bad_field():
     with pytest.raises(SchemaMismatch) as exc:
         codec.read_json('{"schema": "embedded-graph/1", "rotation": [1, 2]}')
     assert exc.value.pointer == "/rotation"
+
+
+def test_schema_pointer_on_bad_label_key():
+    with pytest.raises(SchemaMismatch) as exc:
+        codec.graph_from_doc({"schema": "embedded-graph/1", "rotation": {"0": []},
+                              "labels": {"x": "a"}})
+    assert exc.value.pointer == "/labels"

@@ -4,7 +4,7 @@ import pytest
 
 import fixtures
 from planecolor import generators as G
-from planecolor.configurations import CATALOG
+from planecolor.configurations import CATALOG, _Ctx
 from planecolor.embedding import build_embedded
 from planecolor.errors import DegreeTooHigh, PlanInvalid
 from planecolor.oracle import is_proper_wrt
@@ -91,6 +91,19 @@ def test_priority_prefers_cheapest_entry():
     m = detect(g)
     assert m.config_id == "K02"
     assert m.center == min(v for v in g.vertices() if g.degree(v) == 2)
+
+
+def test_every_match_is_centered_at_its_anchor(corpus):
+    # Detection sorts one anchor's matches among themselves and never
+    # across anchors, so a match centered elsewhere would be out of order.
+    # Fresh detection goes through the same index and cannot see this.
+    graphs = [fixture()[0] for fixture in fixtures.ALL_FIXTURES] + [g for _, g in corpus]
+    for g in graphs:
+        ctx = _Ctx(g)
+        for entry in CATALOG:
+            for v in ctx.rot:
+                for m in entry.scan(ctx, v):
+                    assert m.center == v, (entry.config_id, v, m)
 
 
 def test_dedup_no_duplicate_matches(corpus):

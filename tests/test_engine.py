@@ -136,26 +136,42 @@ def test_surgery_counts_a_neighbor_it_leaves_isolated():
     assert sorted(reduced.edges()) == [(1, 2), (1, 3), (2, 3)]
 
 
-def _scanner_calls_per_step(g) -> float:
-    calls = 0
+def _scanner_calls_per_step(g) -> tuple[float, float]:
+    """Scanner calls and the matches they yield, per step."""
+    calls = matches = 0
 
     def counted(scan):
         def wrapper(*args):
             nonlocal calls
             calls += 1
-            return scan(*args)
+            return count(scan(*args))
         return wrapper
+
+    def count(found):
+        nonlocal matches
+        for m in found:
+            matches += 1
+            yield m
 
     catalog = tuple(dataclasses.replace(e, scan=counted(e.scan)) for e in CATALOG)
     result = color_by_reduction(g, catalog=catalog)
     assert not result.fallback
-    return calls / len(result.steps)
+    return calls / len(result.steps), matches / len(result.steps)
 
 
 def test_scanner_work_per_step_stays_flat():
     # Deterministic stand-in for a timing check: rescanning only touched
     # anchors keeps the scanner calls per step nearly independent of size,
     # where a full rescan per step grows with the vertex count.
-    small = _scanner_calls_per_step(G.tri_grid(8, 8))
-    large = _scanner_calls_per_step(G.tri_grid(16, 16))
+    small, _ = _scanner_calls_per_step(G.tri_grid(8, 8))
+    large, _ = _scanner_calls_per_step(G.tri_grid(16, 16))
     assert large <= 1.5 * small, (small, large)
+
+
+def test_matches_are_built_only_where_detection_looks():
+    # On hex_grid every 3-vertex with a light neighbor matches K03, in up
+    # to six labelings: building the matches of every re-checked anchor
+    # costs about 38 per step, building them only at the anchors detection
+    # reaches about 12.
+    _, matches = _scanner_calls_per_step(G.hex_grid(8))
+    assert matches <= 16, matches
