@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (TooLarge, PlanecolorError, OSError, json.JSONDecodeError) as exc:
+    except (TooLarge, PlanecolorError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -230,16 +230,22 @@ def trace_to_doc(result: ReductionResult) -> dict:
     return doc
 
 
+def _step_field(raw, i: int, field: str):
+    if not isinstance(raw, dict) or field not in raw:
+        raise SchemaMismatch(f"/steps/{i}/{field}", "missing")
+    return raw[field]
+
+
 def trace_from_doc(doc: dict) -> ReductionResult:
     _expect_schema(doc, TRACE_SCHEMA)
     steps = []
-    for raw in doc.get("steps", ()):
+    for i, raw in enumerate(doc.get("steps", ())):
         steps.append(ReductionStep(
-            config_id=raw["config"],
+            config_id=_step_field(raw, i, "config"),
             variant=raw.get("variant", ""),
-            center=int(raw["center"]),
+            center=int(_step_field(raw, i, "center")),
             bindings=tuple(sorted((k, int(v)) for k, v in raw.get("bindings", {}).items())),
-            deleted=int(raw["deleted"]),
+            deleted=int(_step_field(raw, i, "deleted")),
             added_edges=tuple(tuple(e) for e in raw.get("added_edges", ())),
             color=raw.get("color"),
             forbidden_size=raw.get("forbidden_size"),

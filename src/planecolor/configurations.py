@@ -102,7 +102,9 @@ class _Ctx(LiveEmbedding):
         self.m3 = _Cached(lambda v: _count_faces(corner[v], 3))
         self.m4 = _Cached(lambda v: _count_faces(corner[v], 4))
         self.index: dict[CatalogEntry, _EntryIndex] = {}
+        self.by_degree: Optional[dict[int, list[int]]] = None  # see `candidates`
         self.pending = None  # (plan, Surgery) validated by the last `plan` call
+        self.charges = None  # the discharging rules' initial charges, set on first use
 
     @classmethod
     def of(cls, g) -> "_Ctx":
@@ -158,8 +160,21 @@ class _Ctx(LiveEmbedding):
             wide.update(rot)
         for idx in self.index.values():
             idx.dirty |= wide if idx.entry.reads_neighbors else near
-        self.pending = None
+        self.by_degree = self.pending = self.charges = None
         return created
+
+    def candidates(self, entry: "CatalogEntry") -> list[int]:
+        """The vertices whose degree fits `entry`'s anchor, sorted.
+
+        The vertices are grouped by degree on the first call after a change;
+        the list returned may be one of those groups, so callers only read it.
+        """
+        if self.by_degree is None:
+            self.by_degree = {}
+            for v in sorted(self.rot):
+                self.by_degree.setdefault(self.deg[v], []).append(v)
+        groups = [vs for d, vs in self.by_degree.items() if entry.fits(d)]
+        return groups[0] if len(groups) == 1 else sorted(v for vs in groups for v in vs)
 
     def labelings(self, v: int) -> Iterator[tuple[tuple[int, ...], tuple[Face, ...]]]:
         """All rotations and reflections of the neighbor sequence at v.
@@ -388,7 +403,12 @@ def _scan_k14(ctx: _Ctx, v: int):
 
 
 def _fan_layout(ctx: _Ctx, v: int, last_degree):
-    """Layouts with a triangle in every corner but the last, which passes last_degree."""
+    """Layouts with a triangle in every corner but the last, which passes last_degree.
+
+    A triangle fills one corner only (its three vertices are distinct), so
+    such a layout exists only where m3 is one below the degree; the callers
+    test that first.
+    """
     for labels, faces in ctx.labelings(v):
         if all(f.degree == 3 for f in faces[:-1]) and last_degree(faces[-1].degree):
             yield labels, faces
@@ -396,7 +416,7 @@ def _fan_layout(ctx: _Ctx, v: int, last_degree):
 
 def _scan_k15(ctx: _Ctx, v: int):
     # 5-vertex: four triangles and a 4-face, with a structural violation.
-    if ctx.deg[v] != 5:
+    if ctx.deg[v] != 5 or ctx.m3[v] != 4:
         return
     for labels, faces in _fan_layout(ctx, v, lambda d: d == 4):
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(5)},
@@ -414,7 +434,7 @@ def _scan_k15(ctx: _Ctx, v: int):
 
 def _scan_k16(ctx: _Ctx, v: int):
     # 5-vertex: four triangles and a big face, neighbor-degree violations.
-    if ctx.deg[v] != 5:
+    if ctx.deg[v] != 5 or ctx.m3[v] != 4:
         return
     for labels, _ in _fan_layout(ctx, v, lambda d: d >= 5):
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(5)}}
@@ -431,7 +451,7 @@ def _scan_k16(ctx: _Ctx, v: int):
 
 def _scan_k17(ctx: _Ctx, v: int):
     # 5-vertex: four triangles and a big face, tight degree profile, doubled edge.
-    if ctx.deg[v] != 5:
+    if ctx.deg[v] != 5 or ctx.m3[v] != 4:
         return
     dbl = ctx.doubled_induced(v)
     if not dbl:
@@ -509,7 +529,7 @@ def _fan_neighbor_reduction(ctx: _Ctx, v: int, u: int, u_minus: int, u_plus: int
 
 def _scan_k18(ctx: _Ctx, v: int):
     # 6-vertex: five triangles and one 4-face.
-    if ctx.deg[v] != 6:
+    if ctx.deg[v] != 6 or ctx.m3[v] != 5:
         return
     for labels, faces in _fan_layout(ctx, v, lambda d: d == 4):
         degs = [ctx.deg[u] for u in labels]
@@ -561,7 +581,7 @@ def _scan_k18(ctx: _Ctx, v: int):
 
 def _scan_k19(ctx: _Ctx, v: int):
     # 6-vertex: five triangles and one face of degree >= 5.
-    if ctx.deg[v] != 6:
+    if ctx.deg[v] != 6 or ctx.m3[v] != 5:
         return
     for labels, _ in _fan_layout(ctx, v, lambda d: d >= 5):
         degs = [ctx.deg[u] for u in labels]
@@ -616,7 +636,7 @@ def _scan_k20(ctx: _Ctx, v: int):
 def _scan_k21(ctx: _Ctx, v: int):
     # 6-vertex: four triangles, one 4-face, one big face, with a 3-vertex
     # between the small faces and a 4-vertex flanking it.
-    if ctx.deg[v] != 6:
+    if ctx.deg[v] != 6 or ctx.m3[v] != 4:
         return
     for labels, faces in ctx.labelings(v):
         if not (faces[0].degree == 4 and faces[1].degree >= 5
@@ -636,7 +656,7 @@ def _scan_k21(ctx: _Ctx, v: int):
 
 def _scan_k22(ctx: _Ctx, v: int):
     # As K21 but with two big faces around the 3-vertex.
-    if ctx.deg[v] != 6:
+    if ctx.deg[v] != 6 or ctx.m3[v] != 4:
         return
     for labels, faces in ctx.labelings(v):
         if not (faces[0].degree >= 5 and faces[1].degree >= 5
@@ -779,68 +799,79 @@ class CatalogEntry:
     summary: str
     scan: Callable
     build: Callable
+    # The degree the scan requires of its anchor; see `fits`.
+    degree: int
     # False when the scan reads only its anchor's rotation and corner faces;
     # the engine then re-checks fewer anchors after a step. True when it
     # also reads the vertices around its anchor: its neighbors or, for K23
     # and K24, the vertices on its 5-faces.
     reads_neighbors: bool = True
 
+    def fits(self, d: int) -> bool:
+        """Whether a vertex of degree d can anchor a match: K01 also takes degree 0."""
+        return d == self.degree or (self.degree == 1 and d == 0)
+
 
 CATALOG: tuple[CatalogEntry, ...] = (
     CatalogEntry("K01", "vertex of degree <= 1: delete it",
                  _scan_k01, _by_roles("v", {"": ((), 6)}),
-                 reads_neighbors=False),
+                 degree=1, reads_neighbors=False),
     CatalogEntry("K02", "2-vertex: delete, join its neighbors",
                  _scan_k02, _by_roles("v", {"": ((("x", "y"),), 12)}),
-                 reads_neighbors=False),
+                 degree=2, reads_neighbors=False),
     CatalogEntry("K03", "3-vertex with a light neighbor: delete, fan from that neighbor",
-                 _scan_k03, _by_roles("v", {"": ((("v1", "v2"), ("v1", "v3")), 17)})),
+                 _scan_k03, _by_roles("v", {"": ((("v1", "v2"), ("v1", "v3")), 17)}),
+                 degree=3),
     CatalogEntry("K04", "3-vertex on a triangle: delete, one chord",
                  _scan_k04, _by_roles("v", {"": ((("v1", "v3"),), 16)}),
-                 reads_neighbors=False),
+                 degree=3, reads_neighbors=False),
     CatalogEntry("K05", "3-vertex between two 4-faces: delete, one chord",
                  _scan_k05, _by_roles("v", {"": ((("v1", "v3"),), 16)}),
-                 reads_neighbors=False),
+                 degree=3, reads_neighbors=False),
     CatalogEntry("K06", "4-vertex on three triangles: delete, close the fan",
                  _scan_k06, _by_roles("v", {"": ((("v1", "v4"),), 18)}),
-                 reads_neighbors=False),
+                 degree=4, reads_neighbors=False),
     CatalogEntry("K07", "4-vertex, two triangles plus a 4-face",
                  _scan_k07, _by_roles("v", {"adjacent": ((("v1", "v4"),), 19),
                                             "split": ((("v3", "v4"),), 19)}),
-                 reads_neighbors=False),
+                 degree=4, reads_neighbors=False),
     CatalogEntry("K08", "4-vertex, two triangles, a light neighbor",
-                 _scan_k08, _by_roles("v", _TWO_TRIANGLES)),
+                 _scan_k08, _by_roles("v", _TWO_TRIANGLES), degree=4),
     CatalogEntry("K09", "4-vertex, two triangles, triangle edge doubled",
-                 _scan_k09, _by_roles("v", _TWO_TRIANGLES)),
+                 _scan_k09, _by_roles("v", _TWO_TRIANGLES), degree=4),
     CatalogEntry("K10", "4-vertex, one triangle and three 4-faces",
                  _scan_k10, _by_roles("v", {"": ((("v2", "v3"), ("v1", "v4")), 19)}),
-                 reads_neighbors=False),
+                 degree=4, reads_neighbors=False),
     CatalogEntry("K11", "4-vertex with a 4-neighbor: delete, star the 4-neighbor",
-                 _scan_k11, _spec_k11),
+                 _scan_k11, _spec_k11, degree=4),
     CatalogEntry("K12", "4-vertex with two 5-neighbors",
-                 _scan_k12, _spec_k12),
+                 _scan_k12, _spec_k12, degree=4),
     CatalogEntry("K13", "5-vertex, full fan, light neighbor: plain deletion",
-                 _scan_k13, _by_roles("v", {"": ((), 19)})),
+                 _scan_k13, _by_roles("v", {"": ((), 19)}), degree=5),
     CatalogEntry("K14", "5-vertex, full fan, doubled neighbor edge: plain deletion",
-                 _scan_k14, _by_roles("v", {"": ((), 19)})),
+                 _scan_k14, _by_roles("v", {"": ((), 19)}), degree=5),
     CatalogEntry("K15", "5-vertex, four triangles + 4-face: close the gap",
                  _scan_k15, _by_roles("v", dict.fromkeys(
-                     ("low_neighbor", "two_fives", "saturated_six"), ((("v5", "v1"),), 19)))),
+                     ("low_neighbor", "two_fives", "saturated_six"), ((("v5", "v1"),), 19))),
+                 degree=5),
     CatalogEntry("K16", "5-vertex, four triangles + big face: close the gap",
                  _scan_k16, _by_roles("v", {
                      "two_fours": ((("v1", "v5"),), 18),
                      **dict.fromkeys(("three_fives", "four_plus_five"),
-                                     ((("v1", "v5"),), 19))})),
+                                     ((("v1", "v5"),), 19))}),
+                 degree=5),
     CatalogEntry("K17", "5-vertex, four triangles + big face, doubled edge",
                  _scan_k17, _by_roles("v", dict.fromkeys(
-                     ("one_four", "two_fives"), ((("v5", "v1"),), 19)))),
+                     ("one_four", "two_fives"), ((("v5", "v1"),), 19))),
+                 degree=5),
     CatalogEntry("K18", "6-vertex, five triangles + 4-face family",
-                 _scan_k18, _spec_k18),
+                 _scan_k18, _spec_k18, degree=6),
     CatalogEntry("K19", "6-vertex, five triangles + big face family",
                  _scan_k19, _by_roles("v", {
                      **dict.fromkeys(("a", "b", "c"), (_FAN_FROM_V1, 19)),
                      **dict.fromkeys(("d", "e"),
-                                     ((("v4", "v2"), ("v4", "v6"), ("v1", "v6")), 19))})),
+                                     ((("v4", "v2"), ("v4", "v6"), ("v1", "v6")), 19))}),
+                 degree=6),
     CatalogEntry("K20", "6-vertex, four triangles + two 4-faces family",
                  _scan_k20, _by_roles("v", {
                      f"{case}/{kind}": (pairs, 19)
@@ -848,19 +879,24 @@ CATALOG: tuple[CatalogEntry, ...] = (
                          ("near", (("v1", "v2"), ("v2", "v3"), ("v3", "v5"), ("v5", "v1"))),
                          ("mid", (("v1", "v2"), ("v3", "v4"), ("v3", "v5"), ("v5", "v1"))),
                          ("far", (("v1", "v2"), ("v4", "v5"), ("v1", "v3"), ("v3", "v5"))))
-                     for kind in ("one_four", "doubled")})),
+                     for kind in ("one_four", "doubled")}),
+                 degree=6),
     CatalogEntry("K21", "3-vertex between a 4-face and a big face at a 6-vertex",
                  _scan_k21, _by_roles("v2", {
                      "flank_first": ((("v1", "y"),), 17),
-                     "flank_third": ((("v3", "x"), ("v3", "y")), 17)})),
+                     "flank_third": ((("v3", "x"), ("v3", "y")), 17)}),
+                 degree=6),
     CatalogEntry("K22", "3-vertex between two big faces at a 6-vertex",
                  _scan_k22, _by_roles("v2", {
                      "flank_first": ((("v1", "y"), ("v1", "z")), 18),
-                     "flank_third": ((("v3", "y"), ("v3", "z")), 18)})),
+                     "flank_third": ((("v3", "y"), ("v3", "z")), 18)}),
+                 degree=6),
     CatalogEntry("K23", "5-face with two 3-vertices",
-                 _scan_k23, _by_roles("v1", {"": ((("v2", "v4"), ("v4", "v6")), 18)})),
+                 _scan_k23, _by_roles("v1", {"": ((("v2", "v4"), ("v4", "v6")), 18)}),
+                 degree=3),
     CatalogEntry("K24", "5-face with a 3-vertex and a 4-vertex",
-                 _scan_k24, _by_roles("v1", {"": ((("v2", "v4"), ("v4", "v6")), 18)})),
+                 _scan_k24, _by_roles("v1", {"": ((("v2", "v4"), ("v4", "v6")), 18)}),
+                 degree=3),
 )
 
 _BY_ID = {e.config_id: e for e in CATALOG}
@@ -873,30 +909,30 @@ _BY_ID = {e.config_id: e for e in CATALOG}
 class _EntryIndex:
     """The anchors at which one catalog entry matches on a live context.
 
-    Every entry is anchored at a vertex, the center of each match its scan
-    yields there. `anchors` is sorted and holds the vertices whose scan
-    yields at least one match; `detect_iter` builds an anchor's matches only
-    when it reaches that anchor. Anchors marked dirty are re-checked, by
-    taking the first item of their scan, when detection next reaches this
-    entry.
+    Every entry is anchored at a vertex of its degree, the center of each
+    match its scan yields there. `anchors` is sorted and holds the vertices
+    whose scan yields at least one match; `detect_iter` builds an anchor's
+    matches only when it reaches that anchor. Anchors marked dirty are
+    re-checked, by taking the first item of their scan, when detection next
+    reaches this entry; one whose degree no longer fits is dropped unscanned.
     """
 
     __slots__ = ("entry", "anchors", "dirty")
 
     def __init__(self, ctx: _Ctx, entry: CatalogEntry):
         self.entry = entry
-        self.anchors = [v for v in sorted(ctx.rot) if self._matches(ctx, v)]
+        self.anchors = [v for v in ctx.candidates(entry) if self._matches(ctx, v)]
         self.dirty: set[int] = set()
 
     def _matches(self, ctx: _Ctx, v: int) -> bool:
         return next(self.entry.scan(ctx, v), None) is not None
 
     def flush(self, ctx: _Ctx) -> None:
-        anchors = self.anchors
+        anchors, fits, deg = self.anchors, self.entry.fits, ctx.deg
         for a in self.dirty:
             i = bisect_left(anchors, a)
             had = i < len(anchors) and anchors[i] == a
-            if a in ctx.rot and self._matches(ctx, a):
+            if a in deg and fits(deg[a]) and self._matches(ctx, a):
                 if not had:
                     anchors.insert(i, a)
             elif had:
@@ -914,31 +950,45 @@ def check_degree(g) -> None:
             raise DegreeTooHigh(v, g.degree(v))
 
 
-def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
-    """Matches in priority order: catalog position, then center, variant and bindings.
-
-    `g` is an EmbeddedGraph or the engine's live context. An entry's index
-    is built, or its dirty anchors re-checked, only when iteration reaches
-    it, and an anchor's matches are built only when iteration reaches that
-    anchor, so taking the first match costs the entries before it and one
-    anchor's scan; running out means every entry has been brought up to
-    date. The context must not change while the iterator is in use.
-    """
-    if isinstance(g, EmbeddedGraph):
-        check_degree(g)
-    ctx = _Ctx.of(g)
+def _in_order(ctx: _Ctx, catalog, build_index: bool) -> Iterator[ConfigurationMatch]:
+    """Matches in priority order: through each entry's index where it has
+    one (built first when `build_index`), else by one full scan of every
+    vertex whose degree fits the entry."""
     for entry in (catalog or CATALOG):
         idx = ctx.index.get(entry)
-        if idx is None:
+        if idx is None and build_index:
             idx = ctx.index[entry] = _EntryIndex(ctx, entry)
-        elif idx.dirty:
+        elif idx is not None and idx.dirty:
             idx.flush(ctx)
-        for a in idx.anchors:
+        for a in (ctx.candidates(entry) if idx is None else idx.anchors):
             yield from sorted(entry.scan(ctx, a), key=attrgetter("variant", "bindings"))
 
 
+def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
+    """Matches in priority order: catalog position, then center, variant and bindings.
+
+    `g` is an EmbeddedGraph or the engine's live context. On the engine's
+    context an entry's index is built, or its dirty anchors re-checked, only
+    when iteration reaches it, and an anchor's matches are built only when
+    iteration reaches that anchor, so taking the first match costs the
+    entries before it and one anchor's scan; running out means every entry
+    has been brought up to date. The context must not change while the
+    iterator is in use. A graph gets a context of its own, used once: it is
+    scanned without indexes.
+    """
+    if isinstance(g, EmbeddedGraph):
+        check_degree(g)
+        yield from _in_order(_Ctx(g), catalog, build_index=False)
+    else:
+        yield from _in_order(g, catalog, build_index=True)
+
+
 def detect_all(g, catalog=None) -> list[ConfigurationMatch]:
-    return list(detect_iter(g, catalog))
+    """Every match in priority order, as `detect_iter`, but building no index:
+    entries without one are scanned once in full."""
+    if isinstance(g, EmbeddedGraph):
+        check_degree(g)
+    return list(_in_order(_Ctx.of(g), catalog, build_index=False))
 
 
 def detect(g, catalog=None) -> Optional[ConfigurationMatch]:

@@ -3,14 +3,17 @@
 Vertices start at degree-4 and faces at degree-4 below their size; over any
 connected component with at least one edge the total is exactly -8. Nine local
 rules move charge between elements; the ledger records every transfer so the
-final map can be replayed bit-exactly. All arithmetic is fractions.Fraction:
-a comparison against zero is meaningful, never a tolerance.
+final map can be replayed bit-exactly. The arithmetic is exact: charges are
+counted in integers of 1/45 (every rule's amount is a whole number of them),
+and the maps and totals a caller sees are fractions.Fraction. A comparison
+against zero is meaningful, never a tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import configurations as cfg
@@ -19,6 +22,12 @@ from .embedding import EmbeddedGraph
 Element = tuple[str, int]  # ("v", vertex_id) or ("f", face_id)
 
 RULE_IDS = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9")
+
+# The rules' five amounts, shared by every transfer, and the unit 1/UNIT
+# that all of them are whole multiples of.
+THIRD, FIFTH, NINTH = Fraction(1, 3), Fraction(1, 5), Fraction(1, 9)
+FIFTEENTH, TWO_FIFTEENTHS = Fraction(1, 15), Fraction(2, 15)
+UNIT = 45
 
 
 @dataclass(frozen=True)
@@ -44,12 +53,24 @@ class DischargeReport:
     face_walks: dict[int, tuple[int, ...]]
 
 
+def _degree_charges(ctx) -> dict[Element, int]:
+    """Degree minus 4 on every element, kept on the context for its next reader."""
+    if ctx.charges is None:
+        charges = {("v", v): d - 4 for v, d in ctx.deg.items()}
+        charges.update((("f", f.id), f.degree - 4) for f in ctx.faces.values())
+        ctx.charges = charges
+    return ctx.charges
+
+
+def _fractions(counts: dict[Element, int], unit: int) -> dict[Element, Fraction]:
+    """counts / unit per element, one Fraction per distinct value."""
+    shared = {c: Fraction(c, unit) for c in set(counts.values())}
+    return {el: shared[c] for el, c in counts.items()}
+
+
 def initial_charges(g) -> dict[Element, Fraction]:
     """Degree-minus-4 on every vertex and every face; `g` as for apply_rules."""
-    ctx = cfg._Ctx.of(g)
-    charges = {("v", v): Fraction(d - 4) for v, d in ctx.deg.items()}
-    charges.update((("f", f.id), Fraction(f.degree - 4)) for f in ctx.faces.values())
-    return charges
+    return _fractions(_degree_charges(cfg._Ctx.of(g)), 1)
 
 
 def apply_rules(g) -> tuple[dict[Element, Fraction], tuple[Transfer, ...]]:
@@ -64,7 +85,14 @@ def apply_rules(g) -> tuple[dict[Element, Fraction], tuple[Transfer, ...]]:
     ctx = cfg._Ctx.of(g)
     cfg.check_degree(ctx)
     deg, rot = ctx.deg, ctx.rot
+    units = {el: q * UNIT for el, q in _degree_charges(ctx).items()}
     ledger: list[Transfer] = []
+
+    def move(rule, source, target, amount):
+        ledger.append(Transfer(rule, source, target, amount))
+        n = amount.numerator * UNIT // amount.denominator
+        units[source] -= n
+        units[target] += n
 
     def heavy_senders(v):
         """Adjacent 6-vertices still below a full triangle fan."""
@@ -77,33 +105,34 @@ def apply_rules(g) -> tuple[dict[Element, Fraction], tuple[Transfer, ...]]:
     for f in ctx.faces.values():
         if f.degree == 3:
             for v in f.vertices():
-                ledger.append(Transfer("R1", ("v", v), ("f", f.id), Fraction(1, 3)))
+                move("R1", ("v", v), ("f", f.id), THIRD)
 
     for v, d in deg.items():
         if d == 3:
             for w in heavy_senders(v):
-                ledger.append(Transfer("R2", ("v", w), ("v", v), Fraction(1, 9)))
+                move("R2", ("v", w), ("v", v), NINTH)
             for f in big_faces(v):
-                ledger.append(Transfer("R3", ("f", f.id), ("v", v), Fraction(1, 3)))
+                move("R3", ("f", f.id), ("v", v), THIRD)
         elif d == 4:
             for f in big_faces(v):
-                ledger.append(Transfer("R4", ("f", f.id), ("v", v), Fraction(1, 5)))
+                move("R4", ("f", f.id), ("v", v), FIFTH)
             for w in heavy_senders(v):
-                ledger.append(Transfer("R5", ("v", w), ("v", v), Fraction(1, 15)))
+                move("R5", ("v", w), ("v", v), FIFTEENTH)
         elif d == 5:
             for f in big_faces(v):
-                ledger.append(Transfer("R6", ("f", f.id), ("v", v), Fraction(1, 5)))
+                move("R6", ("f", f.id), ("v", v), FIFTH)
             if ctx.m3[v] >= 4:
                 for w in heavy_senders(v):
-                    ledger.append(Transfer("R7", ("v", w), ("v", v), Fraction(2, 15)))
+                    move("R7", ("v", w), ("v", v), TWO_FIFTEENTHS)
         elif d == 6:
             for f in big_faces(v):
-                has_close_3 = any(deg[u] == 3 and u in rot[v] for u in f.vertices())
-                rule, amount = ("R9", Fraction(1, 9)) if has_close_3 else ("R8", Fraction(1, 5))
-                ledger.append(Transfer(rule, ("f", f.id), ("v", v), amount))
+                if any(deg[u] == 3 and u in rot[v] for u in f.vertices()):
+                    move("R9", ("f", f.id), ("v", v), NINTH)
+                else:
+                    move("R8", ("f", f.id), ("v", v), FIFTH)
 
     ordered = tuple(sorted(ledger, key=lambda t: (RULE_IDS.index(t.rule), t.source, t.target)))
-    return replay_ledger(initial_charges(ctx), ordered), ordered
+    return _fractions(units, UNIT), ordered
 
 
 def replay_ledger(initial: dict[Element, Fraction],
@@ -126,19 +155,21 @@ def audit(g: EmbeddedGraph) -> DischargeReport:
     """
     ctx = cfg._Ctx(g)
     final, ledger = apply_rules(ctx)
-    initial = initial_charges(ctx)
+    charges = _degree_charges(ctx)
 
     # Charge moves only inside a component, so each component must end
-    # with the total it started with.
+    # with the total it started with. Both are summed in integers over the
+    # least common denominator of the final charges.
     comps = g.connected_components()
     owner = {("v", v): i for i, comp in enumerate(comps) for v in comp}
     owner.update((("f", f.id), owner[("v", f.boundary[0][0])]) for f in ctx.faces.values())
-    start_totals = [Fraction(0)] * len(comps)
-    comp_totals = [Fraction(0)] * len(comps)
-    for el, q in initial.items():
-        start_totals[owner[el]] += q
+    unit = lcm(*{q.denominator for q in final.values()})
+    start_totals = [0] * len(comps)
+    comp_totals = [0] * len(comps)
+    for el, c in charges.items():
+        start_totals[owner[el]] += c * unit
     for el, q in final.items():
-        comp_totals[owner[el]] += q
+        comp_totals[owner[el]] += q.numerator * (unit // q.denominator)
 
     negatives = tuple(sorted(((el, q) for el, q in final.items() if q < 0),
                              key=lambda item: item[0]))
@@ -148,14 +179,14 @@ def audit(g: EmbeddedGraph) -> DischargeReport:
         shadow = bool(negatives) and bool(matches)
 
     return DischargeReport(
-        initial=initial,
+        initial=_fractions(charges, 1),
         final=final,
         ledger=ledger,
         negative_elements=negatives,
         conservation_ok=start_totals == comp_totals,
-        total_initial=sum(start_totals, Fraction(0)),
-        total_final=sum(comp_totals, Fraction(0)),
-        component_totals=tuple(comp_totals),
+        total_initial=Fraction(sum(start_totals), unit),
+        total_final=Fraction(sum(comp_totals), unit),
+        component_totals=tuple(Fraction(t, unit) for t in comp_totals),
         match_count=len(matches),
         proof_shadow_ok=shadow,
         face_walks={f.id: f.vertex_walk() for f in ctx.faces.values()},

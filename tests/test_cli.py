@@ -119,6 +119,14 @@ def test_bad_json_is_input_error(tmp_path):
     assert main(["color", "--in", str(path), "--format", "json"]) == 1
 
 
+def test_json_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"schema": "embedded-graph/1"}'.encode("utf-16-le"))
+    assert main(["color", "--in", str(path), "--format", "json"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 _TRACE = {"schema": "reduction-trace/1", "steps": [{"center": 0}]}
 _GRAPH = {"schema": "embedded-graph/1", "rotation": {"0": [1], "1": [0]}}
 

@@ -106,3 +106,14 @@ def test_schema_pointer_on_bad_label_key():
         codec.graph_from_doc({"schema": "embedded-graph/1", "rotation": {"0": []},
                               "labels": {"x": "a"}})
     assert exc.value.pointer == "/labels"
+
+
+@pytest.mark.parametrize("field", ["config", "center", "deleted"])
+def test_schema_pointer_on_a_step_missing_a_field(field):
+    step = {"config": "K02", "center": 0, "deleted": 0}
+    del step[field]
+    doc = {"schema": "reduction-trace/1", "steps": [step, step],
+           "coloring": {"schema": "coloring/1", "palette_size": 20, "assignment": {}}}
+    with pytest.raises(SchemaMismatch) as exc:
+        codec.trace_from_doc(doc)
+    assert exc.value.pointer == f"/steps/0/{field}"

@@ -1,5 +1,7 @@
 """Catalog detection and per-entry soundness on purpose-built fixtures."""
 
+from itertools import islice
+
 import pytest
 
 import fixtures
@@ -8,7 +10,7 @@ from planecolor.configurations import CATALOG, _Ctx
 from planecolor.embedding import build_embedded
 from planecolor.errors import DegreeTooHigh, PlanInvalid
 from planecolor.oracle import is_proper_wrt
-from planecolor.reductions import apply_plan, detect, detect_all, plan
+from planecolor.reductions import _peel, apply_plan, detect, detect_all, detect_iter, plan
 
 
 def test_catalog_is_ordered_and_complete():
@@ -111,3 +113,45 @@ def test_dedup_no_duplicate_matches(corpus):
         ms = detect_all(g)
         keys = [(m.config_id, m.center, m.variant, m.bindings) for m in ms]
         assert len(keys) == len(set(keys)), name
+
+
+# A fan layout fixes the distinct triangles at its anchor, and these scans
+# return at once when the count differs.
+_PREFILTER_M3 = {"K15": 4, "K16": 4, "K17": 4, "K18": 5, "K19": 5, "K21": 4, "K22": 4}
+
+
+def test_anchor_degree_and_triangle_count_hold_at_every_match(corpus):
+    # Every scan runs at every vertex, not only at the candidates of its
+    # degree; the fixtures reach every variant of every entry.
+    graphs = ([fixture()[0] for fixture in fixtures.ALL_FIXTURES] + [g for _, g in corpus]
+              + [G.random_planar(150, 700 + seed) for seed in range(10)])
+    matched = set()
+    for g in graphs:
+        ctx = _Ctx(g)
+        for entry in CATALOG:
+            for v in ctx.rot:
+                for m in entry.scan(ctx, v):
+                    assert entry.fits(ctx.deg[v]), (entry.config_id, v, ctx.deg[v])
+                    if entry.config_id in _PREFILTER_M3:
+                        assert ctx.m3[v] == _PREFILTER_M3[entry.config_id], (entry.config_id, v)
+                    matched.add(m.config_id)
+    assert matched == {e.config_id for e in CATALOG}
+
+
+def _keyed(matches):
+    return [(m.config_id, m.center, m.variant, m.bindings) for m in matches]
+
+
+def test_one_off_detection_builds_no_index_and_agrees_with_the_index(corpus):
+    # After 10 engine steps some indexes are built, some of them have dirty
+    # anchors, and some entries have none yet.
+    for name, g in corpus:
+        for steps in (0, 10):
+            live = _Ctx(g)
+            list(islice(_peel(live, None), steps))
+            once = _Ctx(live.to_graph())
+            found = _keyed(detect_all(once))
+            assert not once.index, name
+            assert _keyed(detect_all(live)) == found, (name, steps)
+            assert _keyed(detect_iter(live)) == found, (name, steps)
+            assert len(live.index) == len(CATALOG)

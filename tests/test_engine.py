@@ -14,7 +14,7 @@ import math
 
 from conftest import build_corpus
 from planecolor import generators as G
-from planecolor.configurations import CATALOG, _Ctx, detect_all
+from planecolor.configurations import CATALOG, _Ctx, detect_all, detect_iter
 from planecolor.embedding import EmbeddedGraph, build_embedded
 from planecolor.reductions import _peel, apply_plan, color_by_reduction, plan
 
@@ -33,7 +33,7 @@ def _check_every_step(g, catalog):
         assert exported.euler_defect() == 0
         assert {f.boundary for f in ctx.faces.values()} == \
             {f.boundary for f in exported.faces()}
-        assert _keys(detect_all(ctx, catalog)) == _keys(detect_all(exported, catalog))
+        assert _keys(detect_iter(ctx, catalog)) == _keys(detect_all(exported, catalog))
         assert near == before.distance2_neighborhood(p.delete)
         before = exported
 
@@ -105,12 +105,12 @@ def test_far_change_of_big_face_start_rescans_k21():
         return [m.binding("y") for m in matches if m.config_id == "K21"]
 
     ctx = _Ctx(g)
-    assert k21_y(detect_all(ctx)) == [ids["B"]]
-    m = next(m for m in detect_all(ctx) if m.config_id == "K02" and m.center == ids["Z"])
+    assert k21_y(detect_iter(ctx)) == [ids["B"]]
+    m = next(m for m in detect_iter(ctx) if m.config_id == "K02" and m.center == ids["Z"])
     apply_plan(ctx, plan(ctx, m))
     fresh = detect_all(ctx.to_graph())
     assert k21_y(fresh) == [ids["X"]]
-    assert _keys(detect_all(ctx)) == _keys(fresh)
+    assert _keys(detect_iter(ctx)) == _keys(fresh)
 
 
 def test_index_matches_fresh_detection_with_reversed_catalog():

@@ -14,7 +14,7 @@ import json
 
 import fixtures
 from conftest import build_corpus
-from planecolor.configurations import build_plan_spec, detect_all
+from planecolor.configurations import _Ctx, build_plan_spec, detect_all
 
 PINNED = "38dc21d9e86c1cbee2a7432503aff2a90d5325495b5c3f3f79a9492ebc5119aa"
 
@@ -29,8 +29,9 @@ def plan_digest(graphs) -> tuple[str, int]:
     count = 0
     for name, g in graphs:
         digest.update(f"{name}\n".encode())
-        for m in detect_all(g):
-            spec = build_plan_spec(g, m)
+        ctx = _Ctx(g)  # one context per graph, as `audit` does
+        for m in detect_all(ctx):
+            spec = build_plan_spec(ctx, m)
             chords = sorted({(min(a, b), max(a, b)) for a, b in spec.add_edges})
             rec = [m.config_id, m.variant, m.center, spec.delete,
                    [list(c) for c in chords], spec.forbidden_bound]
