@@ -81,6 +81,16 @@ def _count_faces(faces, size: int) -> int:
     return sum(1 for k in {f.id: f.degree for f in faces}.values() if k == size)
 
 
+def _by_degree(vs, deg) -> dict[int, list[int]]:
+    """The vertices of `vs` still present, grouped by degree."""
+    out: dict[int, list[int]] = {}
+    for u in vs:
+        d = deg.get(u)
+        if d is not None:
+            out.setdefault(d, []).append(u)
+    return out
+
+
 class _Ctx(LiveEmbedding):
     """Live embedding plus what the scanners read, and one anchor index per entry.
 
@@ -127,15 +137,19 @@ class _Ctx(LiveEmbedding):
         vertices of every replaced 5-face too: a destroyed face's vertices
         lie within two face edges of the deleted vertex, so among the
         neighbors of its neighbors, and every created face passes a vertex
-        whose rotation changed.
+        whose rotation changed. An index is told only of the dirty vertices
+        whose degree fits its entry, and of the vertices whose rotation
+        changed while their old degree fitted it: those may have to leave.
         """
         x = s.delete
+        deg = self.deg
+        before = _by_degree([x, *s.rot], deg)  # by the degree they had
         created = super().commit(s)
         rot = self.rot
         replaced = s.destroyed + created
-        del self.deg[x]
+        del deg[x]
         for v in s.rot:
-            self.deg[v] = len(rot[v])
+            deg[v] = len(rot[v])
         for v in {u for f in replaced for u, _ in f.boundary}:
             for table in (self.corner, self.m3, self.m4):
                 table.pop(v, None)
@@ -153,13 +167,16 @@ class _Ctx(LiveEmbedding):
         wide |= near
         for u in near:
             wide.update(rot[u])
-        near.add(x)
-        wide.add(x)
         if len(rot) < 2:  # K01 reads the vertex count
             near.update(rot)
             wide.update(rot)
+        near_by, wide_by = _by_degree(near, deg), _by_degree(wide, deg)
         for idx in self.index.values():
-            idx.dirty |= wide if idx.entry.reads_neighbors else near
+            entry = idx.entry
+            for by in (before, wide_by if entry.reads_neighbors else near_by):
+                for d, vs in by.items():
+                    if entry.fits(d):
+                        idx.dirty.update(vs)
         self.by_degree = self.pending = self.charges = None
         return created
 
@@ -406,12 +423,20 @@ def _fan_layout(ctx: _Ctx, v: int, last_degree):
     """Layouts with a triangle in every corner but the last, which passes last_degree.
 
     A triangle fills one corner only (its three vertices are distinct), so
-    such a layout exists only where m3 is one below the degree; the callers
-    test that first.
+    such a layout exists only where m3 is one below the degree, which the
+    callers test first. There exactly one corner j is not a triangle, and
+    the two labelings that end at it are built directly, as `labelings`
+    orders them: the forward one starting after j, then its reflection.
     """
-    for labels, faces in ctx.labelings(v):
-        if all(f.degree == 3 for f in faces[:-1]) and last_degree(faces[-1].degree):
-            yield labels, faces
+    faces = ctx.corner[v]
+    j = next(i for i, f in enumerate(faces) if f.degree != 3)
+    if not last_degree(faces[j].degree):
+        return
+    rot = ctx.rot[v]
+    k = j + 1
+    labels = tuple(rot[k:] + rot[:k])
+    yield labels, faces[k:] + faces[:k]
+    yield labels[::-1], (faces[j:] + faces[:j])[::-1]
 
 
 def _scan_k15(ctx: _Ctx, v: int):
@@ -989,6 +1014,17 @@ def detect_all(g, catalog=None) -> list[ConfigurationMatch]:
     if isinstance(g, EmbeddedGraph):
         check_degree(g)
     return list(_in_order(_Ctx.of(g), catalog, build_index=False))
+
+
+def match_count(g, catalog=None) -> int:
+    """len(detect_all(g, catalog)), counted without keeping a match: each
+    vertex whose degree fits an entry is scanned once, and nothing is
+    sorted or indexed."""
+    if isinstance(g, EmbeddedGraph):
+        check_degree(g)
+    ctx = _Ctx.of(g)
+    return sum(1 for entry in (catalog or CATALOG)
+               for v in ctx.candidates(entry) for _ in entry.scan(ctx, v))
 
 
 def detect(g, catalog=None) -> Optional[ConfigurationMatch]:

@@ -2,11 +2,13 @@
 
 Vertices start at degree-4 and faces at degree-4 below their size; over any
 connected component with at least one edge the total is exactly -8. Nine local
-rules move charge between elements; the ledger records every transfer so the
-final map can be replayed bit-exactly. The arithmetic is exact: charges are
-counted in integers of 1/45 (every rule's amount is a whole number of them),
-and the maps and totals a caller sees are fractions.Fraction. A comparison
-against zero is meaningful, never a tolerance.
+rules move charge between elements, each always by its one amount (R1 and R3
+move 1/3; R4, R6 and R8 move 1/5; R2 and R9 move 1/9; R5 moves 1/15; R7 moves
+2/15); the ledger records every transfer so the final map can be replayed
+bit-exactly. The arithmetic is exact: charges are counted in integers of 1/45
+(every amount is a whole number of them), and the maps and totals a caller
+sees are fractions.Fraction. A comparison against zero is meaningful, never a
+tolerance.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from .embedding import EmbeddedGraph
 
 Element = tuple[str, int]  # ("v", vertex_id) or ("f", face_id)
 
-RULE_IDS = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9")
-
-# The rules' five amounts, shared by every transfer, and the unit 1/UNIT
-# that all of them are whole multiples of.
-THIRD, FIFTH, NINTH = Fraction(1, 3), Fraction(1, 5), Fraction(1, 9)
-FIFTEENTH, TWO_FIFTEENTHS = Fraction(1, 15), Fraction(2, 15)
+# The unit 1/UNIT that every amount is a whole multiple of, and each rule's
+# amount: the Fraction shared by all its transfers and its count of units.
 UNIT = 45
+AMOUNTS = {rule: (q, q.numerator * UNIT // q.denominator) for rule, q in (
+    ("R1", Fraction(1, 3)), ("R2", Fraction(1, 9)), ("R3", Fraction(1, 3)),
+    ("R4", Fraction(1, 5)), ("R5", Fraction(1, 15)), ("R6", Fraction(1, 5)),
+    ("R7", Fraction(2, 15)), ("R8", Fraction(1, 5)), ("R9", Fraction(1, 9)))}
+RULE_IDS = tuple(AMOUNTS)
 
 
 @dataclass(frozen=True)
@@ -85,14 +88,8 @@ def apply_rules(g) -> tuple[dict[Element, Fraction], tuple[Transfer, ...]]:
     ctx = cfg._Ctx.of(g)
     cfg.check_degree(ctx)
     deg, rot = ctx.deg, ctx.rot
-    units = {el: q * UNIT for el, q in _degree_charges(ctx).items()}
-    ledger: list[Transfer] = []
-
-    def move(rule, source, target, amount):
-        ledger.append(Transfer(rule, source, target, amount))
-        n = amount.numerator * UNIT // amount.denominator
-        units[source] -= n
-        units[target] += n
+    moves: list[tuple[str, Element, Element]] = []  # (rule, source, target)
+    move = moves.append
 
     def heavy_senders(v):
         """Adjacent 6-vertices still below a full triangle fan."""
@@ -105,34 +102,42 @@ def apply_rules(g) -> tuple[dict[Element, Fraction], tuple[Transfer, ...]]:
     for f in ctx.faces.values():
         if f.degree == 3:
             for v in f.vertices():
-                move("R1", ("v", v), ("f", f.id), THIRD)
+                move(("R1", ("v", v), ("f", f.id)))
 
     for v, d in deg.items():
         if d == 3:
             for w in heavy_senders(v):
-                move("R2", ("v", w), ("v", v), NINTH)
+                move(("R2", ("v", w), ("v", v)))
             for f in big_faces(v):
-                move("R3", ("f", f.id), ("v", v), THIRD)
+                move(("R3", ("f", f.id), ("v", v)))
         elif d == 4:
             for f in big_faces(v):
-                move("R4", ("f", f.id), ("v", v), FIFTH)
+                move(("R4", ("f", f.id), ("v", v)))
             for w in heavy_senders(v):
-                move("R5", ("v", w), ("v", v), FIFTEENTH)
+                move(("R5", ("v", w), ("v", v)))
         elif d == 5:
             for f in big_faces(v):
-                move("R6", ("f", f.id), ("v", v), FIFTH)
+                move(("R6", ("f", f.id), ("v", v)))
             if ctx.m3[v] >= 4:
                 for w in heavy_senders(v):
-                    move("R7", ("v", w), ("v", v), TWO_FIFTEENTHS)
+                    move(("R7", ("v", w), ("v", v)))
         elif d == 6:
             for f in big_faces(v):
                 if any(deg[u] == 3 and u in rot[v] for u in f.vertices()):
-                    move("R9", ("f", f.id), ("v", v), NINTH)
+                    move(("R9", ("f", f.id), ("v", v)))
                 else:
-                    move("R8", ("f", f.id), ("v", v), FIFTH)
+                    move(("R8", ("f", f.id), ("v", v)))
 
-    ordered = tuple(sorted(ledger, key=lambda t: (RULE_IDS.index(t.rule), t.source, t.target)))
-    return _fractions(units, UNIT), ordered
+    # Rule ids sort as their numbers do, so the moves sort as they are.
+    moves.sort()
+    units = {el: q * UNIT for el, q in _degree_charges(ctx).items()}
+    for rule, source, target in moves:
+        n = AMOUNTS[rule][1]
+        units[source] -= n
+        units[target] += n
+    ledger = tuple(Transfer(rule, source, target, AMOUNTS[rule][0])
+                   for rule, source, target in moves)
+    return _fractions(units, UNIT), ledger
 
 
 def replay_ledger(initial: dict[Element, Fraction],
@@ -173,10 +178,10 @@ def audit(g: EmbeddedGraph) -> DischargeReport:
 
     negatives = tuple(sorted(((el, q) for el, q in final.items() if q < 0),
                              key=lambda item: item[0]))
-    matches = cfg.detect_all(ctx)
+    matches = cfg.match_count(ctx)
     shadow: Optional[bool] = None
     if len(comps) == 1 and g.vertex_count >= 2:
-        shadow = bool(negatives) and bool(matches)
+        shadow = bool(negatives) and matches > 0
 
     return DischargeReport(
         initial=_fractions(charges, 1),
@@ -187,7 +192,7 @@ def audit(g: EmbeddedGraph) -> DischargeReport:
         total_initial=Fraction(sum(start_totals), unit),
         total_final=Fraction(sum(comp_totals), unit),
         component_totals=tuple(Fraction(t, unit) for t in comp_totals),
-        match_count=len(matches),
+        match_count=matches,
         proof_shadow_ok=shadow,
         face_walks={f.id: f.vertex_walk() for f in ctx.faces.values()},
     )

@@ -13,7 +13,8 @@ compared vertex-by-vertex with their originals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -27,23 +28,26 @@ from .errors import (
 )
 
 Dart = tuple[int, int]
+_tail = itemgetter(0)  # a dart's first vertex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     """One traced face: a closed walk of darts.
 
-    `degree` is the walk length. Walks of length < 3 can occur on degenerate
-    inputs (a single edge traces a walk of length 2); they are reported as-is
-    via `anomalous`, never silently repaired.
+    `degree` is the walk length, stored at construction because the scanners
+    read it far more often than faces are made; it takes no part in equality,
+    hashing or repr. Walks of length < 3 can occur on degenerate inputs (a
+    single edge traces a walk of length 2); they are reported as-is via
+    `anomalous`, never silently repaired.
     """
 
     id: int
     boundary: tuple[Dart, ...]
+    degree: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def degree(self) -> int:
-        return len(self.boundary)
+    def __post_init__(self):
+        object.__setattr__(self, "degree", len(self.boundary))
 
     @property
     def anomalous(self) -> bool:
@@ -51,10 +55,10 @@ class Face:
 
     def vertex_walk(self) -> tuple[int, ...]:
         """Vertices along the boundary, one per dart (repeats possible)."""
-        return tuple(u for u, _ in self.boundary)
+        return tuple(map(_tail, self.boundary))
 
     def vertices(self) -> frozenset[int]:
-        return frozenset(u for u, _ in self.boundary)
+        return frozenset(map(_tail, self.boundary))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ pairs at distance 2, which is what makes the extension safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import configurations as cfg
@@ -97,7 +97,7 @@ def plan(g, match: ConfigurationMatch) -> ReductionPlan:
     except ChordError as exc:
         raise PlanInvalid("NotOnMergedFace", getattr(exc, "chord", None)) from None
 
-    p = replace(raw, add_edges=tuple(chords))
+    p = ReductionPlan(delete, tuple(chords), raw.source, raw.forbidden_bound, raw.variant)
     ctx.pending = (p, surgery)
     return p
 

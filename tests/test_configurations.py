@@ -6,7 +6,7 @@ import pytest
 
 import fixtures
 from planecolor import generators as G
-from planecolor.configurations import CATALOG, _Ctx
+from planecolor.configurations import CATALOG, _Ctx, _fan_layout, match_count
 from planecolor.embedding import build_embedded
 from planecolor.errors import DegreeTooHigh, PlanInvalid
 from planecolor.oracle import is_proper_wrt
@@ -120,13 +120,18 @@ def test_dedup_no_duplicate_matches(corpus):
 _PREFILTER_M3 = {"K15": 4, "K16": 4, "K17": 4, "K18": 5, "K19": 5, "K21": 4, "K22": 4}
 
 
+def _scan_graphs(corpus):
+    """The fixtures, which reach every variant of every entry, the corpus and
+    ten larger random graphs."""
+    return ([fixture()[0] for fixture in fixtures.ALL_FIXTURES] + [g for _, g in corpus]
+            + [G.random_planar(150, 700 + seed) for seed in range(10)])
+
+
 def test_anchor_degree_and_triangle_count_hold_at_every_match(corpus):
     # Every scan runs at every vertex, not only at the candidates of its
-    # degree; the fixtures reach every variant of every entry.
-    graphs = ([fixture()[0] for fixture in fixtures.ALL_FIXTURES] + [g for _, g in corpus]
-              + [G.random_planar(150, 700 + seed) for seed in range(10)])
+    # degree.
     matched = set()
-    for g in graphs:
+    for g in _scan_graphs(corpus):
         ctx = _Ctx(g)
         for entry in CATALOG:
             for v in ctx.rot:
@@ -155,3 +160,30 @@ def test_one_off_detection_builds_no_index_and_agrees_with_the_index(corpus):
             assert _keyed(detect_all(live)) == found, (name, steps)
             assert _keyed(detect_iter(live)) == found, (name, steps)
             assert len(live.index) == len(CATALOG)
+
+
+def test_match_count_counts_what_detect_all_lists(corpus):
+    for g in _scan_graphs(corpus):
+        assert match_count(g) == len(detect_all(g))
+        ctx = _Ctx(g)
+        assert match_count(ctx) == len(detect_all(ctx))
+        assert not ctx.index
+    assert match_count(G.octahedron(), CATALOG[6:]) == len(detect_all(G.octahedron(), CATALOG[6:]))
+
+
+def test_fan_layout_equals_filtering_every_labeling(corpus):
+    # The layouts the fan entries read, built directly at the one corner that
+    # is not a triangle, against the filter over all 2d labelings.
+    predicates = (lambda d: d == 4, lambda d: d >= 5, lambda d: True)
+    checked = 0
+    for g in _scan_graphs(corpus):
+        ctx = _Ctx(g)
+        for v, d in ctx.deg.items():
+            if d < 2 or ctx.m3[v] != d - 1:
+                continue
+            for last in predicates:
+                filtered = [(labels, faces) for labels, faces in ctx.labelings(v)
+                            if all(f.degree == 3 for f in faces[:-1]) and last(faces[-1].degree)]
+                assert list(_fan_layout(ctx, v, last)) == filtered, v
+                checked += bool(filtered)
+    assert checked

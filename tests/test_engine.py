@@ -136,6 +136,22 @@ def test_surgery_counts_a_neighbor_it_leaves_isolated():
     assert sorted(reduced.edges()) == [(1, 2), (1, 3), (2, 3)]
 
 
+def test_surgery_draws_chords_on_the_hole_walk_of_their_fragment():
+    # Deleting the cut vertex 0 leaves two fragments, the path 1-2-3 and the
+    # edge 4-5, each with a hole walk of its own. The chord (1, 3) must be
+    # drawn on the walk through 1, 0's first neighbor, not on the other one.
+    pos = {0: (0, 0), 1: (-2, 0.4), 2: (-1, 1.7), 3: (0.7, 1.9), 4: (1, -1.7), 5: (-1, -1.7)}
+    edges = [(0, u) for u in range(1, 6)] + [(1, 2), (2, 3), (4, 5)]
+    g, _ = _straight_line_graph(pos, edges)
+    assert g.euler_defect() == 0
+    ctx = _Ctx(g)
+    ctx.commit(ctx.surgery(0, [(1, 3)]))
+    reduced = ctx.to_graph()
+    assert reduced.euler_defect() == 0
+    assert sorted(reduced.edges()) == [(1, 2), (1, 3), (2, 3), (4, 5)]
+    assert {f.boundary for f in ctx.faces.values()} == {f.boundary for f in reduced.faces()}
+
+
 def _scanner_calls_per_step(g) -> tuple[float, float]:
     """Scanner calls and the matches they yield, per step."""
     calls = matches = 0
@@ -175,3 +191,36 @@ def test_matches_are_built_only_where_detection_looks():
     # reaches about 12.
     _, matches = _scanner_calls_per_step(G.hex_grid(8))
     assert matches <= 16, matches
+
+
+class _Routed(_Ctx):
+    """Records, per index, the vertices a step changed while their degree fit
+    its entry, since the index was last flushed: those may have to leave it."""
+
+    def __init__(self, g):
+        super().__init__(g)
+        self.leaving = {}
+
+    def commit(self, s):
+        changed = [(v, self.deg[v]) for v in (s.delete, *s.rot)]
+        for idx in self.index.values():
+            if not idx.dirty:  # flushed since the last step
+                self.leaving[idx] = set()
+        created = super().commit(s)
+        for idx in self.index.values():
+            self.leaving.setdefault(idx, set()).update(
+                v for v, d in changed if idx.entry.fits(d))
+        return created
+
+
+def test_dirty_anchors_fit_their_entry_now_or_before_the_step():
+    ctx = _Routed(G.tri_grid(12, 12))
+    steps = 0
+    for _ in _peel(ctx, None):
+        steps += 1
+        for idx in ctx.index.values():
+            fits, leaving = idx.entry.fits, ctx.leaving[idx]
+            stray = {u for u in idx.dirty
+                     if not (u in ctx.deg and fits(ctx.deg[u])) and u not in leaving}
+            assert not stray, (steps, idx.entry.config_id, sorted(stray))
+    assert ctx.vertex_count == 1 and steps == 143
