@@ -11,8 +11,9 @@ rotation lists keep the element order that EmbeddedGraph.delete_vertex and
 place_chords produce, and each face walk starts where EmbeddedGraph's trace
 starts it (at its smallest vertex, on that vertex's first dart in rotation
 order), because positions read from a walk pick a repeated vertex's first
-occurrence. Face ids are only distinct: a fresh state takes them from
-`g.faces()`, and later faces count on from there.
+occurrence. Face ids are only distinct: a fresh state traces its faces with
+`trace_faces`, which numbers them as `g.faces()` does, and keeps them to
+itself, so g caches no faces; later faces count on from there.
 
 Validation is local and assumes each component is embedded in the sphere
 (see EmbeddedGraph.euler_defect): then the faces that border the hole give
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .embedding import (
-    Dart, EmbeddedGraph, Face, place_chords, trace_walks, within_distance2,
+    Dart, EmbeddedGraph, Face, place_chords, trace_faces, trace_walks, within_distance2,
 )
 from .errors import CrossingChords, EndpointNotOnFace
 
@@ -46,7 +47,7 @@ class LiveEmbedding:
 
     def __init__(self, g: EmbeddedGraph):
         self.rot = {v: list(g.rotation(v)) for v in g.vertices()}
-        faces = g.faces()
+        faces = trace_faces(self.rot)
         self.faces = {f.id: f for f in faces}
         self.dart_face = {d: f for f in faces for d in f.boundary}
         self.labels = g.labels()

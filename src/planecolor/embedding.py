@@ -2,7 +2,10 @@
 
 A graph is given by its rotation system: for every vertex, the cyclic sequence
 of its neighbors in clockwise order. The face set is not part of the input; it
-is traced from the rotations with the standard next-dart rule and cached. Two
+is traced from the rotations on demand with the standard next-dart rule
+(`trace_faces`). Only the face accessors (`faces`, `face_of_dart` and the
+methods built on them) cache it on the graph; the reduction engine and the
+audit trace into their own contexts and leave the graph as it was built. Two
 surgery primitives return new graphs: vertex deletion (the faces around the
 hole merge into one returned face) and chord insertion inside a face.
 
@@ -80,19 +83,21 @@ class VertexStats:
 class EmbeddedGraph:
     """Immutable planar-embedded simple graph.
 
-    Construction validates local consistency only (symmetry, no loops, no
-    parallel edges, no dangling ids); whether the rotation system has genus 0
-    is the caller's concern and is observable through the Euler count.
+    It keeps only its rotations, labels and edge count, plus the face cache
+    once a face accessor has been called. Construction validates local
+    consistency only (symmetry, no loops, no parallel edges, no dangling
+    ids); whether the rotation system has genus 0 is the caller's concern
+    and is observable through the Euler count.
     """
 
-    __slots__ = ("_rot", "_labels", "_faces", "_dart_face", "_nbr_sets", "_edge_count")
+    __slots__ = ("_rot", "_labels", "_faces", "_dart_face", "_edge_count")
 
     def __init__(self, rotations: Mapping[int, Sequence[int]],
                  labels: Optional[Mapping[int, str]] = None):
         rot: dict[int, tuple[int, ...]] = {}
         for v in sorted(rotations):
-            rot[int(v)] = tuple(int(u) for u in rotations[v])
-        nbr_sets: dict[int, frozenset[int]] = {}
+            rot[int(v)] = tuple(map(int, rotations[v]))
+        nbr_sets: dict[int, frozenset[int]] = {}  # for the symmetry check only
         dart_count = 0
         for v, ns in rot.items():
             for u in ns:
@@ -111,7 +116,6 @@ class EmbeddedGraph:
                 if v not in nbr_sets[u]:
                     raise AsymmetricAdjacency((v, u))
         self._rot = rot
-        self._nbr_sets = nbr_sets
         self._edge_count = dart_count // 2
         self._labels = dict(labels) if labels else {}
         self._faces: Optional[tuple[Face, ...]] = None
@@ -140,7 +144,7 @@ class EmbeddedGraph:
         return self._rot[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._nbr_sets[v]
+        return frozenset(self._rot[v])
 
     def degree(self, v: int) -> int:
         return len(self._rot[v])
@@ -149,7 +153,7 @@ class EmbeddedGraph:
         return max((len(ns) for ns in self._rot.values()), default=0)
 
     def has_edge(self, u: int, w: int) -> bool:
-        return w in self._nbr_sets.get(u, frozenset())
+        return w in self._rot.get(u, ())
 
     def edges(self) -> Iterable[tuple[int, int]]:
         for v, ns in self._rot.items():
@@ -177,10 +181,7 @@ class EmbeddedGraph:
     # -- faces ---------------------------------------------------------------
 
     def _trace(self) -> None:
-        rot = self._rot
-        walks = trace_walks([(v, u) for v, ns in rot.items() for u in ns], rot.__getitem__, set())
-        walks.sort(key=min)
-        faces = tuple(Face(i, tuple(w)) for i, w in enumerate(walks))
+        faces = trace_faces(self._rot)
         dart_face = {}
         for f in faces:
             for d in f.boundary:
@@ -218,11 +219,11 @@ class EmbeddedGraph:
         """V - E + F + I - 2C, with I the isolated vertices (they trace no face).
 
         Zero exactly when every component is embedded in the sphere; each
-        handle of a component's surface lowers it by two.
+        handle of a component's surface lowers it by two. Faces are counted
+        from the cache when there is one and are not cached otherwise.
         """
-        isolated = sum(1 for ns in self._rot.values() if not ns)
-        return (self.euler_characteristic() + isolated
-                - 2 * len(self.connected_components()))
+        faces = self._faces if self._faces is not None else trace_faces(self._rot)
+        return euler_defect_of(self._rot, self._edge_count, len(faces))
 
     # -- local statistics ----------------------------------------------------
 
@@ -300,6 +301,24 @@ class EmbeddedGraph:
         if g2.face_count() != self.face_count() + len(chords):
             raise CrossingChords(tuple(chords))
         return g2
+
+
+def trace_faces(rot: Mapping[int, Sequence[int]]) -> tuple[Face, ...]:
+    """Every face of rotation system `rot`, numbered in order of smallest dart.
+
+    Each walk starts at the first of its darts in `rot`'s vertex order and
+    rotation order, so an EmbeddedGraph's walks start at their smallest
+    vertex.
+    """
+    walks = trace_walks([(v, u) for v, ns in rot.items() for u in ns], rot.__getitem__, set())
+    walks.sort(key=min)
+    return tuple(Face(i, tuple(w)) for i, w in enumerate(walks))
+
+
+def euler_defect_of(rot: Mapping[int, Sequence[int]], edge_count: int, face_count: int) -> int:
+    """V - E + F + I - 2C of rotation system `rot` (see EmbeddedGraph.euler_defect)."""
+    isolated = sum(1 for ns in rot.values() if not ns)
+    return len(rot) - edge_count + face_count + isolated - 2 * len(components(rot))
 
 
 def trace_walks(seeds, rotation, seen: set) -> list[list[Dart]]:

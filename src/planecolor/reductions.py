@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 
 from . import configurations as cfg
 from .configurations import ConfigurationMatch, ReductionPlan, detect, detect_all, detect_iter
-from .embedding import EmbeddedGraph
+from .embedding import EmbeddedGraph, euler_defect_of
 from .errors import (
     ChordError,
     CrossingChords,
@@ -194,11 +194,11 @@ def color_by_reduction(g: EmbeddedGraph, palette_size: int = 20,
     with PositiveGenus.
     """
     cfg.check_degree(g)
-    defect = g.euler_defect()
+    ctx = cfg._Ctx(g)  # traces g's faces once, for the count and the steps
+    defect = euler_defect_of(ctx.rot, g.edge_count, len(ctx.faces))
     if defect:
         raise PositiveGenus(defect)
 
-    ctx = cfg._Ctx(g)
     levels = list(_peel(ctx, catalog))
     fallback = ctx.vertex_count > 1
     if fallback:

@@ -50,6 +50,51 @@ def test_dangling_id_rejected():
         build_embedded(2, [[1, 5], [0]])
 
 
+@pytest.mark.parametrize("rotations, error, dart", [
+    # Within one vertex, loops and dangling ids are reported in rotation order...
+    ({0: [9, 0, 1], 1: [0]}, DanglingVertexId, (0, 9)),
+    ({0: [0, 9, 1], 1: [0]}, LoopEdge, (0, 0)),
+    # ...before a parallel edge at that vertex,
+    ({0: [1, 1, 7], 1: [0]}, DanglingVertexId, (0, 7)),
+    # which names the first neighbor in rotation order that repeats.
+    ({0: [2, 1, 1, 2], 1: [0], 2: [0]}, ParallelEdge, (0, 2)),
+    # Vertices are checked in id order, whatever order the mapping lists them in.
+    ({1: [1, 0], 0: [5, 1]}, DanglingVertexId, (0, 5)),
+    ({0: [1, 1], 1: [0, 0, 1]}, ParallelEdge, (0, 1)),
+    # Symmetry is checked only once every vertex passed the local checks,
+    ({0: [1], 1: [2, 2], 2: [1]}, ParallelEdge, (1, 2)),
+    ({0: [1], 1: [], 2: [2]}, LoopEdge, (2, 2)),
+    # and reports the first dart, in vertex then rotation order, without a twin.
+    ({0: [2, 1], 1: [2], 2: [1]}, AsymmetricAdjacency, (0, 2)),
+    ({0: [1], 1: [2, 0], 2: []}, AsymmetricAdjacency, (1, 2)),
+])
+def test_first_offender_of_two_faults(rotations, error, dart):
+    with pytest.raises(error) as exc:
+        EmbeddedGraph(rotations)
+    assert exc.value.dart == dart
+
+
+def test_adjacency_queries_agree_with_rotations(corpus):
+    for name, g in corpus:
+        vs = g.vertices()
+        for v in vs:
+            ns = frozenset(g.rotation(v))
+            assert type(g.neighbor_set(v)) is frozenset
+            assert g.neighbor_set(v) == ns, name
+            assert [u for u in vs if g.has_edge(v, u)] == sorted(ns), name
+        assert not g.has_edge(max(vs) + 1, vs[0])
+        assert not g.has_edge(vs[0], max(vs) + 1)
+
+
+def test_large_star_constructs():
+    # The symmetry check is linear in the darts; a pairwise scan of the
+    # center's rotation would take about 2 * 10^8 steps here.
+    n = 20000
+    g = build_embedded(n + 1, [list(range(1, n + 1))] + [[0]] * n)
+    assert (g.degree(0), g.edge_count) == (n, n)
+    assert g.has_edge(n, 0) and g.has_edge(0, n)
+
+
 def test_cube_faces_all_squares():
     g = G.cube()
     assert len(g.faces()) == 6
