@@ -59,14 +59,8 @@ class LiveEmbedding:
     def vertex_count(self) -> int:
         return len(self.rot)
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self.rot
-
     def has_edge(self, a: int, b: int) -> bool:
         return b in self.rot.get(a, ())
-
-    def degree(self, v: int) -> int:
-        return len(self.rot[v])
 
     def distance2_neighborhood(self, v: int) -> frozenset[int]:
         return within_distance2(self.rot, v)

@@ -3,7 +3,8 @@
 Planar code is the compact binary format used by planar-graph generators: an
 ASCII header, then per graph the vertex count followed by each vertex's
 neighbors in rotation order (1-indexed, 0-terminated). Only the single-byte
-encoding (n < 256) is supported, which covers everything this package builds.
+encoding is supported, so a graph has at most 255 vertices; larger ones
+(tri_grid(20, 20) has 400) raise PlanarCodeLimit and need the JSON schema.
 
 JSON documents carry a `schema` field; charges are serialized as "num/den"
 strings so exactness survives the round trip.
@@ -83,8 +84,22 @@ def read_planar_code(data: bytes) -> list[EmbeddedGraph]:
 def _charge_from(s: str, pointer: str) -> Fraction:
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise SchemaMismatch(pointer, f"not a rational: {s!r}")
+
+
+def _parsed(pointer: str, parse, value):
+    """parse(value), a value of the wrong shape or type failing as SchemaMismatch."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, AttributeError):
+        raise SchemaMismatch(pointer, "malformed value") from None
+
+
+def _required(doc, pointer: str, field: str):
+    if not isinstance(doc, dict) or field not in doc:
+        raise SchemaMismatch(f"{pointer}/{field}", "missing")
+    return doc[field]
 
 
 def graph_to_doc(g: EmbeddedGraph) -> dict:
@@ -184,26 +199,26 @@ def report_from_doc(doc: dict) -> DischargeReport:
         return {_element_from(name, f"/{key}/{name}"): _charge_from(s, f"/{key}/{name}")
                 for name, s in raw.items()}
 
-    ledger = tuple(
+    ledger = _parsed("/ledger", lambda rows: tuple(
         Transfer(rule, _element_from(src, "/ledger"), _element_from(dst, "/ledger"),
                  _charge_from(amt, "/ledger"))
-        for rule, src, dst, amt in doc.get("ledger", ())
-    )
+        for rule, src, dst, amt in rows), doc.get("ledger", ()))
     return DischargeReport(
         initial=charge_map("initial"),
         final=charge_map("final"),
         ledger=ledger,
-        negative_elements=tuple(
+        negative_elements=_parsed("/negative_elements", lambda rows: tuple(
             (_element_from(name, "/negative_elements"), _charge_from(s, "/negative_elements"))
-            for name, s in doc.get("negative_elements", ())),
+            for name, s in rows), doc.get("negative_elements", ())),
         conservation_ok=bool(doc.get("conservation_ok")),
         total_initial=_charge_from(doc.get("total_initial", "0"), "/total_initial"),
         total_final=_charge_from(doc.get("total_final", "0"), "/total_final"),
-        component_totals=tuple(_charge_from(s, "/component_totals")
-                               for s in doc.get("component_totals", ())),
-        match_count=int(doc.get("match_count", 0)),
+        component_totals=_parsed("/component_totals", lambda ts: tuple(
+            _charge_from(s, "/component_totals") for s in ts), doc.get("component_totals", ())),
+        match_count=_parsed("/match_count", int, doc.get("match_count", 0)),
         proof_shadow_ok=doc.get("proof_shadow_ok"),
-        face_walks={int(k): tuple(v) for k, v in doc.get("face_walks", {}).items()},
+        face_walks=_parsed("/face_walks", lambda ws: {int(k): tuple(v) for k, v in ws.items()},
+                           doc.get("face_walks", {})),
     )
 
 
@@ -230,23 +245,20 @@ def trace_to_doc(result: ReductionResult) -> dict:
     return doc
 
 
-def _step_field(raw, i: int, field: str):
-    if not isinstance(raw, dict) or field not in raw:
-        raise SchemaMismatch(f"/steps/{i}/{field}", "missing")
-    return raw[field]
-
-
 def trace_from_doc(doc: dict) -> ReductionResult:
     _expect_schema(doc, TRACE_SCHEMA)
     steps = []
-    for i, raw in enumerate(doc.get("steps", ())):
+    for i, raw in enumerate(_parsed("/steps", list, doc.get("steps", ()))):
+        at = f"/steps/{i}"
         steps.append(ReductionStep(
-            config_id=_step_field(raw, i, "config"),
+            config_id=_required(raw, at, "config"),
             variant=raw.get("variant", ""),
-            center=int(_step_field(raw, i, "center")),
-            bindings=tuple(sorted((k, int(v)) for k, v in raw.get("bindings", {}).items())),
-            deleted=int(_step_field(raw, i, "deleted")),
-            added_edges=tuple(tuple(e) for e in raw.get("added_edges", ())),
+            center=_parsed(f"{at}/center", int, _required(raw, at, "center")),
+            bindings=_parsed(f"{at}/bindings", lambda b: tuple(sorted(
+                (k, int(v)) for k, v in b.items())), raw.get("bindings", {})),
+            deleted=_parsed(f"{at}/deleted", int, _required(raw, at, "deleted")),
+            added_edges=_parsed(f"{at}/added_edges", lambda es: tuple(tuple(e) for e in es),
+                                raw.get("added_edges", ())),
             color=raw.get("color"),
             forbidden_size=raw.get("forbidden_size"),
         ))
@@ -254,11 +266,11 @@ def trace_from_doc(doc: dict) -> ReductionResult:
     if "fallback_witness" in doc:
         witness = graph_from_doc(doc["fallback_witness"])
     return ReductionResult(
-        coloring=coloring_from_doc(doc["coloring"]),
+        coloring=coloring_from_doc(_required(doc, "", "coloring")),
         steps=tuple(steps),
         fallback=bool(doc.get("fallback")),
         fallback_witness=witness,
-        max_forbidden=int(doc.get("max_forbidden", 0)),
+        max_forbidden=_parsed("/max_forbidden", int, doc.get("max_forbidden", 0)),
     )
 
 

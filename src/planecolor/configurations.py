@@ -99,11 +99,19 @@ class _Ctx(LiveEmbedding):
     and face counts of the vertices it touches (they are recomputed when
     read) and marks the anchors whose matches may have changed in every
     index built so far.
+
+    Building one is the engine's only gate on its input: it raises
+    DegreeTooHigh for the first vertex of degree above 6 in `g.vertices()`
+    order before any face is traced, since every catalog bound assumes
+    maximum degree 6.
     """
 
     def __init__(self, g: EmbeddedGraph):
+        self.deg = {v: g.degree(v) for v in g.vertices()}
+        for v, d in self.deg.items():
+            if d > 6:
+                raise DegreeTooHigh(v, d)
         super().__init__(g)
-        self.deg = {v: len(ns) for v, ns in self.rot.items()}
         # The tables close over the maps they read, not over the context, so
         # a context is freed when its last reference goes instead of waiting,
         # caches and all, for the cycle collector.
@@ -965,16 +973,6 @@ class _EntryIndex:
         self.dirty.clear()
 
 
-def check_degree(g) -> None:
-    """Raise DegreeTooHigh naming the first vertex of degree above 6.
-
-    `g` is an EmbeddedGraph or a live embedding.
-    """
-    for v in (g.rot if isinstance(g, LiveEmbedding) else g.vertices()):
-        if g.degree(v) > 6:
-            raise DegreeTooHigh(v, g.degree(v))
-
-
 def _in_order(ctx: _Ctx, catalog, build_index: bool) -> Iterator[ConfigurationMatch]:
     """Matches in priority order: through each entry's index where it has
     one (built first when `build_index`), else by one full scan of every
@@ -998,21 +996,17 @@ def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
     iteration reaches that anchor, so taking the first match costs the
     entries before it and one anchor's scan; running out means every entry
     has been brought up to date. The context must not change while the
-    iterator is in use. A graph gets a context of its own, used once: it is
-    scanned without indexes.
+    iterator is in use. A graph gets a context of its own, built (and its
+    degrees checked) on the first `next`, used once and scanned without
+    indexes.
     """
-    if isinstance(g, EmbeddedGraph):
-        check_degree(g)
-        yield from _in_order(_Ctx(g), catalog, build_index=False)
-    else:
-        yield from _in_order(g, catalog, build_index=True)
+    ctx = _Ctx.of(g)
+    yield from _in_order(ctx, catalog, build_index=ctx is g)
 
 
 def detect_all(g, catalog=None) -> list[ConfigurationMatch]:
     """Every match in priority order, as `detect_iter`, but building no index:
     entries without one are scanned once in full."""
-    if isinstance(g, EmbeddedGraph):
-        check_degree(g)
     return list(_in_order(_Ctx.of(g), catalog, build_index=False))
 
 
@@ -1020,8 +1014,6 @@ def match_count(g, catalog=None) -> int:
     """len(detect_all(g, catalog)), counted without keeping a match: each
     vertex whose degree fits an entry is scanned once, and nothing is
     sorted or indexed."""
-    if isinstance(g, EmbeddedGraph):
-        check_degree(g)
     ctx = _Ctx.of(g)
     return sum(1 for entry in (catalog or CATALOG)
                for v in ctx.candidates(entry) for _ in entry.scan(ctx, v))

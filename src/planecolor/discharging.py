@@ -81,12 +81,12 @@ def apply_rules(g) -> tuple[dict[Element, Fraction], tuple[Transfer, ...]]:
 
     `g` is an EmbeddedGraph or a context built from one by
     `configurations._Ctx`, whose degrees, corner faces and triangle counts
-    the rules read. Amounts are fixed per qualifying incidence, so the
-    outcome does not depend on any ordering; the ledger is sorted by rule
-    then element ids.
+    the rules read; building that context is what rejects a vertex of
+    degree above 6 (DegreeTooHigh), so the rules check nothing themselves.
+    Amounts are fixed per qualifying incidence, so the outcome does not
+    depend on any ordering; the ledger is sorted by rule then element ids.
     """
     ctx = cfg._Ctx.of(g)
-    cfg.check_degree(ctx)
     deg, rot = ctx.deg, ctx.rot
     moves: list[tuple[str, Element, Element]] = []  # (rule, source, target)
     move = moves.append

@@ -219,11 +219,10 @@ class EmbeddedGraph:
         """V - E + F + I - 2C, with I the isolated vertices (they trace no face).
 
         Zero exactly when every component is embedded in the sphere; each
-        handle of a component's surface lowers it by two. Faces are counted
-        from the cache when there is one and are not cached otherwise.
+        handle of a component's surface lowers it by two. The faces are
+        traced for the count and not kept.
         """
-        faces = self._faces if self._faces is not None else trace_faces(self._rot)
-        return euler_defect_of(self._rot, self._edge_count, len(faces))
+        return euler_defect_of(self._rot, self._edge_count, len(trace_faces(self._rot)))
 
     # -- local statistics ----------------------------------------------------
 

@@ -72,7 +72,7 @@ def plan(g, match: ConfigurationMatch) -> ReductionPlan:
     for a, b in raw.add_edges:
         if a == b:
             continue  # coincident role bindings: the pair constraint is vacuous
-        if a == delete or b == delete or not ctx.has_vertex(a) or not ctx.has_vertex(b):
+        if a == delete or b == delete or a not in ctx.rot or b not in ctx.rot:
             raise PlanInvalid("NotOnMergedFace", (a, b))
         key = (min(a, b), max(a, b))
         if key in seen or ctx.has_edge(a, b):
@@ -86,7 +86,7 @@ def plan(g, match: ConfigurationMatch) -> ReductionPlan:
         gains[a] = gains.get(a, 0) + 1
         gains[b] = gains.get(b, 0) + 1
     for w, inc in gains.items():
-        after = ctx.degree(w) - (1 if ctx.has_edge(w, delete) else 0) + inc
+        after = ctx.deg[w] - (1 if ctx.has_edge(w, delete) else 0) + inc
         if after > 6:
             raise PlanInvalid("DegreeOverflow", (w, after))
 
@@ -193,8 +193,7 @@ def color_by_reduction(g: EmbeddedGraph, palette_size: int = 20,
     or an error is raised. Rotation systems of genus above 0 are refused
     with PositiveGenus.
     """
-    cfg.check_degree(g)
-    ctx = cfg._Ctx(g)  # traces g's faces once, for the count and the steps
+    ctx = cfg._Ctx(g)  # checks degrees, then traces g's faces once for the count and the steps
     defect = euler_defect_of(ctx.rot, g.edge_count, len(ctx.faces))
     if defect:
         raise PositiveGenus(defect)

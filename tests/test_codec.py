@@ -117,3 +117,35 @@ def test_schema_pointer_on_a_step_missing_a_field(field):
     with pytest.raises(SchemaMismatch) as exc:
         codec.trace_from_doc(doc)
     assert exc.value.pointer == f"/steps/0/{field}"
+
+
+def _trace_doc(**changes):
+    doc = json.loads(codec.write_json(color_by_reduction(G.tri_grid(3, 3))))
+    doc["steps"][0].update(changes)
+    return doc
+
+
+def _report_doc(**changes):
+    doc = json.loads(codec.write_json(audit(G.tri_grid(3, 3))))
+    doc.update(changes)
+    return doc
+
+
+def _no_coloring():
+    doc = _trace_doc()
+    del doc["coloring"]
+    return doc
+
+
+@pytest.mark.parametrize("doc, pointer", [
+    (_no_coloring(), "/coloring"),
+    (_trace_doc(center="a"), "/steps/0/center"),
+    (_trace_doc(bindings=[1]), "/steps/0/bindings"),
+    (_report_doc(match_count="x"), "/match_count"),
+    (_report_doc(ledger=[[1]]), "/ledger"),
+    (_report_doc(face_walks={"a": [1]}), "/face_walks"),
+], ids=["no-coloring", "center", "bindings", "match_count", "ledger", "face_walks"])
+def test_malformed_trace_and_report_fail_as_schema_mismatch(doc, pointer):
+    with pytest.raises(SchemaMismatch) as exc:
+        codec.read_json(json.dumps(doc))
+    assert exc.value.pointer == pointer

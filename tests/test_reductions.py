@@ -1,8 +1,11 @@
 import pytest
 
 import fixtures
+from planecolor import _live, embedding
+from planecolor import configurations as cfg
+from planecolor import discharging as dis
 from planecolor import generators as G
-from planecolor.configurations import CATALOG
+from planecolor.configurations import CATALOG, ConfigurationMatch, ReductionPlan
 from planecolor.embedding import EmbeddedGraph, build_embedded
 from planecolor.errors import DegreeTooHigh, NoSafeColor, PositiveGenus
 from planecolor.oracle import chi2_exact, is_proper_wrt
@@ -154,6 +157,28 @@ def test_color_rejects_high_degree():
     star = build_embedded(8, [[1, 2, 3, 4, 5, 6, 7]] + [[0]] * 7)
     with pytest.raises(DegreeTooHigh):
         color_by_reduction(star)
+
+
+_K01 = ConfigurationMatch("K01", 1, (("v", 1), ("v1", 0)))
+
+
+@pytest.mark.parametrize("call", [
+    cfg.detect, cfg.detect_all, lambda g: list(cfg.detect_iter(g)), cfg.match_count,
+    lambda g: plan(g, _K01), lambda g: cfg.build_plan_spec(g, _K01),
+    lambda g: apply_plan(g, ReductionPlan(1, (), "K01", 6)),
+    dis.initial_charges, dis.apply_rules, dis.audit, color_by_reduction,
+], ids=["detect", "detect_all", "detect_iter", "match_count", "plan", "build_plan_spec",
+        "apply_plan", "initial_charges", "apply_rules", "audit", "color_by_reduction"])
+def test_every_entry_rejects_high_degree_before_tracing(call, monkeypatch):
+    def no_trace(rot):
+        raise AssertionError("faces traced before the degree check")
+
+    monkeypatch.setattr(embedding, "trace_faces", no_trace)
+    monkeypatch.setattr(_live, "trace_faces", no_trace)
+    star = build_embedded(8, [[1, 2, 3, 4, 5, 6, 7]] + [[0]] * 7)
+    with pytest.raises(DegreeTooHigh) as exc:
+        call(star)
+    assert (exc.value.vertex, exc.value.degree) == (0, 7)
 
 
 def test_color_single_vertex_and_empty():
