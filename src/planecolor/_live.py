@@ -16,10 +16,12 @@ occurrence. Face ids are only distinct: a fresh state traces its faces with
 itself, so g caches no faces; later faces count on from there.
 
 Validation is local and assumes each component is embedded in the sphere
-(see EmbeddedGraph.euler_defect): then the faces that border the hole give
-one walk per fragment the deletion leaves, so a step changes the components
-by what it sees around the hole, and chords keep the graph plane exactly
-when the step leaves V - E + F + I - 2C unchanged.
+(see EmbeddedGraph.euler_defect), which the engine's context
+(configurations._Ctx) checks when it is built: then the faces that border
+the hole give one walk per fragment the deletion leaves, so a step changes
+the components by what it sees around the hole, and chords keep the graph
+plane exactly when the step leaves V - E + F + I - 2C unchanged. That count
+is the step's only plane test; place_chords does not look for crossings.
 """
 
 from __future__ import annotations
@@ -77,8 +79,9 @@ class LiveEmbedding:
         drawn first, each dart where the hole meets its endpoint; the rest go
         through place_chords on the hole face of x's first neighbor of degree
         two or more. Raises EndpointNotOnFace when an endpoint is off the
-        hole, CrossingChords when the chords do not split the hole into
-        plane faces. Nothing changes until `commit`.
+        hole, and CrossingChords, naming the whole chord set, when the step
+        changes V - E + F + I - 2C, that is when the chords do not split the
+        hole into plane faces. Nothing changes until `commit`.
         """
         rot = self.rot
         around = rot[x]
@@ -131,8 +134,6 @@ class LiveEmbedding:
                                             lambda a, b: b in look(a)))
                 split = [d for a, b in same for d in ((a, b), (b, a))]
                 created = trace_walks(list(merged) + split, look, seen)
-                if len(created) != len(same) + 1:
-                    raise CrossingChords(tuple(same))
             created += trace_walks(seeds + [d for a, b in bridging for d in ((a, b), (b, a))],
                                    look, seen)
             # One vertex and its edges go, the chords come, the faces around

@@ -96,6 +96,29 @@ def _parsed(pointer: str, parse, value):
         raise SchemaMismatch(pointer, "malformed value") from None
 
 
+def _int(value, pointer: str) -> int:
+    """An id, color or count: an int that is not a bool, or an object key (a
+    string) that int() parses. Anything else, a float or a bool included, is
+    a SchemaMismatch at `pointer`, never truncated or passed on."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SchemaMismatch(pointer, f"not an integer: {value!r}")
+
+
+def _ints(values, pointer: str, length=None) -> tuple[int, ...]:
+    """A list of integers read by _int, of `length` entries when that is given."""
+    if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
+        raise SchemaMismatch(pointer, f"expected a list of {length or 'any number of'} integers")
+    if all(type(u) is int for u in values):  # the usual case, with no pointer built per entry
+        return tuple(values)
+    return tuple(_int(u, f"{pointer}/{i}") for i, u in enumerate(values))
+
+
 def _required(doc, pointer: str, field: str):
     if not isinstance(doc, dict) or field not in doc:
         raise SchemaMismatch(f"{pointer}/{field}", "missing")
@@ -118,18 +141,12 @@ def graph_from_doc(doc: dict) -> EmbeddedGraph:
     rotation = doc.get("rotation")
     if not isinstance(rotation, dict):
         raise SchemaMismatch("/rotation", "expected an object")
-    try:
-        rot = {int(v): tuple(int(u) for u in ns) for v, ns in rotation.items()}
-    except (TypeError, ValueError):
-        raise SchemaMismatch("/rotation", "vertex ids and neighbors must be integers")
+    rot = {_int(v, "/rotation"): _ints(ns, f"/rotation/{v}") for v, ns in rotation.items()}
     labels = None
     if "labels" in doc:
         if not isinstance(doc["labels"], dict):
             raise SchemaMismatch("/labels", "expected an object")
-        try:
-            labels = {int(v): str(s) for v, s in doc["labels"].items()}
-        except (TypeError, ValueError):
-            raise SchemaMismatch("/labels", "vertex ids must be integers")
+        labels = {_int(v, "/labels"): str(s) for v, s in doc["labels"].items()}
     return EmbeddedGraph(rot, labels)
 
 
@@ -143,16 +160,12 @@ def coloring_to_doc(phi: Coloring) -> dict:
 
 def coloring_from_doc(doc: dict) -> Coloring:
     _expect_schema(doc, COLORING_SCHEMA)
-    if not isinstance(doc.get("palette_size"), int):
-        raise SchemaMismatch("/palette_size", "expected an integer")
+    palette_size = _int(_required(doc, "", "palette_size"), "/palette_size")
     assignment = doc.get("assignment")
     if not isinstance(assignment, dict):
         raise SchemaMismatch("/assignment", "expected an object")
-    try:
-        parsed = {int(v): int(c) for v, c in assignment.items()}
-    except (TypeError, ValueError):
-        raise SchemaMismatch("/assignment", "keys and colors must be integers")
-    return Coloring(parsed, doc["palette_size"])
+    return Coloring({_int(v, "/assignment"): _int(c, f"/assignment/{v}")
+                     for v, c in assignment.items()}, palette_size)
 
 
 def report_to_doc(report: DischargeReport) -> dict:
@@ -181,12 +194,9 @@ def report_to_doc(report: DischargeReport) -> dict:
 
 
 def _element_from(name: str, pointer: str) -> tuple[str, int]:
-    if not name or name[0] not in "vf":
+    if not isinstance(name, str) or not name or name[0] not in "vf":
         raise SchemaMismatch(pointer, f"bad element name {name!r}")
-    try:
-        return (name[0], int(name[1:]))
-    except ValueError:
-        raise SchemaMismatch(pointer, f"bad element name {name!r}")
+    return (name[0], _int(name[1:], pointer))
 
 
 def report_from_doc(doc: dict) -> DischargeReport:
@@ -215,10 +225,11 @@ def report_from_doc(doc: dict) -> DischargeReport:
         total_final=_charge_from(doc.get("total_final", "0"), "/total_final"),
         component_totals=_parsed("/component_totals", lambda ts: tuple(
             _charge_from(s, "/component_totals") for s in ts), doc.get("component_totals", ())),
-        match_count=_parsed("/match_count", int, doc.get("match_count", 0)),
+        match_count=_int(doc.get("match_count", 0), "/match_count"),
         proof_shadow_ok=doc.get("proof_shadow_ok"),
-        face_walks=_parsed("/face_walks", lambda ws: {int(k): tuple(v) for k, v in ws.items()},
-                           doc.get("face_walks", {})),
+        face_walks=_parsed("/face_walks", lambda ws: {
+            _int(k, "/face_walks"): _ints(v, f"/face_walks/{k}") for k, v in ws.items()},
+            doc.get("face_walks", {})),
     )
 
 
@@ -253,14 +264,16 @@ def trace_from_doc(doc: dict) -> ReductionResult:
         steps.append(ReductionStep(
             config_id=_required(raw, at, "config"),
             variant=raw.get("variant", ""),
-            center=_parsed(f"{at}/center", int, _required(raw, at, "center")),
+            center=_int(_required(raw, at, "center"), f"{at}/center"),
             bindings=_parsed(f"{at}/bindings", lambda b: tuple(sorted(
-                (k, int(v)) for k, v in b.items())), raw.get("bindings", {})),
-            deleted=_parsed(f"{at}/deleted", int, _required(raw, at, "deleted")),
-            added_edges=_parsed(f"{at}/added_edges", lambda es: tuple(tuple(e) for e in es),
-                                raw.get("added_edges", ())),
-            color=raw.get("color"),
-            forbidden_size=raw.get("forbidden_size"),
+                (k, _int(v, f"{at}/bindings/{k}")) for k, v in b.items())),
+                raw.get("bindings", {})),
+            deleted=_int(_required(raw, at, "deleted"), f"{at}/deleted"),
+            added_edges=_parsed(f"{at}/added_edges", lambda es: tuple(
+                _ints(e, f"{at}/added_edges/{j}", 2) for j, e in enumerate(es)),
+                raw.get("added_edges", ())),
+            color=_int(_required(raw, at, "color"), f"{at}/color"),
+            forbidden_size=_int(_required(raw, at, "forbidden_size"), f"{at}/forbidden_size"),
         ))
     witness = None
     if "fallback_witness" in doc:
@@ -270,7 +283,7 @@ def trace_from_doc(doc: dict) -> ReductionResult:
         steps=tuple(steps),
         fallback=bool(doc.get("fallback")),
         fallback_witness=witness,
-        max_forbidden=_parsed("/max_forbidden", int, doc.get("max_forbidden", 0)),
+        max_forbidden=_int(doc.get("max_forbidden", 0), "/max_forbidden"),
     )
 
 

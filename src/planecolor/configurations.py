@@ -20,8 +20,8 @@ from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
 from ._live import LiveEmbedding, Surgery
-from .embedding import EmbeddedGraph, Face
-from .errors import DegreeTooHigh, PlanInvalid
+from .embedding import EmbeddedGraph, Face, euler_defect_of
+from .errors import DegreeTooHigh, PlanInvalid, PositiveGenus
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,12 @@ class _Ctx(LiveEmbedding):
     read) and marks the anchors whose matches may have changed in every
     index built so far.
 
-    Building one is the engine's only gate on its input: it raises
-    DegreeTooHigh for the first vertex of degree above 6 in `g.vertices()`
-    order before any face is traced, since every catalog bound assumes
-    maximum degree 6.
+    Building one is the engine's only gate on its input, and it checks the
+    paper's two hypotheses: it raises DegreeTooHigh for the first vertex of
+    degree above 6 in `g.vertices()` order before any face is traced, since
+    every catalog bound assumes maximum degree 6, and then PositiveGenus
+    when the traced faces do not embed every component in the sphere, which
+    the surgery's local Euler count assumes.
     """
 
     def __init__(self, g: EmbeddedGraph):
@@ -112,6 +114,9 @@ class _Ctx(LiveEmbedding):
             if d > 6:
                 raise DegreeTooHigh(v, d)
         super().__init__(g)
+        defect = euler_defect_of(self.rot, g.edge_count, len(self.faces))
+        if defect:
+            raise PositiveGenus(defect)
         # The tables close over the maps they read, not over the context, so
         # a context is freed when its last reference goes instead of waiting,
         # caches and all, for the cycle collector.

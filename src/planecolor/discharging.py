@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from . import configurations as cfg
@@ -163,18 +162,17 @@ def audit(g: EmbeddedGraph) -> DischargeReport:
     charges = _degree_charges(ctx)
 
     # Charge moves only inside a component, so each component must end
-    # with the total it started with. Both are summed in integers over the
-    # least common denominator of the final charges.
+    # with the total it started with. Both are summed in integers of 1/UNIT,
+    # of which every final charge is a whole number.
     comps = g.connected_components()
     owner = {("v", v): i for i, comp in enumerate(comps) for v in comp}
     owner.update((("f", f.id), owner[("v", f.boundary[0][0])]) for f in ctx.faces.values())
-    unit = lcm(*{q.denominator for q in final.values()})
     start_totals = [0] * len(comps)
     comp_totals = [0] * len(comps)
     for el, c in charges.items():
-        start_totals[owner[el]] += c * unit
+        start_totals[owner[el]] += c * UNIT
     for el, q in final.items():
-        comp_totals[owner[el]] += q.numerator * (unit // q.denominator)
+        comp_totals[owner[el]] += q.numerator * (UNIT // q.denominator)
 
     negatives = tuple(sorted(((el, q) for el, q in final.items() if q < 0),
                              key=lambda item: item[0]))
@@ -189,9 +187,9 @@ def audit(g: EmbeddedGraph) -> DischargeReport:
         ledger=ledger,
         negative_elements=negatives,
         conservation_ok=start_totals == comp_totals,
-        total_initial=Fraction(sum(start_totals), unit),
-        total_final=Fraction(sum(comp_totals), unit),
-        component_totals=tuple(Fraction(t, unit) for t in comp_totals),
+        total_initial=Fraction(sum(start_totals), UNIT),
+        total_final=Fraction(sum(comp_totals), UNIT),
+        component_totals=tuple(Fraction(t, UNIT) for t in comp_totals),
         match_count=matches,
         proof_shadow_ok=shadow,
         face_walks={f.id: f.vertex_walk() for f in ctx.faces.values()},

@@ -134,9 +134,6 @@ class EmbeddedGraph:
     def edge_count(self) -> int:
         return self._edge_count
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._rot
-
     def rotation(self, v: int) -> tuple[int, ...]:
         return self._rot[v]
 
@@ -289,8 +286,9 @@ class EmbeddedGraph:
 
         Each new dart is placed in the rotation immediately next to the
         face-boundary dart at its endpoint, so the chords are drawn inside the
-        face. Every accepted chord raises the face count by exactly one; if a
-        degenerate placement would not, the insertion is rejected.
+        face. Every accepted chord raises the face count by exactly one; chords
+        that cross, or any other placement that would not, are rejected with
+        CrossingChords. That count is this path's Euler test.
         """
         if not chords:
             return self
@@ -377,9 +375,10 @@ def place_chords(walk: Sequence[int], chords: Sequence[tuple[int, int]],
     repeats on it is placed at its first occurrence. `rotation(v)` and
     `has_edge(a, b)` describe the graph before insertion. Each new dart goes
     into the corner after the walk's incoming neighbor, farthest target
-    first, so the chords are drawn inside the face. Raises EndpointNotOnFace,
-    ChordAlreadyEdge or CrossingChords; whether a placement really splits
-    the face once per chord is left to the caller, who can count faces.
+    first, so the chords are drawn inside the face. Raises EndpointNotOnFace
+    or ChordAlreadyEdge. Crossing chords are not detected here: whether the
+    placement splits the face once per chord, and so keeps the graph plane,
+    is left to the caller's face count or Euler count.
     """
     length = len(walk)
     first_pos: dict[int, int] = {}
@@ -401,17 +400,6 @@ def place_chords(walk: Sequence[int], chords: Sequence[tuple[int, int]],
         seen_pairs.add(key)
         placed.append((first_pos[a], a, first_pos[b], b))
 
-    for i in range(len(placed)):
-        for j in range(i + 1, len(placed)):
-            i1, _, j1, _ = placed[i]
-            i2, _, j2, _ = placed[j]
-            if {i1, j1} & {i2, j2}:
-                continue
-            in1 = _strictly_inside(i2, i1, j1, length)
-            in2 = _strictly_inside(j2, i1, j1, length)
-            if in1 != in2:
-                raise CrossingChords((chords[i], chords[j]))
-
     # Group new darts by boundary corner, then insert each group right
     # after the corner's incoming neighbor, farthest target first.
     by_corner: dict[int, list[tuple[int, int]]] = {}
@@ -428,11 +416,6 @@ def place_chords(walk: Sequence[int], chords: Sequence[tuple[int, int]],
         ns[at:at] = [b for _, b in targets]
         out[a] = ns
     return out
-
-
-def _strictly_inside(x: int, i: int, j: int, n: int) -> bool:
-    """True when corner x lies strictly inside the cyclic interval (i, j)."""
-    return (x - i) % n < (j - i) % n and x != i and x != j
 
 
 def build_embedded(vertex_count: int, rotations: Sequence[Sequence[int]],

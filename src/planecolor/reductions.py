@@ -14,14 +14,13 @@ from typing import Mapping, Optional
 
 from . import configurations as cfg
 from .configurations import ConfigurationMatch, ReductionPlan, detect, detect_all, detect_iter
-from .embedding import EmbeddedGraph, euler_defect_of
+from .embedding import EmbeddedGraph
 from .errors import (
     ChordError,
     CrossingChords,
     ForbiddenBoundExceeded,
     NoSafeColor,
     PlanInvalid,
-    PositiveGenus,
 )
 from .squares import Coloring, _min_free, greedy_square_color
 
@@ -190,14 +189,11 @@ def color_by_reduction(g: EmbeddedGraph, palette_size: int = 20,
     two or more vertices, falls back to the greedy colorer and flags the
     result), then extends backwards, asserting each step's forbidden-set
     ceiling. The returned coloring always satisfies the distance-2 constraint
-    or an error is raised. Rotation systems of genus above 0 are refused
-    with PositiveGenus.
+    or an error is raised. Building the context rejects a vertex of degree
+    above 6 (DegreeTooHigh) and a rotation system of genus above 0
+    (PositiveGenus) before the first step.
     """
-    ctx = cfg._Ctx(g)  # checks degrees, then traces g's faces once for the count and the steps
-    defect = euler_defect_of(ctx.rot, g.edge_count, len(ctx.faces))
-    if defect:
-        raise PositiveGenus(defect)
-
+    ctx = cfg._Ctx(g)
     levels = list(_peel(ctx, catalog))
     fallback = ctx.vertex_count > 1
     if fallback:

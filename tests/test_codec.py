@@ -149,3 +149,35 @@ def test_malformed_trace_and_report_fail_as_schema_mismatch(doc, pointer):
     with pytest.raises(SchemaMismatch) as exc:
         codec.read_json(json.dumps(doc))
     assert exc.value.pointer == pointer
+
+
+def _graph_doc(ns):
+    return {"schema": "embedded-graph/1", "rotation": {"0": ns, "1": [0]}}
+
+
+def _coloring_doc(**changes):
+    doc = {"schema": "coloring/1", "palette_size": 20, "assignment": {"0": 1, "1": 2}}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc, pointer", [
+    (_trace_doc(center=1.5), "/steps/0/center"),
+    (_trace_doc(deleted=True), "/steps/0/deleted"),
+    (_trace_doc(added_edges=[[1, 2, 3]]), "/steps/0/added_edges/0"),
+    (_trace_doc(added_edges=[["a", "b"]]), "/steps/0/added_edges/0/0"),
+    (_trace_doc(color="red"), "/steps/0/color"),
+    (_trace_doc(color=2.0), "/steps/0/color"),
+    (_trace_doc(forbidden_size=[2]), "/steps/0/forbidden_size"),
+    (_graph_doc([1.9]), "/rotation/0/0"),
+    (_graph_doc([True]), "/rotation/0/0"),
+    (_coloring_doc(assignment={"0": 2.7}), "/assignment/0"),
+    (_coloring_doc(palette_size=True), "/palette_size"),
+], ids=["center-float", "deleted-bool", "edge-triple", "edge-strings", "color-string",
+        "color-float", "forbidden-list", "neighbor-float", "neighbor-bool", "color-value-float",
+        "palette-bool"])
+def test_ids_colors_and_counts_must_be_integers(doc, pointer):
+    # int() would truncate 1.5 to 1 and read true as 1; the readers refuse both.
+    with pytest.raises(SchemaMismatch) as exc:
+        codec.read_json(json.dumps(doc))
+    assert exc.value.pointer == pointer

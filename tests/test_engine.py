@@ -11,11 +11,14 @@ nothing.
 
 import dataclasses
 import math
+import random
 
 from conftest import build_corpus
 from planecolor import generators as G
 from planecolor.configurations import CATALOG, _Ctx, detect_all, detect_iter
+from planecolor._live import LiveEmbedding
 from planecolor.embedding import EmbeddedGraph, build_embedded
+from planecolor.errors import ChordError
 from planecolor.reductions import _peel, apply_plan, color_by_reduction, plan
 
 REVERSED = tuple(reversed(CATALOG))
@@ -150,6 +153,57 @@ def test_surgery_draws_chords_on_the_hole_walk_of_their_fragment():
     assert reduced.euler_defect() == 0
     assert sorted(reduced.edges()) == [(1, 2), (1, 3), (2, 3), (4, 5)]
     assert {f.boundary for f in ctx.faces.values()} == {f.boundary for f in reduced.faces()}
+
+
+def _outcome(step):
+    """step()'s result, or the type of the ChordError it raised."""
+    try:
+        return step()
+    except ChordError as exc:
+        return type(exc)
+
+
+def test_live_surgery_agrees_with_deleting_and_adding_chords():
+    # The rebuild path deletes x, then draws the chords into the merged face
+    # and counts faces; the live surgery counts V - E + F + I - 2C around the
+    # hole. Where x leaves one fragment the merged face is the whole hole, so
+    # both must accept the same chord sets and build the same graph.
+    rng = random.Random(2024)
+    graphs = [G.random_planar(n, seed) for n, seed in ((12, 1), (20, 2), (30, 3), (40, 4))]
+    graphs += [G.tri_grid(4, 4), G.square_grid(4, 5), G.hex_grid(2)]
+    outcomes = {"accepted": 0, "rejected": 0}
+    for g in graphs:
+        for x in g.vertices():
+            rest, merged = g.delete_vertex(x)
+            around = set(g.neighbors(x))
+            if merged is None or not any(around <= c for c in rest.connected_components()) \
+                    or any(rest.degree(u) == 0 for u in around):
+                continue  # no hole, or more than one fragment
+            walk = sorted(merged.vertices())
+            others = [u for u in rest.vertices() if u not in merged.vertices()]
+            for _ in range(24):
+                pairs = set()
+                for _ in range(rng.randint(1, 4)):
+                    a, b = rng.sample(walk, 2)
+                    if others and rng.random() < 0.05:
+                        b = rng.choice(others)
+                    if not rest.has_edge(a, b):
+                        pairs.add((min(a, b), max(a, b)))
+                chords = sorted(pairs)
+                if not chords:
+                    continue
+                rebuilt = _outcome(lambda: rest.add_chords(merged, chords))
+                live = LiveEmbedding(g)
+                surgery = _outcome(lambda: live.surgery(x, chords))
+                if isinstance(rebuilt, type):
+                    assert surgery == rebuilt, (g, x, chords)
+                    outcomes["rejected"] += 1
+                    continue
+                live.commit(surgery)
+                assert live.to_graph() == rebuilt, (g, x, chords)
+                assert live.to_graph().euler_defect() == 0
+                outcomes["accepted"] += 1
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 def _scanner_calls_per_step(g) -> tuple[float, float]:

@@ -160,15 +160,18 @@ def test_color_rejects_high_degree():
 
 
 _K01 = ConfigurationMatch("K01", 1, (("v", 1), ("v1", 0)))
-
-
-@pytest.mark.parametrize("call", [
+# Every public call that builds an engine context from a graph.
+_ENTRIES = [
     cfg.detect, cfg.detect_all, lambda g: list(cfg.detect_iter(g)), cfg.match_count,
     lambda g: plan(g, _K01), lambda g: cfg.build_plan_spec(g, _K01),
     lambda g: apply_plan(g, ReductionPlan(1, (), "K01", 6)),
     dis.initial_charges, dis.apply_rules, dis.audit, color_by_reduction,
-], ids=["detect", "detect_all", "detect_iter", "match_count", "plan", "build_plan_spec",
-        "apply_plan", "initial_charges", "apply_rules", "audit", "color_by_reduction"])
+]
+_ENTRY_IDS = ["detect", "detect_all", "detect_iter", "match_count", "plan", "build_plan_spec",
+              "apply_plan", "initial_charges", "apply_rules", "audit", "color_by_reduction"]
+
+
+@pytest.mark.parametrize("call", _ENTRIES, ids=_ENTRY_IDS)
 def test_every_entry_rejects_high_degree_before_tracing(call, monkeypatch):
     def no_trace(rot):
         raise AssertionError("faces traced before the degree check")
@@ -262,6 +265,13 @@ def test_color_rejects_positive_genus(make, euler):
     assert g.euler_characteristic() == euler
     with pytest.raises(PositiveGenus):
         color_by_reduction(g)
+
+
+@pytest.mark.parametrize("make", [toroidal_k7, grid_with_reversed_rotation])
+@pytest.mark.parametrize("call", _ENTRIES, ids=_ENTRY_IDS)
+def test_every_entry_rejects_positive_genus(call, make):
+    with pytest.raises(PositiveGenus):
+        call(make())
 
 
 def test_color_accepts_isolated_vertices():
