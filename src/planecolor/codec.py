@@ -137,16 +137,22 @@ def graph_to_doc(g: EmbeddedGraph) -> dict:
 
 
 def graph_from_doc(doc: dict) -> EmbeddedGraph:
-    _expect_schema(doc, GRAPH_SCHEMA)
+    return _graph_from_doc(doc, "")
+
+
+def _graph_from_doc(doc, at: str) -> EmbeddedGraph:
+    """graph_from_doc for a document at JSON pointer `at`, which errors name."""
+    _expect_schema(doc, GRAPH_SCHEMA, at)
     rotation = doc.get("rotation")
     if not isinstance(rotation, dict):
-        raise SchemaMismatch("/rotation", "expected an object")
-    rot = {_int(v, "/rotation"): _ints(ns, f"/rotation/{v}") for v, ns in rotation.items()}
+        raise SchemaMismatch(f"{at}/rotation", "expected an object")
+    rot = {_int(v, f"{at}/rotation"): _ints(ns, f"{at}/rotation/{v}")
+           for v, ns in rotation.items()}
     labels = None
     if "labels" in doc:
         if not isinstance(doc["labels"], dict):
-            raise SchemaMismatch("/labels", "expected an object")
-        labels = {_int(v, "/labels"): str(s) for v, s in doc["labels"].items()}
+            raise SchemaMismatch(f"{at}/labels", "expected an object")
+        labels = {_int(v, f"{at}/labels"): str(s) for v, s in doc["labels"].items()}
     return EmbeddedGraph(rot, labels)
 
 
@@ -159,12 +165,17 @@ def coloring_to_doc(phi: Coloring) -> dict:
 
 
 def coloring_from_doc(doc: dict) -> Coloring:
-    _expect_schema(doc, COLORING_SCHEMA)
-    palette_size = _int(_required(doc, "", "palette_size"), "/palette_size")
+    return _coloring_from_doc(doc, "")
+
+
+def _coloring_from_doc(doc, at: str) -> Coloring:
+    """coloring_from_doc for a document at JSON pointer `at`, which errors name."""
+    _expect_schema(doc, COLORING_SCHEMA, at)
+    palette_size = _int(_required(doc, at, "palette_size"), f"{at}/palette_size")
     assignment = doc.get("assignment")
     if not isinstance(assignment, dict):
-        raise SchemaMismatch("/assignment", "expected an object")
-    return Coloring({_int(v, "/assignment"): _int(c, f"/assignment/{v}")
+        raise SchemaMismatch(f"{at}/assignment", "expected an object")
+    return Coloring({_int(v, f"{at}/assignment"): _int(c, f"{at}/assignment/{v}")
                      for v, c in assignment.items()}, palette_size)
 
 
@@ -277,9 +288,9 @@ def trace_from_doc(doc: dict) -> ReductionResult:
         ))
     witness = None
     if "fallback_witness" in doc:
-        witness = graph_from_doc(doc["fallback_witness"])
+        witness = _graph_from_doc(doc["fallback_witness"], "/fallback_witness")
     return ReductionResult(
-        coloring=coloring_from_doc(_required(doc, "", "coloring")),
+        coloring=_coloring_from_doc(_required(doc, "", "coloring"), "/coloring"),
         steps=tuple(steps),
         fallback=bool(doc.get("fallback")),
         fallback_witness=witness,
@@ -320,8 +331,8 @@ def read_json(text: Union[str, bytes, dict]):
     return reader(doc)
 
 
-def _expect_schema(doc, schema: str) -> None:
+def _expect_schema(doc, schema: str, at: str = "") -> None:
     if not isinstance(doc, dict):
-        raise SchemaMismatch("", "expected a JSON object")
+        raise SchemaMismatch(at, "expected a JSON object")
     if doc.get("schema") != schema:
-        raise SchemaMismatch("/schema", f"expected {schema!r}, got {doc.get('schema')!r}")
+        raise SchemaMismatch(f"{at}/schema", f"expected {schema!r}, got {doc.get('schema')!r}")

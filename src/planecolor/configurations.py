@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from ._live import LiveEmbedding, Surgery
-from .embedding import EmbeddedGraph, Face, euler_defect_of
+from .embedding import EmbeddedGraph, Face, components, euler_defect_of
 from .errors import DegreeTooHigh, PlanInvalid, PositiveGenus
 
 
@@ -76,6 +76,15 @@ def _corner_faces(rot, dart_face, v: int) -> tuple[Face, ...]:
     return tuple(dart_face[(v, ns[(j + 1) % d])] for j in range(d))
 
 
+# Per degree d in 2..6, (labels, corner faces) getters for the 2d labelings of
+# `_Ctx.labelings`: rotations from k (labels[i] = rot[k + i], faces[i] = cf[k + i]),
+# then reflections (labels[i] = rot[k - i], faces[i] = cf[k - i - 1]), mod d.
+_LABELINGS = {d: [(itemgetter(*[(k + s * i) % d for i in range(d)]),
+                   itemgetter(*[(k + s * i + min(s, 0)) % d for i in range(d)]))
+                  for s in (1, -1) for k in range(d)]
+              for d in range(2, 7)}
+
+
 def _count_faces(faces, size: int) -> int:
     """Distinct faces of the given size among `faces`."""
     return sum(1 for k in {f.id: f.degree for f in faces}.values() if k == size)
@@ -114,7 +123,8 @@ class _Ctx(LiveEmbedding):
             if d > 6:
                 raise DegreeTooHigh(v, d)
         super().__init__(g)
-        defect = euler_defect_of(self.rot, g.edge_count, len(self.faces))
+        self.parts = components(self.rot)  # until the first commit; the audit reads them
+        defect = euler_defect_of(self.rot, g.edge_count, len(self.faces), len(self.parts))
         if defect:
             raise PositiveGenus(defect)
         # The tables close over the maps they read, not over the context, so
@@ -190,7 +200,7 @@ class _Ctx(LiveEmbedding):
                 for d, vs in by.items():
                     if entry.fits(d):
                         idx.dirty.update(vs)
-        self.by_degree = self.pending = self.charges = None
+        self.by_degree = self.pending = self.charges = self.parts = None
         return created
 
     def candidates(self, entry: "CatalogEntry") -> list[int]:
@@ -206,21 +216,14 @@ class _Ctx(LiveEmbedding):
         groups = [vs for d, vs in self.by_degree.items() if entry.fits(d)]
         return groups[0] if len(groups) == 1 else sorted(v for vs in groups for v in vs)
 
-    def labelings(self, v: int) -> Iterator[tuple[tuple[int, ...], tuple[Face, ...]]]:
-        """All rotations and reflections of the neighbor sequence at v.
+    def labelings(self, v: int) -> list[tuple[tuple[int, ...], tuple[Face, ...]]]:
+        """All rotations and reflections of the neighbor sequence at v (degree 2..6).
 
-        Yields (labels, corner_faces) where corner_faces[i] is the face in the
-        corner between labels[i] and labels[i+1] (cyclically).
+        A list of (labels, corner_faces), corner_faces[i] the face in the corner
+        between labels[i] and labels[i+1] (cyclically): rotations, then reflections.
         """
-        rot = self.rot[v]
-        cf = self.corner[v]
-        d = len(rot)
-        rot2, cf2 = rot * 2, cf * 2
-        for k in range(d):  # labels[i] = rot[k + i], faces[i] = cf[k + i]
-            yield tuple(rot2[k:k + d]), cf2[k:k + d]
-        rot2, cf2 = rot[::-1] * 2, cf[::-1] * 2
-        for k in range(d):  # labels[i] = rot[k - i], faces[i] = cf[k - i - 1]
-            yield tuple(rot2[d - 1 - k:2 * d - 1 - k]), cf2[d - k:2 * d - k]
+        rot, cf = self.rot[v], self.corner[v]
+        return [(lab(rot), fac(cf)) for lab, fac in _LABELINGS[len(rot)]]
 
     def doubled(self, a: int, b: int) -> bool:
         """Edge ab lies on two distinct triangular faces."""
@@ -256,17 +259,9 @@ def _face_neighbor(face: Face, u: int, exclude: int) -> int:
     return min(cands)
 
 
-def _m(config_id, center, bindings, variant=""):
-    return ConfigurationMatch(
-        config_id=config_id,
-        center=center,
-        bindings=tuple(sorted(bindings.items())),
-        variant=variant,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Scanners. Each yields the matches anchored at one vertex, their center.
+# Scanners. Each yields (variant, role -> vertex bindings) for every match
+# anchored at one vertex, their center. Only detection builds the matches.
 # ---------------------------------------------------------------------------
 
 def _scan_k01(ctx: _Ctx, v: int):
@@ -275,13 +270,13 @@ def _scan_k01(ctx: _Ctx, v: int):
         b = {"v": v}
         if ctx.deg[v] == 1:
             b["v1"] = ctx.rot[v][0]
-        yield _m("K01", v, b)
+        yield "", b
 
 
 def _scan_k02(ctx: _Ctx, v: int):
     if ctx.deg[v] == 2:
         x, y = ctx.rot[v]
-        yield _m("K02", v, {"v": v, "x": x, "y": y})
+        yield "", {"v": v, "x": x, "y": y}
 
 
 def _scan_k03(ctx: _Ctx, v: int):
@@ -290,7 +285,7 @@ def _scan_k03(ctx: _Ctx, v: int):
         return
     for labels, _ in ctx.labelings(v):
         if ctx.deg[labels[0]] <= 5:
-            yield _m("K03", v, {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2]})
+            yield "", {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2]}
 
 
 def _scan_k04(ctx: _Ctx, v: int):
@@ -299,7 +294,7 @@ def _scan_k04(ctx: _Ctx, v: int):
         return
     for labels, faces in ctx.labelings(v):
         if faces[0].degree == 3:
-            yield _m("K04", v, {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2]})
+            yield "", {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2]}
 
 
 def _scan_k05(ctx: _Ctx, v: int):
@@ -308,10 +303,9 @@ def _scan_k05(ctx: _Ctx, v: int):
         return
     for labels, faces in ctx.labelings(v):
         if faces[0].degree == 4 and faces[1].degree == 4:
-            yield _m("K05", v,
-                     {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2],
-                      "x": _opposite_on_quad(faces[0], v),
-                      "y": _opposite_on_quad(faces[1], v)})
+            yield "", {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2],
+                       "x": _opposite_on_quad(faces[0], v),
+                       "y": _opposite_on_quad(faces[1], v)}
 
 
 def _scan_k06(ctx: _Ctx, v: int):
@@ -320,7 +314,7 @@ def _scan_k06(ctx: _Ctx, v: int):
         return
     for labels, faces in ctx.labelings(v):
         if faces[0].degree == 3 and faces[1].degree == 3 and faces[2].degree == 3:
-            yield _m("K06", v, {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}})
+            yield "", {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}}
 
 
 def _k0789_layouts(ctx: _Ctx, v: int):
@@ -342,9 +336,9 @@ def _scan_k07(ctx: _Ctx, v: int):
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(4)},
              "x": _opposite_on_quad(faces[0], v)}
         if faces[1].degree == 3 and faces[2].degree == 3:
-            yield _m("K07", v, b, "adjacent")
+            yield "adjacent", b
         if faces[1].degree == 3 and faces[3].degree == 3:
-            yield _m("K07", v, b, "split")
+            yield "split", b
 
 
 def _scan_k08(ctx: _Ctx, v: int):
@@ -356,7 +350,7 @@ def _scan_k08(ctx: _Ctx, v: int):
         return
     for labels, variant in _k0789_layouts(ctx, v):
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}, "w5": light[0]}
-        yield _m("K08", v, b, variant)
+        yield variant, b
 
 
 def _scan_k09(ctx: _Ctx, v: int):
@@ -365,7 +359,7 @@ def _scan_k09(ctx: _Ctx, v: int):
         return
     for labels, variant in _k0789_layouts(ctx, v):
         if ctx.doubled(labels[0], labels[1]):
-            yield _m("K09", v, {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}}, variant)
+            yield variant, {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}}
 
 
 def _scan_k10(ctx: _Ctx, v: int):
@@ -375,11 +369,10 @@ def _scan_k10(ctx: _Ctx, v: int):
     for labels, faces in ctx.labelings(v):
         if (faces[0].degree == 3 and faces[1].degree == 4
                 and faces[2].degree == 4 and faces[3].degree == 4):
-            yield _m("K10", v,
-                     {"v": v, **{f"v{i+1}": labels[i] for i in range(4)},
-                      "x": _opposite_on_quad(faces[1], v),
-                      "y": _opposite_on_quad(faces[2], v),
-                      "z": _opposite_on_quad(faces[3], v)})
+            yield "", {"v": v, **{f"v{i+1}": labels[i] for i in range(4)},
+                       "x": _opposite_on_quad(faces[1], v),
+                       "y": _opposite_on_quad(faces[2], v),
+                       "z": _opposite_on_quad(faces[3], v)}
 
 
 def _scan_k11(ctx: _Ctx, v: int):
@@ -389,12 +382,12 @@ def _scan_k11(ctx: _Ctx, v: int):
     four = [u for u in sorted(ctx.rot[v]) if ctx.deg[u] == 4]
     if not four:
         return
+    variant = f"m4={ctx.m4[v]}"
     for labels, faces in ctx.labelings(v):
         if faces[0].degree != 3:
             continue
         for vi in four:
-            yield _m("K11", v, {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}, "vi": vi},
-                     f"m4={ctx.m4[v]}")
+            yield variant, {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}, "vi": vi}
 
 
 def _scan_k12(ctx: _Ctx, v: int):
@@ -408,11 +401,11 @@ def _scan_k12(ctx: _Ctx, v: int):
             continue
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}}
         if ctx.m4[v] == 2:
-            yield _m("K12", v, b, "m4=2")
+            yield "m4=2", b
         elif faces[1].degree == 4:
-            yield _m("K12", v, b, "m4=1 near")
+            yield "m4=1 near", b
         elif faces[2].degree == 4:
-            yield _m("K12", v, b, "m4=1 far")
+            yield "m4=1 far", b
 
 
 def _scan_k13(ctx: _Ctx, v: int):
@@ -421,7 +414,7 @@ def _scan_k13(ctx: _Ctx, v: int):
         return
     for labels, _ in ctx.labelings(v):
         if ctx.deg[labels[0]] <= 5:
-            yield _m("K13", v, {"v": v, **{f"v{i+1}": labels[i] for i in range(5)}})
+            yield "", {"v": v, **{f"v{i+1}": labels[i] for i in range(5)}}
 
 
 def _scan_k14(ctx: _Ctx, v: int):
@@ -429,7 +422,7 @@ def _scan_k14(ctx: _Ctx, v: int):
     if ctx.deg[v] != 5 or ctx.m3[v] != 5:
         return
     for a, b in ctx.doubled_induced(v):
-        yield _m("K14", v, {"v": v, "v1": a, "v2": b})
+        yield "", {"v": v, "v1": a, "v2": b}
 
 
 def _fan_layout(ctx: _Ctx, v: int, last_degree):
@@ -437,19 +430,17 @@ def _fan_layout(ctx: _Ctx, v: int, last_degree):
 
     A triangle fills one corner only (its three vertices are distinct), so
     such a layout exists only where m3 is one below the degree, which the
-    callers test first. There exactly one corner j is not a triangle, and
-    the two labelings that end at it are built directly, as `labelings`
-    orders them: the forward one starting after j, then its reflection.
+    callers test first. There exactly one corner j is not a triangle, and the
+    two labelings that end at it are read off the labelings table in its
+    order: the rotation from j + 1, then the reflection from j.
     """
     faces = ctx.corner[v]
     j = next(i for i, f in enumerate(faces) if f.degree != 3)
     if not last_degree(faces[j].degree):
         return
-    rot = ctx.rot[v]
-    k = j + 1
-    labels = tuple(rot[k:] + rot[:k])
-    yield labels, faces[k:] + faces[:k]
-    yield labels[::-1], (faces[j:] + faces[:j])[::-1]
+    rot, d = ctx.rot[v], len(faces)
+    for lab, fac in (_LABELINGS[d][(j + 1) % d], _LABELINGS[d][d + j]):
+        yield lab(rot), fac(faces)
 
 
 def _scan_k15(ctx: _Ctx, v: int):
@@ -461,12 +452,12 @@ def _scan_k15(ctx: _Ctx, v: int):
              "x": _opposite_on_quad(faces[4], v)}
         degs = [ctx.deg[u] for u in labels]
         if any(d <= 4 for d in degs):
-            yield _m("K15", v, b, "low_neighbor")
+            yield "low_neighbor", b
         if sum(1 for d in degs if d == 5) >= 2:
-            yield _m("K15", v, b, "two_fives")
+            yield "two_fives", b
         for w in labels[1:4]:
             if ctx.deg[w] == 6 and ctx.m3[w] == 6:
-                yield _m("K15", v, {**b, "w": w}, "saturated_six")
+                yield "saturated_six", {**b, "w": w}
                 break
 
 
@@ -480,19 +471,16 @@ def _scan_k16(ctx: _Ctx, v: int):
         n4 = sum(1 for d in degs if d == 4)
         n5 = sum(1 for d in degs if d == 5)
         if n4 >= 2:
-            yield _m("K16", v, b, "two_fours")
+            yield "two_fours", b
         if n5 >= 3:
-            yield _m("K16", v, b, "three_fives")
+            yield "three_fives", b
         if n4 >= 1 and n5 >= 1:
-            yield _m("K16", v, b, "four_plus_five")
+            yield "four_plus_five", b
 
 
 def _scan_k17(ctx: _Ctx, v: int):
     # 5-vertex: four triangles and a big face, tight degree profile, doubled edge.
     if ctx.deg[v] != 5 or ctx.m3[v] != 4:
-        return
-    dbl = ctx.doubled_induced(v)
-    if not dbl:
         return
     for labels, _ in _fan_layout(ctx, v, lambda d: d >= 5):
         degs = [ctx.deg[u] for u in labels]
@@ -501,10 +489,10 @@ def _scan_k17(ctx: _Ctx, v: int):
         n5 = sum(1 for d in degs if d == 5)
         n6 = sum(1 for d in degs if d == 6)
         profile = (n4, n5, n6)
-        if n3 == 0 and profile in ((1, 0, 4), (0, 2, 3)):
+        if n3 == 0 and profile in ((1, 0, 4), (0, 2, 3)) and (dbl := ctx.doubled_induced(v)):
             b = {"v": v, **{f"v{i+1}": labels[i] for i in range(5)},
                  "a": dbl[0][0], "b": dbl[0][1]}
-            yield _m("K17", v, b, "one_four" if profile == (1, 0, 4) else "two_fives")
+            yield ("one_four" if profile == (1, 0, 4) else "two_fives"), b
 
 
 def _doubled_fan_count(ctx: _Ctx, labels) -> int:
@@ -579,42 +567,42 @@ def _scan_k18(ctx: _Ctx, v: int):
              "x": _opposite_on_quad(faces[5], v)}
 
         if n4 == 2 and degs[0] == 4 and degs[5] == 4 and n5 >= 2:
-            yield _m("K18", v, b, "a")
+            yield "a", b
         if n4 == 1 and degs[0] == 4:
             if n5 >= 4:
-                yield _m("K18", v, b, "b")
+                yield "b", b
             elif n5 == 3 and ctx.doubled_induced(v):
-                yield _m("K18", v, b, "c")
+                yield "c", b
         if n4 == 0 and n5 == 6:
-            yield _m("K18", v, b, "d")
+            yield "d", b
         if n4 == 0 and n5 == 5 and 6 in degs[:3] and ctx.doubled_induced(v):
-            yield _m("K18", v, b, "e")
+            yield "e", b
         if n4 == 0 and n5 == 4:
             if degs[0] == 6 and degs[5] == 6:
                 for u, um, up in ((labels[2], labels[1], labels[3]),
                                   (labels[3], labels[2], labels[4])):
                     hit = _fan_neighbor_reduction(ctx, v, u, um, up)
                     if hit:
-                        yield _m("K18", v, {**b, **hit[0]}, "f")
+                        yield "f", {**b, **hit[0]}
             elif _doubled_fan_count(ctx, labels) >= 2:
                 for i in range(1, 5):
                     if degs[i] == 5:
-                        yield _m("K18", v, {**b, "vi": labels[i]}, f"g{i+1}")
+                        yield f"g{i+1}", {**b, "vi": labels[i]}
         if n4 == 0 and n5 == 3:
             positions = {i + 1 for i in range(6) if degs[i] == 5}
             if positions in _SIX_PROFILE_V6 and ctx.deg[labels[5]] == 5 \
                     and ctx.m3[labels[5]] == 4:
-                yield _m("K18", v, b, "h_last")
+                yield "h_last", b
             elif positions in _SIX_PROFILE_V4:
                 hit = _fan_neighbor_reduction(ctx, v, labels[3], labels[2], labels[4])
                 if hit:
-                    yield _m("K18", v, {**b, **hit[0]}, "h_mid")
+                    yield "h_mid", {**b, **hit[0]}
             elif positions in _SIX_PROFILE_V3:
                 hit = _fan_neighbor_reduction(ctx, v, labels[2], labels[1], labels[3])
                 if hit:
-                    yield _m("K18", v, {**b, **hit[0]}, "h_mid")
+                    yield "h_mid", {**b, **hit[0]}
             elif positions in _SIX_PROFILE_3DBL and _doubled_fan_count(ctx, labels) >= 3:
-                yield _m("K18", v, b, "h_triple")
+                yield "h_triple", b
 
 
 def _scan_k19(ctx: _Ctx, v: int):
@@ -630,17 +618,17 @@ def _scan_k19(ctx: _Ctx, v: int):
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)}}
 
         if n4 == 2 and degs[0] == 4 and degs[5] == 4 and n5 >= 3:
-            yield _m("K19", v, b, "a")
+            yield "a", b
         if n4 == 1 and degs[0] == 4:
             if n5 >= 5:
-                yield _m("K19", v, b, "b")
+                yield "b", b
             elif n5 == 4 and ctx.doubled_induced(v):
-                yield _m("K19", v, b, "c")
+                yield "c", b
         if n4 == 0 and n5 == 6 and ctx.doubled_induced(v):
-            yield _m("K19", v, b, "d")
+            yield "d", b
         if n4 == 0 and n5 == 5 and 6 in degs[:3] \
                 and _doubled_fan_count(ctx, labels) >= 2:
-            yield _m("K19", v, b, "e")
+            yield "e", b
 
 
 def _scan_k20(ctx: _Ctx, v: int):
@@ -666,9 +654,9 @@ def _scan_k20(ctx: _Ctx, v: int):
             continue
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)}}
         if n4 == 1 and n5 == 5:
-            yield _m("K20", v, b, f"{case}/one_four")
+            yield f"{case}/one_four", b
         if n5 == 6 and ctx.doubled_induced(v):
-            yield _m("K20", v, b, f"{case}/doubled")
+            yield f"{case}/doubled", b
 
 
 def _scan_k21(ctx: _Ctx, v: int):
@@ -687,9 +675,9 @@ def _scan_k21(ctx: _Ctx, v: int):
         y = _face_neighbor(faces[1], v2, v)
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)}, "x": x, "y": y}
         if ctx.deg[labels[0]] == 4:
-            yield _m("K21", v, b, "flank_first")
+            yield "flank_first", b
         elif ctx.deg[labels[2]] == 4:
-            yield _m("K21", v, b, "flank_third")
+            yield "flank_third", b
 
 
 def _scan_k22(ctx: _Ctx, v: int):
@@ -707,16 +695,15 @@ def _scan_k22(ctx: _Ctx, v: int):
         z = _face_neighbor(faces[1], v2, v)
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)}, "y": y, "z": z}
         if ctx.deg[labels[0]] == 4:
-            yield _m("K22", v, b, "flank_first")
+            yield "flank_first", b
         elif ctx.deg[labels[2]] == 4:
-            yield _m("K22", v, b, "flank_third")
+            yield "flank_third", b
 
 
 def _five_face_walks(ctx: _Ctx, v: int):
     """Each 5-face at v with five distinct vertices, walked both ways from v."""
     for f in ctx.corner[v]:
-        walk = f.vertex_walk()
-        if f.degree == 5 and len(set(walk)) == 5:
+        if f.degree == 5 and len(set(walk := f.vertex_walk())) == 5:
             i = walk.index(v)
             seq = walk[i:] + walk[:i]
             yield seq
@@ -736,7 +723,7 @@ def _scan_k23(ctx: _Ctx, v: int):
             b = {"v1": v1, "v2": v2, "v3": v3, "v4": v4, "v5": v5,
                  "v6": _third_neighbor(ctx, v1, v2, v5),
                  "v7": _third_neighbor(ctx, v4, v3, v5)}
-            yield _m("K23", v1, b)
+            yield "", b
 
 
 def _scan_k24(ctx: _Ctx, v: int):
@@ -747,7 +734,7 @@ def _scan_k24(ctx: _Ctx, v: int):
         if ctx.deg[v4] == 4:
             b = {"v1": v1, "v2": v2, "v3": v3, "v4": v4, "v5": v5,
                  "v6": _third_neighbor(ctx, v1, v2, v5)}
-            yield _m("K24", v1, b)
+            yield "", b
 
 
 # ---------------------------------------------------------------------------
@@ -981,7 +968,8 @@ class _EntryIndex:
 def _in_order(ctx: _Ctx, catalog, build_index: bool) -> Iterator[ConfigurationMatch]:
     """Matches in priority order: through each entry's index where it has
     one (built first when `build_index`), else by one full scan of every
-    vertex whose degree fits the entry."""
+    vertex whose degree fits the entry; each anchor's matches are centered
+    there and sorted by variant, then bindings."""
     for entry in (catalog or CATALOG):
         idx = ctx.index.get(entry)
         if idx is None and build_index:
@@ -989,7 +977,9 @@ def _in_order(ctx: _Ctx, catalog, build_index: bool) -> Iterator[ConfigurationMa
         elif idx is not None and idx.dirty:
             idx.flush(ctx)
         for a in (ctx.candidates(entry) if idx is None else idx.anchors):
-            yield from sorted(entry.scan(ctx, a), key=attrgetter("variant", "bindings"))
+            for variant, b in sorted((variant, tuple(sorted(b.items())))
+                                     for variant, b in entry.scan(ctx, a)):
+                yield ConfigurationMatch(entry.config_id, a, b, variant)
 
 
 def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
@@ -1015,13 +1005,22 @@ def detect_all(g, catalog=None) -> list[ConfigurationMatch]:
     return list(_in_order(_Ctx.of(g), catalog, build_index=False))
 
 
+def _entries_by_degree(catalog) -> list[tuple[CatalogEntry, ...]]:
+    """Per degree 0..6, the entries that a vertex of that degree can anchor."""
+    return [tuple(e for e in catalog if e.fits(d)) for d in range(7)]
+
+
+_CATALOG_BY_DEGREE = _entries_by_degree(CATALOG)
+
+
 def match_count(g, catalog=None) -> int:
-    """len(detect_all(g, catalog)), counted without keeping a match: each
-    vertex whose degree fits an entry is scanned once, and nothing is
-    sorted or indexed."""
+    """len(detect_all(g, catalog)), counted without building a match: one
+    pass over the vertices scans each for the entries its degree fits, and
+    nothing is sorted or indexed."""
     ctx = _Ctx.of(g)
-    return sum(1 for entry in (catalog or CATALOG)
-               for v in ctx.candidates(entry) for _ in entry.scan(ctx, v))
+    by_degree = _entries_by_degree(catalog) if catalog else _CATALOG_BY_DEGREE
+    return sum(1 for v, d in ctx.deg.items() for entry in by_degree[d]
+               for _ in entry.scan(ctx, v))
 
 
 def detect(g, catalog=None) -> Optional[ConfigurationMatch]:

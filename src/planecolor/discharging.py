@@ -164,7 +164,7 @@ def audit(g: EmbeddedGraph) -> DischargeReport:
     # Charge moves only inside a component, so each component must end
     # with the total it started with. Both are summed in integers of 1/UNIT,
     # of which every final charge is a whole number.
-    comps = g.connected_components()
+    comps = ctx.parts
     owner = {("v", v): i for i, comp in enumerate(comps) for v in comp}
     owner.update((("f", f.id), owner[("v", f.boundary[0][0])]) for f in ctx.faces.values())
     start_totals = [0] * len(comps)
@@ -174,7 +174,7 @@ def audit(g: EmbeddedGraph) -> DischargeReport:
     for el, q in final.items():
         comp_totals[owner[el]] += q.numerator * (UNIT // q.denominator)
 
-    negatives = tuple(sorted(((el, q) for el, q in final.items() if q < 0),
+    negatives = tuple(sorted(((el, q) for el, q in final.items() if q.numerator < 0),
                              key=lambda item: item[0]))
     matches = cfg.match_count(ctx)
     shadow: Optional[bool] = None

@@ -219,7 +219,8 @@ class EmbeddedGraph:
         handle of a component's surface lowers it by two. The faces are
         traced for the count and not kept.
         """
-        return euler_defect_of(self._rot, self._edge_count, len(trace_faces(self._rot)))
+        return euler_defect_of(self._rot, self._edge_count, len(trace_faces(self._rot)),
+                               len(components(self._rot)))
 
     # -- local statistics ----------------------------------------------------
 
@@ -312,10 +313,11 @@ def trace_faces(rot: Mapping[int, Sequence[int]]) -> tuple[Face, ...]:
     return tuple(Face(i, tuple(w)) for i, w in enumerate(walks))
 
 
-def euler_defect_of(rot: Mapping[int, Sequence[int]], edge_count: int, face_count: int) -> int:
+def euler_defect_of(rot: Mapping[int, Sequence[int]], edge_count: int, face_count: int,
+                    component_count: int) -> int:
     """V - E + F + I - 2C of rotation system `rot` (see EmbeddedGraph.euler_defect)."""
     isolated = sum(1 for ns in rot.values() if not ns)
-    return len(rot) - edge_count + face_count + isolated - 2 * len(components(rot))
+    return len(rot) - edge_count + face_count + isolated - 2 * component_count
 
 
 def trace_walks(seeds, rotation, seen: set) -> list[list[Dart]]:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +39,7 @@ def test_gen_random_seeded(tmp_path):
 
 
 def test_verify_valid_and_invalid(tmp_path, graph_file, capsys):
-    g = codec.read_planar_code(open(graph_file, "rb").read())[0]
+    g = codec.read_planar_code(Path(graph_file).read_bytes())[0]
     result = color_by_reduction(g)
     good = tmp_path / "good.json"
     good.write_text(codec.write_json(result.coloring))

@@ -181,3 +181,29 @@ def test_ids_colors_and_counts_must_be_integers(doc, pointer):
     with pytest.raises(SchemaMismatch) as exc:
         codec.read_json(json.dumps(doc))
     assert exc.value.pointer == pointer
+
+
+def _trace_with(key, value):
+    doc = _trace_doc()
+    doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, pointer", [
+    (_trace_with("coloring", _coloring_doc(assignment={"0": 2.7})), "/coloring/assignment/0"),
+    (_trace_with("coloring", _coloring_doc(assignment=[1])), "/coloring/assignment"),
+    (_trace_with("coloring", _coloring_doc(palette_size=True)), "/coloring/palette_size"),
+    (_trace_with("coloring", {"schema": "coloring/1", "assignment": {}}), "/coloring/palette_size"),
+    (_trace_with("coloring", _coloring_doc(schema="coloring/0")), "/coloring/schema"),
+    (_trace_with("coloring", [1]), "/coloring"),
+    (_trace_with("fallback_witness", _graph_doc([1.9])), "/fallback_witness/rotation/0/0"),
+    (_trace_with("fallback_witness", {"schema": "embedded-graph/1", "rotation": [0]}),
+     "/fallback_witness/rotation"),
+    (_trace_with("fallback_witness", {**_graph_doc([1]), "labels": {"x": "a"}}),
+     "/fallback_witness/labels"),
+], ids=["color-value-float", "assignment-list", "palette-bool", "palette-missing", "schema",
+        "not-an-object", "witness-neighbor-float", "witness-rotation-list", "witness-label-key"])
+def test_errors_inside_a_trace_point_into_it(doc, pointer):
+    with pytest.raises(SchemaMismatch) as exc:
+        codec.read_json(json.dumps(doc))
+    assert exc.value.pointer == pointer

@@ -96,16 +96,18 @@ def test_priority_prefers_cheapest_entry():
 
 
 def test_every_match_is_centered_at_its_anchor(corpus):
-    # Detection sorts one anchor's matches among themselves and never
-    # across anchors, so a match centered elsewhere would be out of order.
-    # Fresh detection goes through the same index and cannot see this.
+    # Detection centers every match at the anchor it scanned and sorts one
+    # anchor's matches among themselves, never across anchors, so a scan
+    # whose anchor role is bound elsewhere would be misplaced and out of
+    # order. Fresh detection goes through the same index and cannot see this.
     graphs = [fixture()[0] for fixture in fixtures.ALL_FIXTURES] + [g for _, g in corpus]
     for g in graphs:
         ctx = _Ctx(g)
         for entry in CATALOG:
+            role = "v1" if entry.config_id in ("K23", "K24") else "v"
             for v in ctx.rot:
-                for m in entry.scan(ctx, v):
-                    assert m.center == v, (entry.config_id, v, m)
+                for variant, b in entry.scan(ctx, v):
+                    assert b[role] == v, (entry.config_id, v, variant, b)
 
 
 def test_dedup_no_duplicate_matches(corpus):
@@ -135,11 +137,11 @@ def test_anchor_degree_and_triangle_count_hold_at_every_match(corpus):
         ctx = _Ctx(g)
         for entry in CATALOG:
             for v in ctx.rot:
-                for m in entry.scan(ctx, v):
+                for _ in entry.scan(ctx, v):
                     assert entry.fits(ctx.deg[v]), (entry.config_id, v, ctx.deg[v])
                     if entry.config_id in _PREFILTER_M3:
                         assert ctx.m3[v] == _PREFILTER_M3[entry.config_id], (entry.config_id, v)
-                    matched.add(m.config_id)
+                    matched.add(entry.config_id)
     assert matched == {e.config_id for e in CATALOG}
 
 
@@ -171,9 +173,43 @@ def test_match_count_counts_what_detect_all_lists(corpus):
     assert match_count(G.octahedron(), CATALOG[6:]) == len(detect_all(G.octahedron(), CATALOG[6:]))
 
 
+def test_match_count_counts_what_detect_all_lists_for_every_catalog_suffix(corpus):
+    # A custom catalog gets its own degree table; each suffix drops entries
+    # of some degree ahead of others of the same degree.
+    graphs = [fixture()[0] for fixture in fixtures.ALL_FIXTURES] + [g for _, g in corpus[:20]]
+    for g in graphs:
+        ctx = _Ctx(g)
+        for j in range(len(CATALOG)):
+            assert match_count(ctx, CATALOG[j:]) == len(detect_all(ctx, CATALOG[j:])), j
+
+
+def _labelings_generator(ctx, v):
+    """The labelings as a generator over doubled slices, the reference for the table."""
+    rot = ctx.rot[v]
+    cf = ctx.corner[v]
+    d = len(rot)
+    rot2, cf2 = rot * 2, cf * 2
+    for k in range(d):  # labels[i] = rot[k + i], faces[i] = cf[k + i]
+        yield tuple(rot2[k:k + d]), cf2[k:k + d]
+    rot2, cf2 = rot[::-1] * 2, cf[::-1] * 2
+    for k in range(d):  # labels[i] = rot[k - i], faces[i] = cf[k - i - 1]
+        yield tuple(rot2[d - 1 - k:2 * d - 1 - k]), cf2[d - k:2 * d - k]
+
+
+def test_labelings_table_equals_the_generator(corpus):
+    degrees = set()
+    for g in _scan_graphs(corpus):
+        ctx = _Ctx(g)
+        for v, d in ctx.deg.items():
+            if d >= 2:
+                assert ctx.labelings(v) == list(_labelings_generator(ctx, v)), v
+                degrees.add(d)
+    assert degrees == {2, 3, 4, 5, 6}
+
+
 def test_fan_layout_equals_filtering_every_labeling(corpus):
-    # The layouts the fan entries read, built directly at the one corner that
-    # is not a triangle, against the filter over all 2d labelings.
+    # The layouts the fan entries read, taken at the one corner that is not
+    # a triangle, against the filter over all 2d labelings.
     predicates = (lambda d: d == 4, lambda d: d >= 5, lambda d: True)
     checked = 0
     for g in _scan_graphs(corpus):
