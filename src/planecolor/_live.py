@@ -1,37 +1,30 @@
 """Mutable plane embedding for the reduction engine.
 
 A reduction step deletes one vertex and draws chords into the hole it
-leaves. Rebuilding an EmbeddedGraph for that retraces every face; this
-structure keeps rotation lists, a dart -> face map and the face walks, and
-rewrites only the faces around the hole, so a step costs the size of the
-faces it touches.
+leaves. This structure keeps rotation lists, the dart kernel `Darts` and
+each face's vertex walk, and rewrites only the darts and faces at the hole.
+It agrees with EmbeddedGraph wherever a caller could tell: rotations keep
+the order EmbeddedGraph.delete_vertex and place_chords give them, and each
+walk starts at its smallest dart, where EmbeddedGraph's trace starts it
+(positions read from a walk pick a repeated vertex's first occurrence). A
+fresh state numbers its faces as `g.faces()` does; later ids count on.
 
-The bookkeeping agrees with EmbeddedGraph wherever a caller could tell:
-rotation lists keep the element order that EmbeddedGraph.delete_vertex and
-place_chords produce, and each face walk starts where EmbeddedGraph's trace
-starts it (at its smallest vertex, on that vertex's first dart in rotation
-order), because positions read from a walk pick a repeated vertex's first
-occurrence. Face ids are only distinct: a fresh state traces its faces with
-`trace_faces`, which numbers them as `g.faces()` does, and keeps them to
-itself, so g caches no faces; later faces count on from there.
-
-Validation is local and assumes each component is embedded in the sphere
-(see EmbeddedGraph.euler_defect), which the engine's context
-(configurations._Ctx) checks when it is built: then the faces that border
-the hole give one walk per fragment the deletion leaves, so a step changes
-the components by what it sees around the hole, and chords keep the graph
-plane exactly when the step leaves V - E + F + I - 2C unchanged. That count
-is the step's only plane test; place_chords does not look for crossings.
+Validation assumes each component is embedded in the sphere, which the
+engine's context (configurations._Ctx) checks when it is built: then x's
+faces leave one hole walk per fragment, and a step keeps the graph plane
+(V - E + F + I - 2C unchanged) exactly when no chord joins two walks of
+one component. That is the step's only plane test.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from typing import Optional
 
-from .embedding import (
-    Dart, EmbeddedGraph, Face, place_chords, trace_faces, trace_walks, within_distance2,
-)
-from .errors import CrossingChords, EndpointNotOnFace
+from .embedding import Darts, EmbeddedGraph, place_chords, within_distance2
+from .errors import CrossingChords, EndpointNotOnFace, PlanInvalid
 
 
 @dataclass
@@ -40,20 +33,25 @@ class Surgery:
 
     delete: int
     rot: dict[int, list[int]]  # rotation after the step of every vertex it changes
-    destroyed: list[Face]  # the faces that contain the deleted vertex
-    created: list[tuple[Dart, ...]]  # dart walks of the faces that replace them
+    chords: list[tuple[int, int]]
+    destroyed: list[int]  # ids of the faces that contain the deleted vertex
+    created: list[list[int]]  # vertex walks of the faces that replace them
 
 
-class LiveEmbedding:
-    """Rotation lists, dart -> face map and face walks, edited in place."""
+class LiveEmbedding(Darts):
+    """Rotation lists, dart kernel and face walks, edited in place.
+
+    `faces` maps each face id to its vertex walk and `fdeg[f]` is the
+    length of face f's walk, kept for every id handed out.
+    """
 
     def __init__(self, g: EmbeddedGraph):
-        self.rot = {v: list(g.rotation(v)) for v in g.vertices()}
-        faces = trace_faces(self.rot)
-        self.faces = {f.id: f for f in faces}
-        self.dart_face = {d: f for f in faces for d in f.boundary}
+        super().__init__({v: list(g.rotation(v)) for v in g.vertices()})
+        walks = self.trace()
+        tail = self.tail
+        self.faces = {f: tuple(map(tail.__getitem__, w)) for f, w in enumerate(walks)}
+        self.fdeg = list(map(len, walks))
         self.labels = g.labels()
-        self._next_face = len(faces)
 
     # -- queries ---------------------------------------------------------------
 
@@ -75,131 +73,198 @@ class LiveEmbedding:
     def surgery(self, x: int, chords: list[tuple[int, int]]) -> Surgery:
         """Validate deleting x and drawing `chords` (sorted, new pairs) into the hole.
 
-        Chords whose ends lie in different fragments of the remainder are
-        drawn first, each dart where the hole meets its endpoint; the rest go
-        through place_chords on the hole face of x's first neighbor of degree
-        two or more. Raises EndpointNotOnFace when an endpoint is off the
-        hole, and CrossingChords, naming the whole chord set, when the step
-        changes V - E + F + I - 2C, that is when the chords do not split the
-        hole into plane faces. Nothing changes until `commit`.
+        The hole walks are walked through the darts, past x. Chords between
+        fragments are drawn first, where the hole meets their ends; the rest
+        go through place_chords on the hole walk of x's first neighbor of
+        degree two or more; each splits or joins walks (`_draw_all`). Raises
+        PlanInvalid (DegreeOverflow) when an end would pass degree 6,
+        EndpointNotOnFace when one is off the hole, and CrossingChords,
+        naming all chords, when the graph would not stay plane. Nothing
+        changes until `commit`.
         """
-        rot = self.rot
-        around = rot[x]
-        destroyed = {}
-        for u in around:
-            f = self.dart_face[(x, u)]
-            destroyed[f.id] = f
-        new_rot = {u: [w for w in rot[u] if w != x] for u in around}
+        rot, tail, twin, nxt = self.rot, self.tail, self.twin, self.nxt
+        around, o = rot[x], self.off[x]
+        destroyed = list(dict.fromkeys(self.face[o:o + len(around)]))
+        new_rot = {u: rot[u].copy() for u in around}
+        for ns in new_rot.values():
+            ns.remove(x)
+        walks, seen = [], set()
+        for d in (nxt[twin[o + j]] for j in range(len(around))):  # (u, c): c after x at u
+            if d in seen or tail[twin[d]] == x:  # walked, or u is left isolated
+                continue
+            walk, e = [], d
+            while True:
+                walk.append(e)
+                e = nxt[twin[e]]
+                if tail[twin[e]] == x:  # (u, x): go on past x
+                    e = nxt[e]
+                if e == d:
+                    break
+            seen.update(walk)
+            walks.append(list(map(tail.__getitem__, walk)))
+        if not chords:
+            return Surgery(x, new_rot, chords, destroyed, walks)
 
         def look(v):
             r = new_rot.get(v)
             return rot[v] if r is None else r
 
-        seeds = [d for f in destroyed.values() for d in f.boundary
-                 if d[0] != x and d[1] != x]
-        holes = trace_walks(seeds, look, set())
-        isolated = [u for u in around if not new_rot[u]]
-        fragments = len(holes) + len(isolated)
-        if not chords:
-            created = holes
-        else:
-            frag = {u: i for i, walk in enumerate(holes) for u, _ in walk}
-            frag.update((u, len(holes) + i) for i, u in enumerate(isolated))
-            for c in chords:
-                if c[0] not in frag or c[1] not in frag:
-                    raise EndpointNotOnFace(c)
-            bridging = [c for c in chords if frag[c[0]] != frag[c[1]]]
-            same = [c for c in chords if frag[c[0]] == frag[c[1]]]
-            parent = list(range(fragments))
-            for a, b in bridging:
-                for w, t in ((a, b), (b, a)):
-                    cur = new_rot.setdefault(w, list(rot[w]))
-                    cur.insert(self._hole_slot(x, w, cur, destroyed), t)
-                ra, rb = _root(parent, frag[a]), _root(parent, frag[b])
-                if ra != rb:
-                    parent[ra] = rb
-                    fragments -= 1
-            seen: set[Dart] = set()
-            created = []
-            if same:
-                u = next(u for u in around if len(rot[u]) >= 2)
-                ns = rot[u]
-                dart = (u, ns[(ns.index(x) + 1) % len(ns)])
-                if bridging:  # their darts changed the rotations on the hole
-                    merged = trace_walks([dart], look, set())[0]
-                else:
-                    merged = next(w for w in holes if dart in w)
-                merged = _canonical(merged, look)
-                new_rot.update(place_chords([a for a, _ in merged], same, look,
-                                            lambda a, b: b in look(a)))
-                split = [d for a, b in same for d in ((a, b), (b, a))]
-                created = trace_walks(list(merged) + split, look, seen)
-            created += trace_walks(seeds + [d for a, b in bridging for d in ((a, b), (b, a))],
-                                   look, seen)
-            # One vertex and its edges go, the chords come, the faces around
-            # x are replaced, neighbors no chord reached are left isolated,
-            # and x's component becomes `fragments` components: V - E + F +
-            # I - 2C must not change.
-            left = sum(1 for u in isolated if not new_rot[u])
-            if (len(around) - len(chords) + len(created) - len(destroyed) + left
-                    - 2 * fragments + 1):
-                raise CrossingChords(tuple(chords))
-        return Surgery(x, new_rot, list(destroyed.values()),
-                       [_canonical(w, look) for w in created])
+        for w, more in Counter(chain.from_iterable(chords)).items():
+            if (n := len(new_rot[w] if w in new_rot else rot.get(w, ())) + more) > 6:
+                raise PlanInvalid("DegreeOverflow", (w, n))
+        first = walks[0][:2] if walks else None  # (u, c) of x's first such neighbor
+        walks += [[u] for u in around if not new_rot[u]]  # one vertex: no dart
+        frag = {}
+        for i, walk in enumerate(walks):
+            frag.update(dict.fromkeys(walk, i))
+        for c in chords:
+            if c[0] not in frag or c[1] not in frag:
+                raise EndpointNotOnFace(c)
+        bridging = [c for c in chords if frag[c[0]] != frag[c[1]]]
+        same = [c for c in chords if frag[c[0]] == frag[c[1]]]
+        for a, b in bridging:
+            for w, t in ((a, b), (b, a)):
+                cur = new_rot.setdefault(w, list(rot[w]))
+                z = self._hole_corner(x, w, destroyed)
+                cur.insert(0 if z is None else cur.index(z) + 1, t)
+        plane = _draw_all(walks, look, bridging, frag)
+        if same:
+            merged = next(w for w in walks if _dart_at(w, *first) >= 0)
+            walks.remove(merged)
+            walks.append(merged := _start(merged, look))
+            new_rot.update(place_chords(merged, same, look, lambda a, b: b in look(a)))
+            plane &= _draw_all(walks, look, same)
+        if not plane:
+            raise CrossingChords(tuple(chords))
+        return Surgery(x, new_rot, chords, destroyed, [w for w in walks if len(w) > 1])
 
-    def _hole_slot(self, x: int, w: int, current: list[int], destroyed) -> int:
-        """Rotation slot at w for a dart drawn into the hole left by x.
-
-        A former neighbor takes the slot where its dart to x sat; any other
-        endpoint uses its first corner whose face touched x.
-        """
+    def _hole_corner(self, x: int, w: int, destroyed) -> Optional[int]:
+        """The neighbor of w after which a dart into the hole left by x goes,
+        or None when w is left isolated: for a former neighbor the one before
+        x, else the first whose next corner's face touched x."""
         ns = self.rot[w]
         if x in ns:
-            if len(ns) == 1:
-                return 0
-            return current.index(ns[ns.index(x) - 1]) + 1
-        d = len(ns)
-        j = next(j for j in range(d)
-                 if self.dart_face[(w, ns[(j + 1) % d])].id in destroyed)
-        return current.index(ns[j]) + 1
+            return None if len(ns) == 1 else ns[ns.index(x) - 1]
+        d, o = len(ns), self.off[w]
+        return ns[next(j for j in range(d) if self.face[o + (j + 1) % d] in destroyed)]
 
-    def commit(self, s: Surgery) -> list[Face]:
-        """Apply a validated surgery; returns the new faces.
+    def commit(self, s: Surgery) -> list[int]:
+        """Apply a validated surgery; returns the ids of the new faces.
 
-        Every dart of a destroyed face that does not touch the deleted
-        vertex lies on a created face, so only the deleted vertex's darts
-        leave the dart map; the others are overwritten. (A plain loop
-        writes them: `update(dict.fromkeys(walk, f))` hashes each dart
-        twice and measured slower.)
+        A changed vertex renumbers its darts in rotation order, each moved
+        dart taking its twin and face along; then each created face is
+        walked, its darts pointed at it, and stored from its smallest dart.
         """
         x = s.delete
-        dart_face = self.dart_face
-        for u in self.rot.pop(x):
-            del dart_face[(x, u)], dart_face[(u, x)]
+        rot, off, twin, nxt, face, tail = (self.rot, self.off, self.twin, self.nxt,
+                                           self.face, self.tail)
+        for u, ns in s.rot.items():
+            o, old = off[u], rot[u]
+            tw, fs = twin[o:o + len(old)], face[o:o + len(old)]
+            for j, w in enumerate(ns):
+                if w in old and (i := old.index(w)) != j:
+                    twin[o + j] = t = tw[i]
+                    twin[t] = o + j
+                    face[o + j] = fs[i]
+            if len(ns) != len(old):  # the last dart wraps to the first
+                nxt[o + len(old) - 1] = o + len(old)
+                if ns:
+                    nxt[o + len(ns) - 1] = o
+        del rot[x]
+        rot.update(s.rot)
         self.labels.pop(x, None)
-        self.rot.update(s.rot)
+        for a, b in s.chords:
+            da, db = off[a] + rot[a].index(b), off[b] + rot[b].index(a)
+            twin[da], twin[db] = db, da
+        faces, fdeg = self.faces, self.fdeg
         for f in s.destroyed:
-            del self.faces[f.id]
+            del faces[f]
         created = []
         for walk in s.created:
-            f = Face(self._next_face, walk)
-            self._next_face += 1
-            self.faces[f.id] = f
-            for d in walk:
-                dart_face[d] = f
+            f = len(fdeg)
+            d = off[walk[0]] + rot[walk[0]].index(walk[1])
+            darts = []
+            for _ in walk:
+                face[d] = f
+                darts.append(d)
+                d = nxt[twin[d]]
+            i = darts.index(min(darts))
+            faces[f] = tuple(map(tail.__getitem__, darts[i:] + darts[:i]))
+            fdeg.append(len(walk))
             created.append(f)
         return created
 
 
-def _canonical(walk: list[Dart], look) -> tuple[Dart, ...]:
-    """The walk started where EmbeddedGraph's trace starts it."""
-    low = min(u for u, _ in walk)
-    ns = look(low)
-    start = min((ns.index(w), i) for i, (u, w) in enumerate(walk) if u == low)[1]
-    return tuple(walk[start:] + walk[:start])
+def _draw_all(walks: list[list[int]], rotation, chords, frag=None) -> bool:
+    """Draw `chords` into the vertex walks `walks` in place, one at a time;
+    False when the graph stops being plane.
+
+    Each end goes after its nearest neighbor in `rotation` (the rotations
+    with every chord drawn) that is drawn already, so any order gives the
+    same faces. A chord on one walk splits it; one between two walks joins
+    them, plane only across components (`frag`: vertex -> component, all
+    one when None). A walk of one vertex is an isolated vertex.
+    """
+    pending = {d for a, b in chords for d in ((a, b), (b, a))}
+    joined: dict[int, int] = {}  # component -> the one it was joined to
+    plane = True
+    for a, b in chords:
+        pending -= {(a, b), (b, a)}
+        ends = []
+        for v, t in ((a, b), (b, a)):
+            ns = rotation(v)
+            i = ns.index(t)
+            for j in range(1, len(ns)):
+                if (v, z := ns[i - j]) not in pending:
+                    k, p = next((k, p) for k, w in enumerate(walks)
+                                if (p := _dart_at(w, z, v)) >= 0)
+                    ends.append((k, (p + 1) % len(walks[k])))
+                    break
+            else:  # no dart at v yet
+                ends.append((walks.index([v]), 0))
+        (i, p), (j, q) = ends
+        A, B = walks[i], walks[j]
+        if i == j:
+            walks[i:i + 1] = [[a] + _cyc(A, q, p), [b] + _cyc(A, p, q)]
+            continue
+        ca, cb = (_root(joined, frag[a]), _root(joined, frag[b])) if frag else (0, 0)
+        if ca == cb:
+            plane = False
+        else:
+            joined[ca] = cb
+        walks[:] = [w for k, w in enumerate(walks) if k != i and k != j]
+        walks.append([a] + (_cyc(B, q, q) if len(B) > 1 else []) + [b]
+                     + (_cyc(A, p, p) if len(A) > 1 else []))
+    return plane
 
 
-def _root(parent: list[int], i: int) -> int:
-    while parent[i] != i:
-        i = parent[i]
+def _cyc(walk: list[int], i: int, j: int) -> list[int]:
+    """The cyclic walk from position i up to position j, all of it when i == j."""
+    return walk[i:j] if i < j else walk[i:] + walk[:j]
+
+
+def _dart_at(walk: list[int], a: int, b: int) -> int:
+    """Position of the dart (a, b) on a cyclic vertex walk, or -1."""
+    p = -1
+    for _ in range(walk.count(a)):
+        p = walk.index(a, p + 1)
+        if walk[(p + 1) % len(walk)] == b:
+            return p
+    return -1
+
+
+def _start(walk: list[int], rotation) -> list[int]:
+    """The vertex walk from its smallest dart: its smallest vertex, on that
+    vertex's first dart in rotation order."""
+    low = min(walk)
+    i = walk.index(low)
+    if walk.count(low) > 1:
+        ns, n = rotation(low), len(walk)
+        i = min((ns.index(walk[(p + 1) % n]), p) for p in range(n) if walk[p] == low)[1]
+    return walk[i:] + walk[:i]
+
+
+def _root(joined: dict[int, int], i: int) -> int:
+    while i in joined:
+        i = joined[i]
     return i

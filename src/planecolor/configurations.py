@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from ._live import LiveEmbedding, Surgery
-from .embedding import EmbeddedGraph, Face, components, euler_defect_of
+from .embedding import EmbeddedGraph, components, euler_defect_of
 from .errors import DegreeTooHigh, PlanInvalid, PositiveGenus
 
 
@@ -70,44 +71,38 @@ class _Cached(dict):
         return value
 
 
-def _corner_faces(rot, dart_face, v: int) -> tuple[Face, ...]:
-    ns = rot[v]
-    d = len(ns)
-    return tuple(dart_face[(v, ns[(j + 1) % d])] for j in range(d))
-
-
 # Per degree d in 2..6, (labels, corner faces) getters for the 2d labelings of
-# `_Ctx.labelings`: rotations from k (labels[i] = rot[k + i], faces[i] = cf[k + i]),
-# then reflections (labels[i] = rot[k - i], faces[i] = cf[k - i - 1]), mod d.
+# `_Ctx.labelings`, applied to v's rotation and to the faces of v's darts in
+# rotation order, fs, where corner j is fs[j + 1]: rotations from k (labels[i] =
+# rot[k + i], faces[i] = fs[k + i + 1]), then reflections (labels[i] = rot[k - i],
+# faces[i] = fs[k - i]), mod d.
 _LABELINGS = {d: [(itemgetter(*[(k + s * i) % d for i in range(d)]),
-                   itemgetter(*[(k + s * i + min(s, 0)) % d for i in range(d)]))
+                   itemgetter(*[(k + s * i + max(s, 0)) % d for i in range(d)]))
                   for s in (1, -1) for k in range(d)]
               for d in range(2, 7)}
 
 
-def _count_faces(faces, size: int) -> int:
-    """Distinct faces of the given size among `faces`."""
-    return sum(1 for k in {f.id: f.degree for f in faces}.values() if k == size)
+def _count_faces(ids, fdeg, size: int) -> int:
+    """Distinct faces of the given size among the face ids `ids`."""
+    return sum(1 for f in set(ids) if fdeg[f] == size)
 
 
-def _by_degree(vs, deg) -> dict[int, list[int]]:
-    """The vertices of `vs` still present, grouped by degree."""
-    out: dict[int, list[int]] = {}
+def _by_degree(vs, deg) -> list[list[int]]:
+    """The vertices of `vs`, grouped by their degree 0..6."""
+    out: list[list[int]] = [[] for _ in range(7)]
     for u in vs:
-        d = deg.get(u)
-        if d is not None:
-            out.setdefault(d, []).append(u)
+        out[deg[u]].append(u)
     return out
 
 
 class _Ctx(LiveEmbedding):
     """Live embedding plus what the scanners read, and one anchor index per entry.
 
+    Scanners read faces as ids: `dart_faces(v)`, `fdeg[f]` and `faces[f]`.
     Built from an EmbeddedGraph for a one-off public call, or kept by the
-    reduction engine across its steps: `commit` then drops the corner faces
-    and face counts of the vertices it touches (they are recomputed when
-    read) and marks the anchors whose matches may have changed in every
-    index built so far.
+    reduction engine across its steps: `commit` then drops the face counts
+    of the vertices it touches and marks the anchors whose matches may have
+    changed in every index built so far.
 
     Building one is the engine's only gate on its input, and it checks the
     paper's two hypotheses: it raises DegreeTooHigh for the first vertex of
@@ -127,14 +122,14 @@ class _Ctx(LiveEmbedding):
         defect = euler_defect_of(self.rot, g.edge_count, len(self.faces), len(self.parts))
         if defect:
             raise PositiveGenus(defect)
-        # The tables close over the maps they read, not over the context, so
+        # The tables close over the lists they read, not over the context, so
         # a context is freed when its last reference goes instead of waiting,
         # caches and all, for the cycle collector.
-        rot, dart_face = self.rot, self.dart_face
-        corner = self.corner = _Cached(lambda v: _corner_faces(rot, dart_face, v))
-        self.m3 = _Cached(lambda v: _count_faces(corner[v], 3))
-        self.m4 = _Cached(lambda v: _count_faces(corner[v], 4))
+        off, deg, face, fdeg = self.off, self.deg, self.face, self.fdeg
+        self.m3 = _Cached(lambda v: _count_faces(face[off[v]:off[v] + deg[v]], fdeg, 3))
+        self.m4 = _Cached(lambda v: _count_faces(face[off[v]:off[v] + deg[v]], fdeg, 4))
         self.index: dict[CatalogEntry, _EntryIndex] = {}
+        self.routes = None  # see `_routes`
         self.by_degree: Optional[dict[int, list[int]]] = None  # see `candidates`
         self.pending = None  # (plan, Surgery) validated by the last `plan` call
         self.charges = None  # the discharging rules' initial charges, set on first use
@@ -143,7 +138,7 @@ class _Ctx(LiveEmbedding):
     def of(cls, g) -> "_Ctx":
         return g if isinstance(g, _Ctx) else cls(g)
 
-    def commit(self, s: Surgery) -> list[Face]:
+    def commit(self, s: Surgery) -> list[int]:
         """Apply a surgery, then mark the anchors whose scans may now differ.
 
         A vertex scan reads its anchor's rotation and corner faces and, for
@@ -162,46 +157,56 @@ class _Ctx(LiveEmbedding):
         neighbors of its neighbors, and every created face passes a vertex
         whose rotation changed. An index is told only of the dirty vertices
         whose degree fits its entry, and of the vertices whose rotation
-        changed while their old degree fitted it: those may have to leave.
+        changed while their old degree fitted it: those may have to leave
+        (`_routes`). Face counts change only at touched vertices.
         """
         x = s.delete
-        deg = self.deg
-        before = _by_degree([x, *s.rot], deg)  # by the degree they had
+        deg, faces = self.deg, self.faces
+        # The vertices whose degree changes, by the degree they had; the
+        # others are in `near` and `wide`, which reach every index they fit.
+        before = _by_degree([x, *(v for v, ns in s.rot.items() if len(ns) != deg[v])], deg)
+        replaced = [faces[f] for f in s.destroyed]
         created = super().commit(s)
-        rot = self.rot
-        replaced = s.destroyed + created
+        replaced += [faces[f] for f in created]
+        rot, face, fdeg, off = self.rot, self.face, self.fdeg, self.off
         del deg[x]
         for v in s.rot:
             deg[v] = len(rot[v])
-        for v in {u for f in replaced for u, _ in f.boundary}:
-            for table in (self.corner, self.m3, self.m4):
-                table.pop(v, None)
         near = set(s.rot)
-        for f in replaced:
-            walk = f.vertex_walk()
-            if f.degree <= 4:
+        for walk in replaced:
+            if len(walk) <= 4:
                 near.update(walk)
             elif len(set(walk)) < len(walk):
                 once: set[int] = set()
                 near.update(u for u in walk if u in once or once.add(u))
+        near.add(x)
+        m3, m4 = self.m3, self.m4
+        for v in near:
+            m3.pop(v, None)
+            m4.pop(v, None)
         near.discard(x)
-        wide = {u for r in s.rot for w in rot[r]
-                if (f := self.dart_face[(r, w)]).degree == 5 for u in f.vertex_walk()}
-        wide |= near
-        for u in near:
-            wide.update(rot[u])
+        at = set(chain.from_iterable(face[off[r]:off[r] + deg[r]] for r in s.rot))
+        wide = near.union(*(faces[f] for f in at if fdeg[f] == 5), *(rot[u] for u in near))
         if len(rot) < 2:  # K01 reads the vertex count
             near.update(rot)
             wide.update(rot)
-        near_by, wide_by = _by_degree(near, deg), _by_degree(wide, deg)
-        for idx in self.index.values():
-            entry = idx.entry
-            for by in (before, wide_by if entry.reads_neighbors else near_by):
-                for d, vs in by.items():
-                    if entry.fits(d):
+        if self.routes is None:
+            self.routes = self._routes()
+        for table, by in zip(self.routes, (before, _by_degree(near, deg), _by_degree(wide, deg))):
+            for idxs, vs in zip(table, by):
+                if vs:
+                    for idx in idxs:
                         idx.dirty.update(vs)
         self.by_degree = self.pending = self.charges = self.parts = None
         return created
+
+    def _routes(self) -> list[list[list["_EntryIndex"]]]:
+        """Per degree 0..6, the indexes told of a changed, a near and a wide
+        vertex of that degree; rebuilt after `index` gains an entry."""
+        idxs = self.index.values()
+        return [[[i for i in idxs if d in i.fit and wanted(i.entry)] for d in range(7)]
+                for wanted in (lambda e: True, lambda e: not e.reads_neighbors,
+                               lambda e: e.reads_neighbors)]
 
     def candidates(self, entry: "CatalogEntry") -> list[int]:
         """The vertices whose degree fits `entry`'s anchor, sorted.
@@ -216,22 +221,30 @@ class _Ctx(LiveEmbedding):
         groups = [vs for d, vs in self.by_degree.items() if entry.fits(d)]
         return groups[0] if len(groups) == 1 else sorted(v for vs in groups for v in vs)
 
-    def labelings(self, v: int) -> list[tuple[tuple[int, ...], tuple[Face, ...]]]:
+    def dart_faces(self, v: int) -> list[int]:
+        """The face id of each dart of v in rotation order: entry j is the face
+        of (v, rot[v][j]), in the corner between rot[v][j - 1] and rot[v][j]."""
+        o = self.off[v]
+        return self.face[o:o + self.deg[v]]
+
+    def labelings(self, v: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """All rotations and reflections of the neighbor sequence at v (degree 2..6).
 
-        A list of (labels, corner_faces), corner_faces[i] the face in the corner
+        A list of (labels, corner face ids), the i-th id the face in the corner
         between labels[i] and labels[i+1] (cyclically): rotations, then reflections.
         """
-        rot, cf = self.rot[v], self.corner[v]
-        return [(lab(rot), fac(cf)) for lab, fac in _LABELINGS[len(rot)]]
+        rot, o = self.rot[v], self.off[v]
+        fs = self.face[o:o + len(rot)]  # dart_faces(v)
+        return [(lab(rot), fac(fs)) for lab, fac in _LABELINGS[len(rot)]]
 
     def doubled(self, a: int, b: int) -> bool:
         """Edge ab lies on two distinct triangular faces."""
-        if b not in self.rot[a]:
+        ns = self.rot[a]
+        if b not in ns:
             return False
-        f1 = self.dart_face[(a, b)]
-        f2 = self.dart_face[(b, a)]
-        return f1.degree == 3 and f2.degree == 3 and f1.id != f2.id
+        d = self.off[a] + ns.index(b)
+        f1, f2 = self.face[d], self.face[self.twin[d]]
+        return self.fdeg[f1] == 3 and self.fdeg[f2] == 3 and f1 != f2
 
     def doubled_induced(self, v: int) -> list[tuple[int, int]]:
         """Edges between neighbors of v that lie on two triangles."""
@@ -244,15 +257,15 @@ class _Ctx(LiveEmbedding):
         return out
 
 
-def _opposite_on_quad(face: Face, v: int) -> int:
-    """The vertex across a 4-face from v."""
-    walk = face.vertex_walk()
+def _opposite_on_quad(ctx: _Ctx, f: int, v: int) -> int:
+    """The vertex across the 4-face f from v."""
+    walk = ctx.faces[f]
     return walk[(walk.index(v) + 2) % 4]
 
 
-def _face_neighbor(face: Face, u: int, exclude: int) -> int:
-    """u's boundary neighbor on this face other than `exclude`."""
-    walk = face.vertex_walk()
+def _face_neighbor(ctx: _Ctx, f: int, u: int, exclude: int) -> int:
+    """u's boundary neighbor on face f other than `exclude`."""
+    walk = ctx.faces[f]
     j = walk.index(u)
     n = len(walk)
     cands = {walk[(j - 1) % n], walk[(j + 1) % n]} - {exclude}
@@ -292,8 +305,9 @@ def _scan_k04(ctx: _Ctx, v: int):
     # 3-vertex on a triangle.
     if ctx.deg[v] != 3:
         return
+    fd = ctx.fdeg
     for labels, faces in ctx.labelings(v):
-        if faces[0].degree == 3:
+        if fd[faces[0]] == 3:
             yield "", {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2]}
 
 
@@ -301,28 +315,31 @@ def _scan_k05(ctx: _Ctx, v: int):
     # 3-vertex between two 4-faces.
     if ctx.deg[v] != 3:
         return
+    fd = ctx.fdeg
     for labels, faces in ctx.labelings(v):
-        if faces[0].degree == 4 and faces[1].degree == 4:
+        if fd[faces[0]] == 4 and fd[faces[1]] == 4:
             yield "", {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2],
-                       "x": _opposite_on_quad(faces[0], v),
-                       "y": _opposite_on_quad(faces[1], v)}
+                       "x": _opposite_on_quad(ctx, faces[0], v),
+                       "y": _opposite_on_quad(ctx, faces[1], v)}
 
 
 def _scan_k06(ctx: _Ctx, v: int):
     # 4-vertex on three consecutive triangles.
     if ctx.deg[v] != 4:
         return
+    fd = ctx.fdeg
     for labels, faces in ctx.labelings(v):
-        if faces[0].degree == 3 and faces[1].degree == 3 and faces[2].degree == 3:
+        if fd[faces[0]] == 3 and fd[faces[1]] == 3 and fd[faces[2]] == 3:
             yield "", {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}}
 
 
 def _k0789_layouts(ctx: _Ctx, v: int):
     """Common 4-vertex / two-triangle layouts: yields (labels, "adjacent" or "split")."""
+    fd = ctx.fdeg
     for labels, faces in ctx.labelings(v):
-        if faces[0].degree == 3 and faces[1].degree == 3:
+        if fd[faces[0]] == 3 and fd[faces[1]] == 3:
             yield labels, "adjacent"
-        if faces[0].degree == 3 and faces[2].degree == 3 and faces[1].degree != 3:
+        if fd[faces[0]] == 3 and fd[faces[2]] == 3 and fd[faces[1]] != 3:
             yield labels, "split"
 
 
@@ -330,14 +347,15 @@ def _scan_k07(ctx: _Ctx, v: int):
     # 4-vertex, exactly two triangles, plus a 4-face.
     if ctx.deg[v] != 4 or ctx.m3[v] != 2 or ctx.m4[v] < 1:
         return
+    fd = ctx.fdeg
     for labels, faces in ctx.labelings(v):
-        if faces[0].degree != 4:
+        if fd[faces[0]] != 4:
             continue
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(4)},
-             "x": _opposite_on_quad(faces[0], v)}
-        if faces[1].degree == 3 and faces[2].degree == 3:
+             "x": _opposite_on_quad(ctx, faces[0], v)}
+        if fd[faces[1]] == 3 and fd[faces[2]] == 3:
             yield "adjacent", b
-        if faces[1].degree == 3 and faces[3].degree == 3:
+        if fd[faces[1]] == 3 and fd[faces[3]] == 3:
             yield "split", b
 
 
@@ -366,13 +384,14 @@ def _scan_k10(ctx: _Ctx, v: int):
     # 4-vertex: one triangle and three 4-faces.
     if ctx.deg[v] != 4:
         return
+    fd = ctx.fdeg
     for labels, faces in ctx.labelings(v):
-        if (faces[0].degree == 3 and faces[1].degree == 4
-                and faces[2].degree == 4 and faces[3].degree == 4):
+        if (fd[faces[0]] == 3 and fd[faces[1]] == 4
+                and fd[faces[2]] == 4 and fd[faces[3]] == 4):
             yield "", {"v": v, **{f"v{i+1}": labels[i] for i in range(4)},
-                       "x": _opposite_on_quad(faces[1], v),
-                       "y": _opposite_on_quad(faces[2], v),
-                       "z": _opposite_on_quad(faces[3], v)}
+                       "x": _opposite_on_quad(ctx, faces[1], v),
+                       "y": _opposite_on_quad(ctx, faces[2], v),
+                       "z": _opposite_on_quad(ctx, faces[3], v)}
 
 
 def _scan_k11(ctx: _Ctx, v: int):
@@ -383,8 +402,9 @@ def _scan_k11(ctx: _Ctx, v: int):
     if not four:
         return
     variant = f"m4={ctx.m4[v]}"
+    fd = ctx.fdeg
     for labels, faces in ctx.labelings(v):
-        if faces[0].degree != 3:
+        if fd[faces[0]] != 3:
             continue
         for vi in four:
             yield variant, {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}, "vi": vi}
@@ -396,15 +416,16 @@ def _scan_k12(ctx: _Ctx, v: int):
         return
     if sum(1 for u in ctx.rot[v] if ctx.deg[u] == 5) < 2:
         return
+    fd = ctx.fdeg
     for labels, faces in ctx.labelings(v):
-        if faces[0].degree != 3:
+        if fd[faces[0]] != 3:
             continue
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}}
         if ctx.m4[v] == 2:
             yield "m4=2", b
-        elif faces[1].degree == 4:
+        elif fd[faces[1]] == 4:
             yield "m4=1 near", b
-        elif faces[2].degree == 4:
+        elif fd[faces[2]] == 4:
             yield "m4=1 far", b
 
 
@@ -434,13 +455,13 @@ def _fan_layout(ctx: _Ctx, v: int, last_degree):
     two labelings that end at it are read off the labelings table in its
     order: the rotation from j + 1, then the reflection from j.
     """
-    faces = ctx.corner[v]
-    j = next(i for i, f in enumerate(faces) if f.degree != 3)
-    if not last_degree(faces[j].degree):
+    fd, rot, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)  # corner j is fs[j + 1]
+    j = next(i for i, f in enumerate(fs) if fd[f] != 3) - 1
+    if not last_degree(fd[fs[j + 1]]):
         return
-    rot, d = ctx.rot[v], len(faces)
-    for lab, fac in (_LABELINGS[d][(j + 1) % d], _LABELINGS[d][d + j]):
-        yield lab(rot), fac(faces)
+    d = len(rot)
+    for lab, fac in (_LABELINGS[d][(j + 1) % d], _LABELINGS[d][d + j % d]):
+        yield lab(rot), fac(fs)
 
 
 def _scan_k15(ctx: _Ctx, v: int):
@@ -449,7 +470,7 @@ def _scan_k15(ctx: _Ctx, v: int):
         return
     for labels, faces in _fan_layout(ctx, v, lambda d: d == 4):
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(5)},
-             "x": _opposite_on_quad(faces[4], v)}
+             "x": _opposite_on_quad(ctx, faces[4], v)}
         degs = [ctx.deg[u] for u in labels]
         if any(d <= 4 for d in degs):
             yield "low_neighbor", b
@@ -505,13 +526,10 @@ _SIX_PROFILE_V3 = ({2, 3, 6},)
 _SIX_PROFILE_3DBL = ({2, 4, 6}, {1, 4, 6})
 
 
-def _extra_triangles(ctx: _Ctx, u: int, v: int):
-    """Distinct triangles at u that do not contain v."""
-    seen = {}
-    for f in ctx.corner[u]:
-        if f.degree == 3 and v not in f.vertices():
-            seen[f.id] = f
-    return list(seen.values())
+def _extra_triangles(ctx: _Ctx, u: int, v: int) -> list[tuple[int, ...]]:
+    """Vertex walks of the distinct triangles at u that do not contain v."""
+    return [ctx.faces[f] for f in dict.fromkeys(ctx.dart_faces(u))
+            if ctx.fdeg[f] == 3 and v not in ctx.faces[f]]
 
 
 def _fan_neighbor_reduction(ctx: _Ctx, v: int, u: int, u_minus: int, u_plus: int):
@@ -531,20 +549,20 @@ def _fan_neighbor_reduction(ctx: _Ctx, v: int, u: int, u_minus: int, u_plus: int
     others = [w for w in ctx.rot[u] if w not in (v, u_minus, u_plus)]
     if len(others) != 2:
         return None
-    t_plus = next((f for f in extras if u_plus in f.vertices()), None)
-    t_minus = next((f for f in extras if u_minus in f.vertices()), None)
-    t_outer = next((f for f in extras if u_plus not in f.vertices()
-                    and u_minus not in f.vertices()), None)
+    t_plus = next((f for f in extras if u_plus in f), None)
+    t_minus = next((f for f in extras if u_minus in f), None)
+    t_outer = next((f for f in extras if u_plus not in f
+                    and u_minus not in f), None)
     if t_plus is not None and t_minus is not None:
-        s_plus = next(w for w in t_plus.vertices() if w not in (u, u_plus))
-        s_minus = next(w for w in t_minus.vertices() if w not in (u, u_minus))
+        s_plus = next(w for w in t_plus if w not in (u, u_plus))
+        s_minus = next(w for w in t_minus if w not in (u, u_minus))
         chord = (s_minus, s_plus)
     elif t_plus is not None and t_outer is not None:
-        s_plus = next(w for w in t_plus.vertices() if w not in (u, u_plus))
+        s_plus = next(w for w in t_plus if w not in (u, u_plus))
         loose = next(w for w in others if w != s_plus)
         chord = (u_minus, loose)
     elif t_minus is not None and t_outer is not None:
-        s_minus = next(w for w in t_minus.vertices() if w not in (u, u_minus))
+        s_minus = next(w for w in t_minus if w not in (u, u_minus))
         loose = next(w for w in others if w != s_minus)
         chord = (u_plus, loose)
     else:
@@ -564,7 +582,7 @@ def _scan_k18(ctx: _Ctx, v: int):
         n4 = sum(1 for d in degs if d == 4)
         n5 = sum(1 for d in degs if d == 5)
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)},
-             "x": _opposite_on_quad(faces[5], v)}
+             "x": _opposite_on_quad(ctx, faces[5], v)}
 
         if n4 == 2 and degs[0] == 4 and degs[5] == 4 and n5 >= 2:
             yield "a", b
@@ -635,8 +653,9 @@ def _scan_k20(ctx: _Ctx, v: int):
     # 6-vertex: four triangles and two 4-faces.
     if ctx.deg[v] != 6 or ctx.m3[v] != 4 or ctx.m4[v] != 2:
         return
+    fd = ctx.fdeg
     for labels, faces in ctx.labelings(v):
-        if faces[0].degree != 4:
+        if fd[faces[0]] != 4:
             continue
         degs = [ctx.deg[u] for u in labels]
         if any(d == 3 for d in degs):
@@ -644,11 +663,11 @@ def _scan_k20(ctx: _Ctx, v: int):
         n4 = sum(1 for d in degs if d == 4)
         n5 = sum(1 for d in degs if d == 5)
         case = None
-        if faces[1].degree == 4 and all(faces[i].degree == 3 for i in (2, 3, 4, 5)):
+        if fd[faces[1]] == 4 and all(fd[faces[i]] == 3 for i in (2, 3, 4, 5)):
             case = "near"
-        elif faces[2].degree == 4 and all(faces[i].degree == 3 for i in (1, 3, 4, 5)):
+        elif fd[faces[2]] == 4 and all(fd[faces[i]] == 3 for i in (1, 3, 4, 5)):
             case = "mid"
-        elif faces[3].degree == 4 and all(faces[i].degree == 3 for i in (1, 2, 4, 5)):
+        elif fd[faces[3]] == 4 and all(fd[faces[i]] == 3 for i in (1, 2, 4, 5)):
             case = "far"
         if case is None:
             continue
@@ -664,15 +683,16 @@ def _scan_k21(ctx: _Ctx, v: int):
     # between the small faces and a 4-vertex flanking it.
     if ctx.deg[v] != 6 or ctx.m3[v] != 4:
         return
+    fd = ctx.fdeg
     for labels, faces in ctx.labelings(v):
-        if not (faces[0].degree == 4 and faces[1].degree >= 5
-                and all(faces[i].degree == 3 for i in (2, 3, 4, 5))):
+        if not (fd[faces[0]] == 4 and fd[faces[1]] >= 5
+                and all(fd[faces[i]] == 3 for i in (2, 3, 4, 5))):
             continue
         v2 = labels[1]
         if ctx.deg[v2] != 3:
             continue
-        x = _opposite_on_quad(faces[0], v)
-        y = _face_neighbor(faces[1], v2, v)
+        x = _opposite_on_quad(ctx, faces[0], v)
+        y = _face_neighbor(ctx, faces[1], v2, v)
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)}, "x": x, "y": y}
         if ctx.deg[labels[0]] == 4:
             yield "flank_first", b
@@ -684,15 +704,16 @@ def _scan_k22(ctx: _Ctx, v: int):
     # As K21 but with two big faces around the 3-vertex.
     if ctx.deg[v] != 6 or ctx.m3[v] != 4:
         return
+    fd = ctx.fdeg
     for labels, faces in ctx.labelings(v):
-        if not (faces[0].degree >= 5 and faces[1].degree >= 5
-                and all(faces[i].degree == 3 for i in (2, 3, 4, 5))):
+        if not (fd[faces[0]] >= 5 and fd[faces[1]] >= 5
+                and all(fd[faces[i]] == 3 for i in (2, 3, 4, 5))):
             continue
         v2 = labels[1]
         if ctx.deg[v2] != 3:
             continue
-        y = _face_neighbor(faces[0], v2, v)
-        z = _face_neighbor(faces[1], v2, v)
+        y = _face_neighbor(ctx, faces[0], v2, v)
+        z = _face_neighbor(ctx, faces[1], v2, v)
         b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)}, "y": y, "z": z}
         if ctx.deg[labels[0]] == 4:
             yield "flank_first", b
@@ -702,8 +723,8 @@ def _scan_k22(ctx: _Ctx, v: int):
 
 def _five_face_walks(ctx: _Ctx, v: int):
     """Each 5-face at v with five distinct vertices, walked both ways from v."""
-    for f in ctx.corner[v]:
-        if f.degree == 5 and len(set(walk := f.vertex_walk())) == 5:
+    for f in ctx.dart_faces(v):
+        if ctx.fdeg[f] == 5 and len(set(walk := ctx.faces[f])) == 5:
             i = walk.index(v)
             seq = walk[i:] + walk[:i]
             yield seq
@@ -818,7 +839,7 @@ def _spec_k18(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
     return _k18_by_roles(ctx, m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # entries key the indexes: hashed by identity, in C
 class CatalogEntry:
     config_id: str
     summary: str
@@ -942,10 +963,11 @@ class _EntryIndex:
     reaches this entry; one whose degree no longer fits is dropped unscanned.
     """
 
-    __slots__ = ("entry", "anchors", "dirty")
+    __slots__ = ("entry", "fit", "anchors", "dirty")
 
     def __init__(self, ctx: _Ctx, entry: CatalogEntry):
         self.entry = entry
+        self.fit = {d for d in range(7) if entry.fits(d)}
         self.anchors = [v for v in ctx.candidates(entry) if self._matches(ctx, v)]
         self.dirty: set[int] = set()
 
@@ -953,11 +975,11 @@ class _EntryIndex:
         return next(self.entry.scan(ctx, v), None) is not None
 
     def flush(self, ctx: _Ctx) -> None:
-        anchors, fits, deg = self.anchors, self.entry.fits, ctx.deg
+        anchors, fit, deg = self.anchors, self.fit, ctx.deg
         for a in self.dirty:
             i = bisect_left(anchors, a)
             had = i < len(anchors) and anchors[i] == a
-            if a in deg and fits(deg[a]) and self._matches(ctx, a):
+            if deg.get(a) in fit and self._matches(ctx, a):
                 if not had:
                     anchors.insert(i, a)
             elif had:
@@ -974,6 +996,7 @@ def _in_order(ctx: _Ctx, catalog, build_index: bool) -> Iterator[ConfigurationMa
         idx = ctx.index.get(entry)
         if idx is None and build_index:
             idx = ctx.index[entry] = _EntryIndex(ctx, entry)
+            ctx.routes = None
         elif idx is not None and idx.dirty:
             idx.flush(ctx)
         for a in (ctx.candidates(entry) if idx is None else idx.anchors):

@@ -59,7 +59,7 @@ def _degree_charges(ctx) -> dict[Element, int]:
     """Degree minus 4 on every element, kept on the context for its next reader."""
     if ctx.charges is None:
         charges = {("v", v): d - 4 for v, d in ctx.deg.items()}
-        charges.update((("f", f.id), f.degree - 4) for f in ctx.faces.values())
+        charges.update((("f", f), len(walk) - 4) for f, walk in ctx.faces.items())
         ctx.charges = charges
     return ctx.charges
 
@@ -79,14 +79,15 @@ def apply_rules(g) -> tuple[dict[Element, Fraction], tuple[Transfer, ...]]:
     """Run all nine rules simultaneously from the initial state.
 
     `g` is an EmbeddedGraph or a context built from one by
-    `configurations._Ctx`, whose degrees, corner faces and triangle counts
-    the rules read; building that context is what rejects a vertex of
-    degree above 6 (DegreeTooHigh), so the rules check nothing themselves.
+    `configurations._Ctx`, whose degrees, corner face ids, face walks and
+    triangle counts the rules read; building that context is what rejects
+    a vertex of degree above 6 (DegreeTooHigh), so the rules check nothing
+    themselves.
     Amounts are fixed per qualifying incidence, so the outcome does not
     depend on any ordering; the ledger is sorted by rule then element ids.
     """
     ctx = cfg._Ctx.of(g)
-    deg, rot = ctx.deg, ctx.rot
+    deg, rot, faces, fdeg = ctx.deg, ctx.rot, ctx.faces, ctx.fdeg
     moves: list[tuple[str, Element, Element]] = []  # (rule, source, target)
     move = moves.append
 
@@ -95,37 +96,37 @@ def apply_rules(g) -> tuple[dict[Element, Fraction], tuple[Transfer, ...]]:
         return [w for w in rot[v] if deg[w] == 6 and ctx.m3[w] <= 5]
 
     def big_faces(v):
-        return {f.id: f for f in ctx.corner[v] if f.degree >= 5}.values()
+        return [f for f in dict.fromkeys(ctx.dart_faces(v)) if fdeg[f] >= 5]
 
     # R1: triangles collect 1/3 from each incident vertex.
-    for f in ctx.faces.values():
-        if f.degree == 3:
-            for v in f.vertices():
-                move(("R1", ("v", v), ("f", f.id)))
+    for f, walk in faces.items():
+        if len(walk) == 3:
+            for v in walk:
+                move(("R1", ("v", v), ("f", f)))
 
     for v, d in deg.items():
         if d == 3:
             for w in heavy_senders(v):
                 move(("R2", ("v", w), ("v", v)))
             for f in big_faces(v):
-                move(("R3", ("f", f.id), ("v", v)))
+                move(("R3", ("f", f), ("v", v)))
         elif d == 4:
             for f in big_faces(v):
-                move(("R4", ("f", f.id), ("v", v)))
+                move(("R4", ("f", f), ("v", v)))
             for w in heavy_senders(v):
                 move(("R5", ("v", w), ("v", v)))
         elif d == 5:
             for f in big_faces(v):
-                move(("R6", ("f", f.id), ("v", v)))
+                move(("R6", ("f", f), ("v", v)))
             if ctx.m3[v] >= 4:
                 for w in heavy_senders(v):
                     move(("R7", ("v", w), ("v", v)))
         elif d == 6:
             for f in big_faces(v):
-                if any(deg[u] == 3 and u in rot[v] for u in f.vertices()):
-                    move(("R9", ("f", f.id), ("v", v)))
+                if any(deg[u] == 3 and u in rot[v] for u in faces[f]):
+                    move(("R9", ("f", f), ("v", v)))
                 else:
-                    move(("R8", ("f", f.id), ("v", v)))
+                    move(("R8", ("f", f), ("v", v)))
 
     # Rule ids sort as their numbers do, so the moves sort as they are.
     moves.sort()
@@ -166,7 +167,7 @@ def audit(g: EmbeddedGraph) -> DischargeReport:
     # of which every final charge is a whole number.
     comps = ctx.parts
     owner = {("v", v): i for i, comp in enumerate(comps) for v in comp}
-    owner.update((("f", f.id), owner[("v", f.boundary[0][0])]) for f in ctx.faces.values())
+    owner.update((("f", f), owner[("v", walk[0])]) for f, walk in ctx.faces.items())
     start_totals = [0] * len(comps)
     comp_totals = [0] * len(comps)
     for el, c in charges.items():
@@ -192,7 +193,7 @@ def audit(g: EmbeddedGraph) -> DischargeReport:
         component_totals=tuple(Fraction(t, UNIT) for t in comp_totals),
         match_count=matches,
         proof_shadow_ok=shadow,
-        face_walks={f.id: f.vertex_walk() for f in ctx.faces.values()},
+        face_walks=dict(ctx.faces),
     )
 
 

@@ -2,12 +2,13 @@
 
 A graph is given by its rotation system: for every vertex, the cyclic sequence
 of its neighbors in clockwise order. The face set is not part of the input; it
-is traced from the rotations on demand with the standard next-dart rule
-(`trace_faces`). Only the face accessors (`faces`, `face_of_dart` and the
-methods built on them) cache it on the graph; the reduction engine and the
-audit trace into their own contexts and leave the graph as it was built. Two
-surgery primitives return new graphs: vertex deletion (the faces around the
-hole merge into one returned face) and chord insertion inside a face.
+is traced from the rotations on demand by the integer dart kernel `Darts`,
+the one face walker of the package. Only the face accessors (`faces`,
+`face_of_dart` and the methods built on them) cache faces on the graph, as
+`Face` objects; the reduction engine and the audit keep a kernel of their own
+(`_live.LiveEmbedding`) and leave the graph as it was built. Two surgery
+primitives return new graphs: vertex deletion (the faces around the hole
+merge into one returned face) and chord insertion inside a face.
 
 Vertex ids are stable across surgery: deleting vertex 5 from a graph on
 {0..9} yields a graph on {0..4, 6..9}. This is what lets reduced graphs be
@@ -16,7 +17,8 @@ compared vertex-by-vertex with their originals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -36,21 +38,19 @@ _tail = itemgetter(0)  # a dart's first vertex
 
 @dataclass(frozen=True, slots=True)
 class Face:
-    """One traced face: a closed walk of darts.
+    """One traced face: a closed walk of darts, exported by `Darts.export`.
 
-    `degree` is the walk length, stored at construction because the scanners
-    read it far more often than faces are made; it takes no part in equality,
-    hashing or repr. Walks of length < 3 can occur on degenerate inputs (a
-    single edge traces a walk of length 2); they are reported as-is via
-    `anomalous`, never silently repaired.
+    Walks of length < 3 can occur on degenerate inputs (a single edge traces
+    a walk of length 2); they are reported as-is via `anomalous`, never
+    silently repaired.
     """
 
     id: int
     boundary: tuple[Dart, ...]
-    degree: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "degree", len(self.boundary))
+    @property
+    def degree(self) -> int:
+        return len(self.boundary)
 
     @property
     def anomalous(self) -> bool:
@@ -90,7 +90,7 @@ class EmbeddedGraph:
     and is observable through the Euler count.
     """
 
-    __slots__ = ("_rot", "_labels", "_faces", "_dart_face", "_edge_count")
+    __slots__ = ("_rot", "_labels", "_faces", "_darts", "_edge_count")
 
     def __init__(self, rotations: Mapping[int, Sequence[int]],
                  labels: Optional[Mapping[int, str]] = None):
@@ -119,7 +119,7 @@ class EmbeddedGraph:
         self._edge_count = dart_count // 2
         self._labels = dict(labels) if labels else {}
         self._faces: Optional[tuple[Face, ...]] = None
-        self._dart_face: Optional[dict[Dart, Face]] = None
+        self._darts: Optional[Darts] = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -178,13 +178,8 @@ class EmbeddedGraph:
     # -- faces ---------------------------------------------------------------
 
     def _trace(self) -> None:
-        faces = trace_faces(self._rot)
-        dart_face = {}
-        for f in faces:
-            for d in f.boundary:
-                dart_face[d] = f
-        self._faces = faces
-        self._dart_face = dart_face
+        self._darts = Darts(self._rot)
+        self._faces = self._darts.export()
 
     def faces(self) -> tuple[Face, ...]:
         if self._faces is None:
@@ -192,9 +187,9 @@ class EmbeddedGraph:
         return self._faces
 
     def face_of_dart(self, dart: Dart) -> Face:
-        if self._dart_face is None:
-            self._trace()
-        return self._dart_face[dart]
+        faces = self.faces()
+        a, b = dart
+        return faces[self._darts.face[self._darts.off[a] + self._rot[a].index(b)]]
 
     def face_count(self) -> int:
         return len(self.faces())
@@ -205,9 +200,10 @@ class EmbeddedGraph:
         Entry j is the face in the corner between neighbors rotation[j] and
         rotation[j+1]; it contains the dart (v, rotation[j+1]).
         """
-        ns = self._rot[v]
-        d = len(ns)
-        return tuple(self.face_of_dart((v, ns[(j + 1) % d])) for j in range(d))
+        faces = self.faces()
+        o = self._darts.off[v]
+        ids = self._darts.face[o:o + len(self._rot[v])]
+        return tuple(faces[f] for f in ids[1:] + ids[:1])
 
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count + self.face_count()
@@ -219,7 +215,7 @@ class EmbeddedGraph:
         handle of a component's surface lowers it by two. The faces are
         traced for the count and not kept.
         """
-        return euler_defect_of(self._rot, self._edge_count, len(trace_faces(self._rot)),
+        return euler_defect_of(self._rot, self._edge_count, len(Darts(self._rot).trace()),
                                len(components(self._rot)))
 
     # -- local statistics ----------------------------------------------------
@@ -301,16 +297,68 @@ class EmbeddedGraph:
         return g2
 
 
-def trace_faces(rot: Mapping[int, Sequence[int]]) -> tuple[Face, ...]:
-    """Every face of rotation system `rot`, numbered in order of smallest dart.
+class Darts:
+    """Integer darts of a rotation system, the half-edge record of plantri
+    (Brinkmann and McKay 2007) and of the DCEL (Muller and Preparata 1978).
 
-    Each walk starts at the first of its darts in `rot`'s vertex order and
-    rotation order, so an EmbeddedGraph's walks start at their smallest
-    vertex.
+    Vertex v owns the ids off[v] .. off[v] + max(deg v, 6) - 1, in `rot`'s
+    vertex order, and its dart to rot[v][j] is off[v] + j. The numbering
+    needs `rot` in sorted vertex order, as EmbeddedGraph keeps it: then ids
+    follow (vertex, rotation position), a walk starts at its smallest dart
+    and `trace` numbers faces by smallest (tail, head) pair. Six slots let
+    the engine grow a vertex to degree 6 in place; no array is sized by the
+    maximum degree. `twin[d]` is d reversed, `nxt[d]` the next dart around
+    its tail `tail[d]`, `face[d]` its face id (-1 before `trace`); a face
+    walk goes from d to nxt[twin[d]].
     """
-    walks = trace_walks([(v, u) for v, ns in rot.items() for u in ns], rot.__getitem__, set())
-    walks.sort(key=min)
-    return tuple(Face(i, tuple(w)) for i, w in enumerate(walks))
+
+    __slots__ = ("rot", "off", "tail", "twin", "nxt", "face")
+
+    def __init__(self, rot: Mapping[int, Sequence[int]]):
+        self.rot = rot
+        slots = [max(len(ns), 6) for ns in rot.values()]
+        off = self.off = dict(zip(rot, accumulate(slots, initial=0)))
+        self.tail = list(chain.from_iterable(map(repeat, rot, slots)))
+        nxt = self.nxt = list(range(1, len(self.tail) + 1))
+        twin = self.twin = [-1] * len(self.tail)
+        self.face = [-1] * len(self.tail)
+        # w's slot of each neighbor: a scan of at most six, else one hash.
+        slot = {w: ns.index if len(ns) <= 6 else dict(zip(ns, range(len(ns)))).__getitem__
+                for w, ns in rot.items()}
+        for v, ns in rot.items():
+            if ns:
+                o = off[v]
+                nxt[o + len(ns) - 1] = o
+                twin[o:o + len(ns)] = [off[w] + slot[w](v) for w in ns]
+
+    def trace(self) -> list[list[int]]:
+        """Every face walk as its darts, from its smallest one, and set `face`.
+
+        With `rot` sorted, faces are numbered in order of their smallest
+        (tail, head) pair of vertex ids: each vertex seeds its untraced darts
+        by head, so a walk is found at that pair.
+        """
+        twin, nxt, face = self.twin, self.nxt, self.face
+        walks = []
+        for v, ns in self.rot.items():
+            o = self.off[v]
+            for j in sorted(range(len(ns)), key=ns.__getitem__):
+                d = o + j
+                if face[d] < 0:
+                    f = len(walks)
+                    walk = []
+                    while face[d] < 0:
+                        face[d] = f
+                        walk.append(d)
+                        d = nxt[twin[d]]
+                    i = walk.index(min(walk))
+                    walks.append(walk[i:] + walk[:i] if i else walk)
+        return walks
+
+    def export(self) -> tuple[Face, ...]:
+        """Every face as a `Face`, numbered and started as `trace` does."""
+        walks = [list(map(self.tail.__getitem__, w)) for w in self.trace()]
+        return tuple(Face(i, tuple(zip(vs, vs[1:] + vs[:1]))) for i, vs in enumerate(walks))
 
 
 def euler_defect_of(rot: Mapping[int, Sequence[int]], edge_count: int, face_count: int,
@@ -318,27 +366,6 @@ def euler_defect_of(rot: Mapping[int, Sequence[int]], edge_count: int, face_coun
     """V - E + F + I - 2C of rotation system `rot` (see EmbeddedGraph.euler_defect)."""
     isolated = sum(1 for ns in rot.values() if not ns)
     return len(rot) - edge_count + face_count + isolated - 2 * component_count
-
-
-def trace_walks(seeds, rotation, seen: set) -> list[list[Dart]]:
-    """Face walks through the seed darts not yet in `seen`, under `rotation(v)`.
-
-    The walk from dart (a, b) continues with (b, c), c the neighbor after a
-    in b's rotation. Every dart walked is added to `seen`.
-    """
-    walks = []
-    for d in seeds:
-        if d in seen:
-            continue
-        walk = []
-        while d not in seen:
-            seen.add(d)
-            walk.append(d)
-            a, b = d
-            ns = rotation(b)
-            d = (b, ns[(ns.index(a) + 1) % len(ns)])
-        walks.append(walk)
-    return walks
 
 
 def components(rot: Mapping[int, Sequence[int]]) -> list[frozenset[int]]:
@@ -383,29 +410,18 @@ def place_chords(walk: Sequence[int], chords: Sequence[tuple[int, int]],
     is left to the caller's face count or Euler count.
     """
     length = len(walk)
-    first_pos: dict[int, int] = {}
-    for i, x in enumerate(walk):
-        first_pos.setdefault(x, i)
-
-    seen_pairs: set[frozenset[int]] = set()
-    placed: list[tuple[int, int, int, int]] = []  # (pos_a, a, pos_b, b)
-    for a, b in chords:
-        if a == b:
-            raise EndpointNotOnFace((a, b))
-        if a not in first_pos or b not in first_pos:
-            raise EndpointNotOnFace((a, b))
-        if has_edge(a, b):
-            raise ChordAlreadyEdge((a, b))
-        key = frozenset((a, b))
-        if key in seen_pairs:
-            raise ChordAlreadyEdge((a, b))
-        seen_pairs.add(key)
-        placed.append((first_pos[a], a, first_pos[b], b))
-
+    seen: set[tuple[int, int]] = set()
     # Group new darts by boundary corner, then insert each group right
     # after the corner's incoming neighbor, farthest target first.
     by_corner: dict[int, list[tuple[int, int]]] = {}
-    for pa, a, pb, b in placed:
+    for a, b in chords:
+        if a == b or a not in walk or b not in walk:
+            raise EndpointNotOnFace((a, b))
+        key = (a, b) if a < b else (b, a)
+        if key in seen or has_edge(a, b):
+            raise ChordAlreadyEdge((a, b))
+        seen.add(key)
+        pa, pb = walk.index(a), walk.index(b)
         by_corner.setdefault(pa, []).append(((pb - pa) % length, b))
         by_corner.setdefault(pb, []).append(((pa - pb) % length, a))
 

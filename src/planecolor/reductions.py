@@ -79,17 +79,7 @@ def plan(g, match: ConfigurationMatch) -> ReductionPlan:
         seen.add(key)
         chords.append(key)
     chords.sort()
-
-    gains: dict[int, int] = {}
-    for a, b in chords:
-        gains[a] = gains.get(a, 0) + 1
-        gains[b] = gains.get(b, 0) + 1
-    for w, inc in gains.items():
-        after = ctx.deg[w] - (1 if ctx.has_edge(w, delete) else 0) + inc
-        if after > 6:
-            raise PlanInvalid("DegreeOverflow", (w, after))
-
-    try:
+    try:  # the surgery raises DegreeOverflow itself, before it looks at the hole
         surgery = ctx.surgery(delete, chords)
     except CrossingChords as exc:
         raise PlanInvalid("ChordCrossing", exc.chords) from None

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from planecolor import codec
+from planecolor import EmbeddedGraph, codec
 from planecolor import generators as G
 from planecolor.cli import main
 from planecolor.reductions import color_by_reduction
@@ -199,3 +199,14 @@ def test_gen_too_large_for_planar_code_is_input_error(tmp_path, capsys):
     big = tmp_path / "x.json"
     assert main(["gen", "--kind", "tri_grid", "--params", "rows=16", "cols=16",
                  "--out", str(big)]) == 0
+
+
+def test_high_degree_star_is_input_error(tmp_path, capsys):
+    # Loading checks the genus by tracing every face; with twins found by
+    # hash the K1,20000 star costs its 40,000 darts, not 20,000^2 scans.
+    n = 20000
+    path = tmp_path / "star.json"
+    path.write_text(codec.write_json(EmbeddedGraph(
+        {0: list(range(1, n + 1)), **{i: [0] for i in range(1, n + 1)}})))
+    assert main(["color", "--in", str(path)]) == 1
+    assert f"vertex 0 has degree {n} > 6" in capsys.readouterr().err

@@ -186,7 +186,8 @@ def test_match_count_counts_what_detect_all_lists_for_every_catalog_suffix(corpu
 def _labelings_generator(ctx, v):
     """The labelings as a generator over doubled slices, the reference for the table."""
     rot = ctx.rot[v]
-    cf = ctx.corner[v]
+    fs = ctx.dart_faces(v)
+    cf = tuple(fs[1:] + fs[:1])  # corner j: between rot[j] and rot[j + 1]
     d = len(rot)
     rot2, cf2 = rot * 2, cf * 2
     for k in range(d):  # labels[i] = rot[k + i], faces[i] = cf[k + i]
@@ -219,7 +220,8 @@ def test_fan_layout_equals_filtering_every_labeling(corpus):
                 continue
             for last in predicates:
                 filtered = [(labels, faces) for labels, faces in ctx.labelings(v)
-                            if all(f.degree == 3 for f in faces[:-1]) and last(faces[-1].degree)]
+                            if all(ctx.fdeg[f] == 3 for f in faces[:-1])
+                            and last(ctx.fdeg[faces[-1]])]
                 assert list(_fan_layout(ctx, v, last)) == filtered, v
                 checked += bool(filtered)
     assert checked

@@ -2,8 +2,9 @@
 
 After every step the live context is exported to an EmbeddedGraph. Its face
 walks must equal a fresh trace of the exported rotations, walk starts
-included; its match index must list exactly what `detect_all` finds on the
-exported graph, in the same order; and the neighborhood recorded for the
+included; its dart kernel must hold together (`_check_kernel`); its match
+index must list exactly what `detect_all` finds on the exported graph, in
+the same order; and the neighborhood recorded for the
 extension must be the deleted vertex's distance-2 neighborhood in the graph
 before the step. This is what shows the rule for rescanning anchors misses
 nothing.
@@ -12,13 +13,15 @@ nothing.
 import dataclasses
 import math
 import random
+from collections import Counter
 
+import pytest
 from conftest import build_corpus
 from planecolor import generators as G
 from planecolor.configurations import CATALOG, _Ctx, detect_all, detect_iter
 from planecolor._live import LiveEmbedding
 from planecolor.embedding import EmbeddedGraph, build_embedded
-from planecolor.errors import ChordError
+from planecolor.errors import ChordError, PlanInvalid
 from planecolor.reductions import _peel, apply_plan, color_by_reduction, plan
 
 REVERSED = tuple(reversed(CATALOG))
@@ -28,14 +31,34 @@ def _keys(matches):
     return [(m.config_id, m.center, m.variant, m.bindings) for m in matches]
 
 
+def _face_walks(g):
+    return {f.vertex_walk() for f in g.faces()}
+
+
+def _check_kernel(ctx):
+    """twin is an involution between (v, w) and (w, v), every face's degree
+    is its walk's length, and every dart's face holds that dart."""
+    pairs = {f: set(zip(walk, walk[1:] + walk[:1])) for f, walk in ctx.faces.items()}
+    for f, walk in ctx.faces.items():
+        assert ctx.fdeg[f] == len(walk), f
+    for v, ns in ctx.rot.items():
+        for j, w in enumerate(ns):
+            d = ctx.off[v] + j
+            t = ctx.twin[d]
+            assert ctx.twin[t] == d and t == ctx.off[w] + ctx.rot[w].index(v), (v, w)
+            assert ctx.tail[d] == v and ctx.nxt[d] == ctx.off[v] + (j + 1) % len(ns), (v, w)
+            assert (v, w) in pairs[ctx.face[d]], (v, w)
+
+
 def _check_every_step(g, catalog):
     ctx = _Ctx(g)
     before = g
+    _check_kernel(ctx)
     for _, p, near in _peel(ctx, catalog):
         exported = ctx.to_graph()
         assert exported.euler_defect() == 0
-        assert {f.boundary for f in ctx.faces.values()} == \
-            {f.boundary for f in exported.faces()}
+        assert set(ctx.faces.values()) == _face_walks(exported)
+        _check_kernel(ctx)
         assert _keys(detect_iter(ctx, catalog)) == _keys(detect_all(exported, catalog))
         assert near == before.distance2_neighborhood(p.delete)
         before = exported
@@ -152,7 +175,7 @@ def test_surgery_draws_chords_on_the_hole_walk_of_their_fragment():
     reduced = ctx.to_graph()
     assert reduced.euler_defect() == 0
     assert sorted(reduced.edges()) == [(1, 2), (1, 3), (2, 3), (4, 5)]
-    assert {f.boundary for f in ctx.faces.values()} == {f.boundary for f in reduced.faces()}
+    assert set(ctx.faces.values()) == _face_walks(reduced)
 
 
 def _outcome(step):
@@ -167,11 +190,13 @@ def test_live_surgery_agrees_with_deleting_and_adding_chords():
     # The rebuild path deletes x, then draws the chords into the merged face
     # and counts faces; the live surgery counts V - E + F + I - 2C around the
     # hole. Where x leaves one fragment the merged face is the whole hole, so
-    # both must accept the same chord sets and build the same graph.
+    # both must accept the same chord sets and build the same graph, except
+    # that the surgery refuses, naming the first such end, chords that push an
+    # end past degree 6.
     rng = random.Random(2024)
     graphs = [G.random_planar(n, seed) for n, seed in ((12, 1), (20, 2), (30, 3), (40, 4))]
     graphs += [G.tri_grid(4, 4), G.square_grid(4, 5), G.hex_grid(2)]
-    outcomes = {"accepted": 0, "rejected": 0}
+    outcomes = {"accepted": 0, "rejected": 0, "overflow": 0}
     for g in graphs:
         for x in g.vertices():
             rest, merged = g.delete_vertex(x)
@@ -192,8 +217,17 @@ def test_live_surgery_agrees_with_deleting_and_adding_chords():
                 chords = sorted(pairs)
                 if not chords:
                     continue
-                rebuilt = _outcome(lambda: rest.add_chords(merged, chords))
                 live = LiveEmbedding(g)
+                gains = Counter(u for c in chords for u in c)
+                over = [u for u in gains if rest.degree(u) + gains[u] > 6]
+                if over:  # the rebuild path has no degree limit; the surgery refuses
+                    with pytest.raises(PlanInvalid) as exc:
+                        live.surgery(x, chords)
+                    assert exc.value.reason == "DegreeOverflow"
+                    assert exc.value.witness == (over[0], rest.degree(over[0]) + gains[over[0]])
+                    outcomes["overflow"] += 1
+                    continue
+                rebuilt = _outcome(lambda: rest.add_chords(merged, chords))
                 surgery = _outcome(lambda: live.surgery(x, chords))
                 if isinstance(rebuilt, type):
                     assert surgery == rebuilt, (g, x, chords)
@@ -203,7 +237,8 @@ def test_live_surgery_agrees_with_deleting_and_adding_chords():
                 assert live.to_graph() == rebuilt, (g, x, chords)
                 assert live.to_graph().euler_defect() == 0
                 outcomes["accepted"] += 1
-    assert min(outcomes.values()) > 1000, outcomes
+    assert min(outcomes["accepted"], outcomes["rejected"]) > 1000, outcomes
+    assert outcomes["overflow"] > 20, outcomes
 
 
 def _scanner_calls_per_step(g) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 import pytest
 
 import fixtures
-from planecolor import _live, embedding
+from planecolor import embedding
 from planecolor import configurations as cfg
 from planecolor import discharging as dis
 from planecolor import generators as G
@@ -173,11 +173,10 @@ _ENTRY_IDS = ["detect", "detect_all", "detect_iter", "match_count", "plan", "bui
 
 @pytest.mark.parametrize("call", _ENTRIES, ids=_ENTRY_IDS)
 def test_every_entry_rejects_high_degree_before_tracing(call, monkeypatch):
-    def no_trace(rot):
+    def no_trace(*args):
         raise AssertionError("faces traced before the degree check")
 
-    monkeypatch.setattr(embedding, "trace_faces", no_trace)
-    monkeypatch.setattr(_live, "trace_faces", no_trace)
+    monkeypatch.setattr(embedding.Darts, "__init__", no_trace)
     star = build_embedded(8, [[1, 2, 3, 4, 5, 6, 7]] + [[0]] * 7)
     with pytest.raises(DegreeTooHigh) as exc:
         call(star)
