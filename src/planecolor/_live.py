@@ -12,8 +12,10 @@ fresh state numbers its faces as `g.faces()` does; later ids count on.
 Validation assumes each component is embedded in the sphere, which the
 engine's context (configurations._Ctx) checks when it is built: then x's
 faces leave one hole walk per fragment, and a step keeps the graph plane
-(V - E + F + I - 2C unchanged) exactly when no chord joins two walks of
-one component. That is the step's only plane test.
+exactly when V - E + F + I - 2C stays zero. The step counts it over the
+faces it swaps: those of x go, and in come the hole walks no chord
+touches and the faces traced in the new rotations from each chord's
+darts. That count is the step's only plane test.
 """
 
 from __future__ import annotations
@@ -76,8 +78,12 @@ class LiveEmbedding(Darts):
         The hole walks are walked through the darts, past x. Chords between
         fragments are drawn first, where the hole meets their ends; the rest
         go through place_chords on the hole walk of x's first neighbor of
-        degree two or more; each splits or joins walks (`_draw_all`). Raises
-        PlanInvalid (DegreeOverflow) when an end would pass degree 6,
+        degree two or more. The faces with a chord dart are then traced in
+        the new rotations (`_walk`), and the step is plane exactly when the
+        faces created less those destroyed cancel the change in
+        V - E + I - 2C: x and its deg(x) edges go, and in come the k chords,
+        the neighbors left isolated and the fragments no chord joins.
+        Raises PlanInvalid (DegreeOverflow) when an end would pass degree 6,
         EndpointNotOnFace when one is off the hole, and CrossingChords,
         naming all chords, when the graph would not stay plane. Nothing
         changes until `commit`.
@@ -112,7 +118,6 @@ class LiveEmbedding(Darts):
         for w, more in Counter(chain.from_iterable(chords)).items():
             if (n := len(new_rot[w] if w in new_rot else rot.get(w, ())) + more) > 6:
                 raise PlanInvalid("DegreeOverflow", (w, n))
-        first = walks[0][:2] if walks else None  # (u, c) of x's first such neighbor
         walks += [[u] for u in around if not new_rot[u]]  # one vertex: no dart
         frag = {}
         for i, walk in enumerate(walks):
@@ -122,21 +127,30 @@ class LiveEmbedding(Darts):
                 raise EndpointNotOnFace(c)
         bridging = [c for c in chords if frag[c[0]] != frag[c[1]]]
         same = [c for c in chords if frag[c[0]] == frag[c[1]]]
+        joined: dict[int, int] = {}  # fragment -> the one it was joined to; one per merge
         for a, b in bridging:
             for w, t in ((a, b), (b, a)):
                 cur = new_rot.setdefault(w, list(rot[w]))
                 z = self._hole_corner(x, w, destroyed)
                 cur.insert(0 if z is None else cur.index(z) + 1, t)
-        plane = _draw_all(walks, look, bridging, frag)
-        if same:
-            merged = next(w for w in walks if _dart_at(w, *first) >= 0)
-            walks.remove(merged)
-            walks.append(merged := _start(merged, look))
-            new_rot.update(place_chords(merged, same, look, lambda a, b: b in look(a)))
-            plane &= _draw_all(walks, look, same)
-        if not plane:
+            if (ca := _root(joined, frag[a])) != (cb := _root(joined, frag[b])):
+                joined[ca] = cb
+        if same:  # on the hole walk of x's first neighbor of degree two or more
+            merged = _walk(new_rot, rot, *walks[0][:2]) if bridging else walks[0]
+            new_rot.update(place_chords(_start(merged, look), same, look,
+                                        lambda a, b: b in look(a)))
+        touched = {frag[v] for c in chords for v in c}
+        created = [w for i, w in enumerate(walks) if i not in touched and len(w) > 1]
+        traced: set[tuple[int, int]] = set()
+        for d in chain.from_iterable(((a, b), (b, a)) for a, b in chords):
+            if d not in traced:
+                created.append(walk := _walk(new_rot, rot, *d))
+                traced.update(zip(walk, walk[1:] + walk[:1]))
+        isolated = sum(1 for u in around if not new_rot[u])
+        if len(created) - len(destroyed) != (len(chords) - len(around) + 1 - isolated
+                                             + 2 * (len(walks) - len(joined) - 1)):
             raise CrossingChords(tuple(chords))
-        return Surgery(x, new_rot, chords, destroyed, [w for w in walks if len(w) > 1])
+        return Surgery(x, new_rot, chords, destroyed, created)
 
     def _hole_corner(self, x: int, w: int, destroyed) -> Optional[int]:
         """The neighbor of w after which a dart into the hole left by x goes,
@@ -195,62 +209,17 @@ class LiveEmbedding(Darts):
         return created
 
 
-def _draw_all(walks: list[list[int]], rotation, chords, frag=None) -> bool:
-    """Draw `chords` into the vertex walks `walks` in place, one at a time;
-    False when the graph stops being plane.
-
-    Each end goes after its nearest neighbor in `rotation` (the rotations
-    with every chord drawn) that is drawn already, so any order gives the
-    same faces. A chord on one walk splits it; one between two walks joins
-    them, plane only across components (`frag`: vertex -> component, all
-    one when None). A walk of one vertex is an isolated vertex.
-    """
-    pending = {d for a, b in chords for d in ((a, b), (b, a))}
-    joined: dict[int, int] = {}  # component -> the one it was joined to
-    plane = True
-    for a, b in chords:
-        pending -= {(a, b), (b, a)}
-        ends = []
-        for v, t in ((a, b), (b, a)):
-            ns = rotation(v)
-            i = ns.index(t)
-            for j in range(1, len(ns)):
-                if (v, z := ns[i - j]) not in pending:
-                    k, p = next((k, p) for k, w in enumerate(walks)
-                                if (p := _dart_at(w, z, v)) >= 0)
-                    ends.append((k, (p + 1) % len(walks[k])))
-                    break
-            else:  # no dart at v yet
-                ends.append((walks.index([v]), 0))
-        (i, p), (j, q) = ends
-        A, B = walks[i], walks[j]
-        if i == j:
-            walks[i:i + 1] = [[a] + _cyc(A, q, p), [b] + _cyc(A, p, q)]
-            continue
-        ca, cb = (_root(joined, frag[a]), _root(joined, frag[b])) if frag else (0, 0)
-        if ca == cb:
-            plane = False
-        else:
-            joined[ca] = cb
-        walks[:] = [w for k, w in enumerate(walks) if k != i and k != j]
-        walks.append([a] + (_cyc(B, q, q) if len(B) > 1 else []) + [b]
-                     + (_cyc(A, p, p) if len(A) > 1 else []))
-    return plane
-
-
-def _cyc(walk: list[int], i: int, j: int) -> list[int]:
-    """The cyclic walk from position i up to position j, all of it when i == j."""
-    return walk[i:j] if i < j else walk[i:] + walk[:j]
-
-
-def _dart_at(walk: list[int], a: int, b: int) -> int:
-    """Position of the dart (a, b) on a cyclic vertex walk, or -1."""
-    p = -1
-    for _ in range(walk.count(a)):
-        p = walk.index(a, p + 1)
-        if walk[(p + 1) % len(walk)] == b:
-            return p
-    return -1
+def _walk(new_rot: dict[int, list[int]], rot: dict[int, list[int]], a: int, b: int) -> list[int]:
+    """The vertex walk of the face of dart (a, b) under the rotations
+    `new_rot`, else `rot`: the next dart of (a, b) is (b, the neighbor
+    after a at b), nxt[twin[d]] in the kernel."""
+    walk, v, w = [], a, b
+    while True:
+        walk.append(v)
+        ns = new_rot[w] if w in new_rot else rot[w]
+        v, w = w, ns[(ns.index(v) + 1) % len(ns)]
+        if v == a and w == b:
+            return walk
 
 
 def _start(walk: list[int], rotation) -> list[int]:

@@ -2,16 +2,14 @@
 
 Everything here deliberately avoids the BFS and rotation-system code paths of
 the rest of the package, so it can serve as a cross-check. Distances come from
-boolean adjacency-matrix products; the exact chromatic number comes from a
-branch-and-bound search over the square graph that either proves its answer or
-raises, never approximates.
+a boolean adjacency-matrix product over integer bit rows; the exact chromatic
+number comes from a branch-and-bound search over the square graph that either
+proves its answer or raises, never approximates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .embedding import EmbeddedGraph
 from .errors import Infeasible, TooLarge, VertexSetMismatch
@@ -28,24 +26,26 @@ class ExactResult:
 def distances_le2(g: EmbeddedGraph) -> frozenset[frozenset[int]]:
     """Unordered pairs of distinct vertices at distance 1 or 2.
 
-    Computed as A | A^2 over the 0/1 adjacency matrix, independently of the
-    breadth-first neighborhood code.
+    Computed as A | A^2 over the 0/1 adjacency matrix, one integer bit row
+    per vertex (row i of A^2 is the OR of the rows of i's neighbors),
+    independently of the breadth-first neighborhood code.
     """
     verts = list(g.vertices())
-    n = len(verts)
-    if n == 0:
-        return frozenset()
     idx = {v: i for i, v in enumerate(verts)}
-    a = np.zeros((n, n), dtype=np.uint8)
-    for v in verts:
+    rows = [0] * len(verts)
+    for i, v in enumerate(verts):
         for u in g.neighbors(v):
-            a[idx[v], idx[u]] = 1
-    reach = (a + a @ a) > 0
+            rows[i] |= 1 << idx[u]
     pairs = set()
-    ii, jj = np.nonzero(reach)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        if i < j:
-            pairs.add(frozenset((verts[i], verts[j])))
+    for i, v in enumerate(verts):
+        reach = rows[i]
+        for u in g.neighbors(v):
+            reach |= rows[idx[u]]
+        reach >>= i + 1  # bit j now stands for vertex i + 1 + j: pairs i < j only
+        while reach:
+            j = reach.bit_length() - 1
+            reach ^= 1 << j
+            pairs.add(frozenset((v, verts[i + 1 + j])))
     return frozenset(pairs)
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import planecolor
 from planecolor import EmbeddedGraph, codec
 from planecolor import generators as G
 from planecolor.cli import main
@@ -210,3 +214,14 @@ def test_high_degree_star_is_input_error(tmp_path, capsys):
         {0: list(range(1, n + 1)), **{i: [0] for i in range(1, n + 1)}})))
     assert main(["color", "--in", str(path)]) == 1
     assert f"vertex 0 has degree {n} > 6" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_third_party_package():
+    # The package has no runtime dependencies: the oracle's matrix product
+    # runs on integer bit rows, so no command pays for importing numpy.
+    src = str(Path(planecolor.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, planecolor.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

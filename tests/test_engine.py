@@ -241,6 +241,61 @@ def test_live_surgery_agrees_with_deleting_and_adding_chords():
     assert outcomes["overflow"] > 20, outcomes
 
 
+def _windmill(blades):
+    """`blades` triangles sharing vertex 0: two make a bowtie."""
+    rot = {0: list(range(1, 2 * blades + 1))}
+    for i in range(1, 2 * blades + 1, 2):
+        rot[i], rot[i + 1] = [i + 1, 0], [0, i]
+    return EmbeddedGraph(rot)
+
+
+def test_live_surgery_across_fragments_keeps_the_graph_plane():
+    # Where x leaves two or more fragments the rebuild path has no one face
+    # to draw into, so the check is the outcome itself: every accepted step
+    # commits to a graph of Euler defect 0 whose faces are a fresh trace's.
+    # Chord ends come from the whole hole, so many chords bridge fragments.
+    rng = random.Random(2025)
+    graphs = [G.path(7), _windmill(2), _windmill(3)]
+    graphs += [G.random_planar(n, seed) for n, seed in ((30, 5), (40, 9), (60, 11))]
+    outcomes = Counter()
+    for g in graphs:
+        for x in g.vertices():
+            rest, _ = g.delete_vertex(x)
+            around = set(g.neighbors(x))
+            if sum(1 for c in rest.connected_components() if c & around) < 2:
+                continue
+            hole = sorted({v for f in g.corner_faces(x) for v in f.vertex_walk()} - {x})
+            frag = {v: i for i, c in enumerate(rest.connected_components()) for v in c}
+            for _ in range(40):
+                pairs = set()
+                for _ in range(rng.randint(1, 4)):
+                    a, b = rng.sample(hole, 2)
+                    if not rest.has_edge(a, b):
+                        pairs.add((min(a, b), max(a, b)))
+                chords = sorted(pairs)
+                if not chords:
+                    continue
+                live = LiveEmbedding(g)
+                try:
+                    surgery = live.surgery(x, chords)
+                except PlanInvalid as exc:
+                    assert exc.reason == "DegreeOverflow"
+                    outcomes["overflow"] += 1
+                    continue
+                except ChordError as exc:
+                    outcomes[type(exc).__name__] += 1
+                    continue
+                live.commit(surgery)
+                reduced = live.to_graph()
+                assert reduced.euler_defect() == 0, (g, x, chords)
+                assert set(live.faces.values()) == _face_walks(reduced), (g, x, chords)
+                outcomes["accepted"] += 1
+                outcomes["bridging"] += any(frag[a] != frag[b] for a, b in chords)
+    assert outcomes["accepted"] > 1000 and outcomes["bridging"] > 600, outcomes
+    assert min(outcomes["CrossingChords"], outcomes["EndpointNotOnFace"]) > 300, outcomes
+    assert outcomes["overflow"] > 20, outcomes
+
+
 def _scanner_calls_per_step(g) -> tuple[float, float]:
     """Scanner calls and the matches they yield, per step."""
     calls = matches = 0
