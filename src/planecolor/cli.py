@@ -103,6 +103,7 @@ def _cmd_exact(args) -> int:
 def _cmd_discharge(args) -> int:
     graphs = _load_graphs(args.in_, args.format)
     code = EXIT_OK
+    docs = []
     for i, g in enumerate(graphs):
         report = audit(g)
         print(f"graph {i}: total {report.total_initial} -> {report.total_final}, "
@@ -114,8 +115,11 @@ def _cmd_discharge(args) -> int:
         if not report.conservation_ok:
             code = EXIT_VIOLATION
         if args.report:
-            Path(args.report).write_text(
-                json.dumps(codec.report_to_doc(report), indent=2, sort_keys=True) + "\n")
+            docs.append(codec.report_to_doc(report))
+    if args.report:
+        doc = docs[0] if len(docs) == 1 else {"schema": "discharge-report-batch/1",
+                                              "reports": docs}
+        Path(args.report).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return code
 
 

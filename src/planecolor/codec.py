@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .discharging import DischargeReport, Transfer
 from .embedding import EmbeddedGraph
@@ -117,6 +117,14 @@ def _ints(values, pointer: str, length=None) -> tuple[int, ...]:
     if all(type(u) is int for u in values):  # the usual case, with no pointer built per entry
         return tuple(values)
     return tuple(_int(u, f"{pointer}/{i}") for i, u in enumerate(values))
+
+
+def _bool(value, pointer: str, nullable: bool = False) -> Optional[bool]:
+    """A flag: a JSON boolean, or null where `nullable`. A string such as
+    "false", or a number, is a SchemaMismatch at `pointer`, never truthiness."""
+    if isinstance(value, bool) or (nullable and value is None):
+        return value
+    raise SchemaMismatch(pointer, f"expected a boolean{' or null' * nullable}, got {value!r}")
 
 
 def _required(doc, pointer: str, field: str):
@@ -231,13 +239,13 @@ def report_from_doc(doc: dict) -> DischargeReport:
         negative_elements=_parsed("/negative_elements", lambda rows: tuple(
             (_element_from(name, "/negative_elements"), _charge_from(s, "/negative_elements"))
             for name, s in rows), doc.get("negative_elements", ())),
-        conservation_ok=bool(doc.get("conservation_ok")),
+        conservation_ok=_bool(doc.get("conservation_ok"), "/conservation_ok"),
         total_initial=_charge_from(doc.get("total_initial", "0"), "/total_initial"),
         total_final=_charge_from(doc.get("total_final", "0"), "/total_final"),
         component_totals=_parsed("/component_totals", lambda ts: tuple(
             _charge_from(s, "/component_totals") for s in ts), doc.get("component_totals", ())),
         match_count=_int(doc.get("match_count", 0), "/match_count"),
-        proof_shadow_ok=doc.get("proof_shadow_ok"),
+        proof_shadow_ok=_bool(doc.get("proof_shadow_ok"), "/proof_shadow_ok", nullable=True),
         face_walks=_parsed("/face_walks", lambda ws: {
             _int(k, "/face_walks"): _ints(v, f"/face_walks/{k}") for k, v in ws.items()},
             doc.get("face_walks", {})),

@@ -132,7 +132,6 @@ class _Ctx(LiveEmbedding):
         self.routes = None  # see `_routes`
         self.by_degree: Optional[dict[int, list[int]]] = None  # see `candidates`
         self.pending = None  # (plan, Surgery) validated by the last `plan` call
-        self.charges = None  # the discharging rules' initial charges, set on first use
 
     @classmethod
     def of(cls, g) -> "_Ctx":
@@ -197,7 +196,7 @@ class _Ctx(LiveEmbedding):
                 if vs:
                     for idx in idxs:
                         idx.dirty.update(vs)
-        self.by_degree = self.pending = self.charges = self.parts = None
+        self.by_degree = self.pending = self.parts = None
         return created
 
     def _routes(self) -> list[list[list["_EntryIndex"]]]:

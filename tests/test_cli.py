@@ -106,6 +106,20 @@ def test_color_batch_of_graphs(tmp_path, capsys):
     assert len(doc["traces"]) == 3
 
 
+def test_discharge_batch_of_graphs(tmp_path, capsys):
+    path = tmp_path / "batch.pc"
+    path.write_bytes(codec.write_planar_code([G.cube(), G.octahedron()]))
+    report = tmp_path / "rep.json"
+    assert main(["discharge", "--in", str(path), "--table", "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("conservation ok") == 2
+    doc = json.loads(report.read_text())
+    assert doc["schema"] == "discharge-report-batch/1"
+    assert [len(r["face_walks"]) for r in doc["reports"]] == [6, 8]  # cube, octahedron
+    assert [codec.report_from_doc(r).match_count for r in doc["reports"]] == [
+        planecolor.audit(g).match_count for g in (G.cube(), G.octahedron())]
+
+
 def test_gen_platonic_by_name(tmp_path):
     out = tmp_path / "ico.pc"
     assert main(["gen", "--kind", "platonic", "--params", "name=icosahedron",

@@ -151,6 +151,28 @@ def test_malformed_trace_and_report_fail_as_schema_mismatch(doc, pointer):
     assert exc.value.pointer == pointer
 
 
+@pytest.mark.parametrize("doc, pointer", [
+    (_report_doc(conservation_ok="false"), "/conservation_ok"),
+    (_report_doc(conservation_ok=0), "/conservation_ok"),
+    (_report_doc(conservation_ok=None), "/conservation_ok"),
+    (_report_doc(proof_shadow_ok="maybe"), "/proof_shadow_ok"),
+    (_report_doc(proof_shadow_ok=1), "/proof_shadow_ok"),
+], ids=["conservation-string", "conservation-int", "conservation-null", "shadow-string",
+        "shadow-int"])
+def test_report_flags_must_be_booleans(doc, pointer):
+    # bool("false") is True; the reader refuses the string instead of guessing.
+    with pytest.raises(SchemaMismatch) as exc:
+        codec.read_json(json.dumps(doc))
+    assert exc.value.pointer == pointer
+
+
+def test_report_flags_keep_their_value():
+    doc = json.loads(codec.write_json(audit(G.cube())))
+    assert doc["conservation_ok"] is True and doc["proof_shadow_ok"] is True
+    back = codec.read_json(json.dumps({**doc, "conservation_ok": False, "proof_shadow_ok": None}))
+    assert back.conservation_ok is False and back.proof_shadow_ok is None
+
+
 def _graph_doc(ns):
     return {"schema": "embedded-graph/1", "rotation": {"0": ns, "1": [0]}}
 

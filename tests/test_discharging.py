@@ -213,6 +213,66 @@ def test_conservation_fails_on_a_transfer_between_components(monkeypatch):
     assert not report.conservation_ok
 
 
+def _count_transfers(monkeypatch) -> list:
+    """Record every Transfer the ledger builds from here on."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Transfer(*args)
+
+    monkeypatch.setattr(discharging, "Transfer", counted)
+    return built
+
+
+def test_ledger_is_built_once_on_first_read(monkeypatch):
+    built = _count_transfers(monkeypatch)
+    report = audit(G.tri_grid(12, 12))
+    assert built == []
+    n = len(report.ledger)
+    assert n > 0 and built == []
+    first = list(report.ledger)
+    assert len(built) == n == len(first)
+    assert first == sorted(first, key=lambda t: (t.rule, t.source, t.target))
+    second = tuple(report.ledger)
+    assert len(built) == n
+    assert second == tuple(first) and report.ledger == second
+    assert len(report.ledger) == n
+
+
+def test_ledger_reads_as_its_tuple():
+    _, ledger = apply_rules(G.tri_grid(4, 4))
+    transfers = tuple(ledger)
+    assert ledger == transfers and transfers == ledger
+    assert ledger[0] == transfers[0] and ledger[-2:] == transfers[-2:]
+    assert ledger + () == transfers
+    _, empty = apply_rules(G.cube())
+    assert len(empty) == 0 and empty == () and not empty
+
+
+# The octahedron's table and the SHA-256 of its report document (sorted keys)
+# as they read when the ledger was a tuple of Transfers built by apply_rules.
+OCTAHEDRON_TABLE = "\n".join(
+    ["element  initial      R1      R2      R3      R4      R5      R6      R7      R8      R9"
+     "   final"]
+    + [f"f{f}            -1       1       .       .       .       .       .       .       ."
+       "       .        0" for f in range(8)]
+    + [f"v{v}             0    -4/3       .       .       .       .       .       .       ."
+       "       .     -4/3" for v in range(6)]
+    + ["total: -8 -> -8; conservation=ok; negative elements=6; configuration matches=48"])
+OCTAHEDRON_DOC = "0f4a412dcb9028c3f36a0347f2de7c53bbfb7e24972e0e5de683a1b17fa8789b"
+
+
 def test_report_table_renders():
     text = report_table(audit(G.octahedron()))
     assert "R1" in text and "total: -8 -> -8" in text
+    assert text == OCTAHEDRON_TABLE
+
+
+def test_report_document_reads_the_ledger_as_before():
+    import hashlib
+    import json
+    from planecolor import codec
+
+    doc = json.dumps(codec.report_to_doc(audit(G.octahedron())), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == OCTAHEDRON_DOC
