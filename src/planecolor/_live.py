@@ -20,7 +20,6 @@ darts. That count is the step's only plane test.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -94,20 +93,22 @@ class LiveEmbedding(Darts):
         new_rot = {u: rot[u].copy() for u in around}
         for ns in new_rot.values():
             ns.remove(x)
-        walks, seen = [], set()
+        # One hole walk per fragment, and `frag` maps each vertex on one to it;
+        # fragments share no vertex, so u is walked exactly when it is mapped.
+        walks, frag = [], {}
         for d in (nxt[twin[o + j]] for j in range(len(around))):  # (u, c): c after x at u
-            if d in seen or tail[twin[d]] == x:  # walked, or u is left isolated
+            if tail[d] in frag or tail[twin[d]] == x:  # walked, or u is left isolated
                 continue
-            walk, e = [], d
+            i, walk, e = len(walks), [], d
             while True:
-                walk.append(e)
+                walk.append(v := tail[e])
+                frag[v] = i
                 e = nxt[twin[e]]
                 if tail[twin[e]] == x:  # (u, x): go on past x
                     e = nxt[e]
                 if e == d:
                     break
-            seen.update(walk)
-            walks.append(list(map(tail.__getitem__, walk)))
+            walks.append(walk)
         if not chords:
             return Surgery(x, new_rot, chords, destroyed, walks)
 
@@ -115,13 +116,14 @@ class LiveEmbedding(Darts):
             r = new_rot.get(v)
             return rot[v] if r is None else r
 
-        for w, more in Counter(chain.from_iterable(chords)).items():
-            if (n := len(new_rot[w] if w in new_rot else rot.get(w, ())) + more) > 6:
+        ends = list(chain.from_iterable(chords))
+        for w in dict.fromkeys(ends):
+            if (n := len(new_rot[w] if w in new_rot else rot.get(w, ())) + ends.count(w)) > 6:
                 raise PlanInvalid("DegreeOverflow", (w, n))
-        walks += [[u] for u in around if not new_rot[u]]  # one vertex: no dart
-        frag = {}
-        for i, walk in enumerate(walks):
-            frag.update(dict.fromkeys(walk, i))
+        for u in around:
+            if not new_rot[u]:  # one vertex: no dart
+                frag[u] = len(walks)
+                walks.append([u])
         for c in chords:
             if c[0] not in frag or c[1] not in frag:
                 raise EndpointNotOnFace(c)
@@ -162,16 +164,16 @@ class LiveEmbedding(Darts):
         d, o = len(ns), self.off[w]
         return ns[next(j for j in range(d) if self.face[o + (j + 1) % d] in destroyed)]
 
-    def commit(self, s: Surgery) -> list[int]:
-        """Apply a validated surgery; returns the ids of the new faces.
+    def commit(self, s: Surgery) -> None:
+        """Apply a validated surgery; new faces take the next ids.
 
         A changed vertex renumbers its darts in rotation order, each moved
         dart taking its twin and face along; then each created face is
-        walked, its darts pointed at it, and stored from its smallest dart.
+        walked once, its darts pointed at it, and stored from its smallest
+        dart (`_start`).
         """
         x = s.delete
-        rot, off, twin, nxt, face, tail = (self.rot, self.off, self.twin, self.nxt,
-                                           self.face, self.tail)
+        rot, off, twin, nxt, face = self.rot, self.off, self.twin, self.nxt, self.face
         for u, ns in s.rot.items():
             o, old = off[u], rot[u]
             tw, fs = twin[o:o + len(old)], face[o:o + len(old)]
@@ -193,20 +195,14 @@ class LiveEmbedding(Darts):
         faces, fdeg = self.faces, self.fdeg
         for f in s.destroyed:
             del faces[f]
-        created = []
         for walk in s.created:
             f = len(fdeg)
             d = off[walk[0]] + rot[walk[0]].index(walk[1])
-            darts = []
             for _ in walk:
                 face[d] = f
-                darts.append(d)
                 d = nxt[twin[d]]
-            i = darts.index(min(darts))
-            faces[f] = tuple(map(tail.__getitem__, darts[i:] + darts[:i]))
+            faces[f] = tuple(_start(walk, rot.__getitem__))
             fdeg.append(len(walk))
-            created.append(f)
-        return created
 
 
 def _walk(new_rot: dict[int, list[int]], rot: dict[int, list[int]], a: int, b: int) -> list[int]:

@@ -70,7 +70,7 @@ def _cmd_color(args) -> int:
               f"{len(result.steps)} steps{tag}")
         traces.append(codec.trace_to_doc(result))
     if args.trace:
-        doc = traces[0] if len(traces) == 1 else {"schema": "reduction-trace-batch/1",
+        doc = traces[0] if len(traces) == 1 else {"schema": codec.TRACE_BATCH_SCHEMA,
                                                   "traces": traces}
         Path(args.trace).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return code
@@ -117,7 +117,7 @@ def _cmd_discharge(args) -> int:
         if args.report:
             docs.append(codec.report_to_doc(report))
     if args.report:
-        doc = docs[0] if len(docs) == 1 else {"schema": "discharge-report-batch/1",
+        doc = docs[0] if len(docs) == 1 else {"schema": codec.REPORT_BATCH_SCHEMA,
                                               "reports": docs}
         Path(args.report).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return code

@@ -28,6 +28,8 @@ GRAPH_SCHEMA = "embedded-graph/1"
 COLORING_SCHEMA = "coloring/1"
 REPORT_SCHEMA = "discharge-report/1"
 TRACE_SCHEMA = "reduction-trace/1"
+REPORT_BATCH_SCHEMA = "discharge-report-batch/1"  # {"reports": [report, ...]}
+TRACE_BATCH_SCHEMA = "reduction-trace-batch/1"  # {"traces": [trace, ...]}
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +147,16 @@ def graph_to_doc(g: EmbeddedGraph) -> dict:
 
 
 def graph_from_doc(doc: dict) -> EmbeddedGraph:
-    return _graph_from_doc(doc, "")
-
-
-def _graph_from_doc(doc, at: str) -> EmbeddedGraph:
-    """graph_from_doc for a document at JSON pointer `at`, which errors name."""
-    _expect_schema(doc, GRAPH_SCHEMA, at)
+    _expect_schema(doc, GRAPH_SCHEMA)
     rotation = doc.get("rotation")
     if not isinstance(rotation, dict):
-        raise SchemaMismatch(f"{at}/rotation", "expected an object")
-    rot = {_int(v, f"{at}/rotation"): _ints(ns, f"{at}/rotation/{v}")
-           for v, ns in rotation.items()}
+        raise SchemaMismatch("/rotation", "expected an object")
+    rot = {_int(v, "/rotation"): _ints(ns, f"/rotation/{v}") for v, ns in rotation.items()}
     labels = None
     if "labels" in doc:
         if not isinstance(doc["labels"], dict):
-            raise SchemaMismatch(f"{at}/labels", "expected an object")
-        labels = {_int(v, f"{at}/labels"): str(s) for v, s in doc["labels"].items()}
+            raise SchemaMismatch("/labels", "expected an object")
+        labels = {_int(v, "/labels"): str(s) for v, s in doc["labels"].items()}
     return EmbeddedGraph(rot, labels)
 
 
@@ -173,17 +169,12 @@ def coloring_to_doc(phi: Coloring) -> dict:
 
 
 def coloring_from_doc(doc: dict) -> Coloring:
-    return _coloring_from_doc(doc, "")
-
-
-def _coloring_from_doc(doc, at: str) -> Coloring:
-    """coloring_from_doc for a document at JSON pointer `at`, which errors name."""
-    _expect_schema(doc, COLORING_SCHEMA, at)
-    palette_size = _int(_required(doc, at, "palette_size"), f"{at}/palette_size")
+    _expect_schema(doc, COLORING_SCHEMA)
+    palette_size = _int(_required(doc, "", "palette_size"), "/palette_size")
     assignment = doc.get("assignment")
     if not isinstance(assignment, dict):
-        raise SchemaMismatch(f"{at}/assignment", "expected an object")
-    return Coloring({_int(v, f"{at}/assignment"): _int(c, f"{at}/assignment/{v}")
+        raise SchemaMismatch("/assignment", "expected an object")
+    return Coloring({_int(v, "/assignment"): _int(c, f"/assignment/{v}")
                      for v, c in assignment.items()}, palette_size)
 
 
@@ -296,9 +287,9 @@ def trace_from_doc(doc: dict) -> ReductionResult:
         ))
     witness = None
     if "fallback_witness" in doc:
-        witness = _graph_from_doc(doc["fallback_witness"], "/fallback_witness")
+        witness = _within("/fallback_witness", graph_from_doc, doc["fallback_witness"])
     return ReductionResult(
-        coloring=_coloring_from_doc(_required(doc, "", "coloring"), "/coloring"),
+        coloring=_within("/coloring", coloring_from_doc, _required(doc, "", "coloring")),
         steps=tuple(steps),
         fallback=bool(doc.get("fallback")),
         fallback_witness=witness,
@@ -306,11 +297,31 @@ def trace_from_doc(doc: dict) -> ReductionResult:
     )
 
 
+def _within(at: str, read, doc):
+    """read(doc) for a document nested at JSON pointer `at`, which its errors name."""
+    try:
+        return read(doc)
+    except SchemaMismatch as exc:
+        raise SchemaMismatch(f"{at}{exc.pointer}", exc.detail) from None
+
+
+def _batch_reader(key: str, read):
+    """Reader of a batch document: what `read` makes of each element of doc[key]."""
+    def read_batch(doc: dict) -> list:
+        items = _required(doc, "", key)
+        if not isinstance(items, list):
+            raise SchemaMismatch(f"/{key}", "expected a list")
+        return [_within(f"/{key}/{i}", read, item) for i, item in enumerate(items)]
+    return read_batch
+
+
 _READERS = {
     GRAPH_SCHEMA: graph_from_doc,
     COLORING_SCHEMA: coloring_from_doc,
     REPORT_SCHEMA: report_from_doc,
     TRACE_SCHEMA: trace_from_doc,
+    REPORT_BATCH_SCHEMA: _batch_reader("reports", report_from_doc),
+    TRACE_BATCH_SCHEMA: _batch_reader("traces", trace_from_doc),
 }
 
 _WRITERS = [
@@ -330,7 +341,8 @@ def write_json(obj, indent=None) -> str:
 
 
 def read_json(text: Union[str, bytes, dict]):
-    """Parse any schema-versioned document into its object."""
+    """Parse any schema-versioned document into its object; a batch the CLI
+    writes reads as a list of reports or of traces."""
     doc = json.loads(text) if isinstance(text, (str, bytes)) else text
     schema = doc.get("schema") if isinstance(doc, dict) else None
     reader = _READERS.get(schema)
@@ -339,8 +351,8 @@ def read_json(text: Union[str, bytes, dict]):
     return reader(doc)
 
 
-def _expect_schema(doc, schema: str, at: str = "") -> None:
+def _expect_schema(doc, schema: str) -> None:
     if not isinstance(doc, dict):
-        raise SchemaMismatch(at, "expected a JSON object")
+        raise SchemaMismatch("", "expected a JSON object")
     if doc.get("schema") != schema:
-        raise SchemaMismatch(f"{at}/schema", f"expected {schema!r}, got {doc.get('schema')!r}")
+        raise SchemaMismatch("/schema", f"expected {schema!r}, got {doc.get('schema')!r}")

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress
+from operator import eq, itemgetter
 from typing import Callable, Iterator, Optional
 
 from ._live import LiveEmbedding, Surgery
@@ -87,14 +87,6 @@ def _count_faces(ids, fdeg, size: int) -> int:
     return sum(1 for f in set(ids) if fdeg[f] == size)
 
 
-def _by_degree(vs, deg) -> list[list[int]]:
-    """The vertices of `vs`, grouped by their degree 0..6."""
-    out: list[list[int]] = [[] for _ in range(7)]
-    for u in vs:
-        out[deg[u]].append(u)
-    return out
-
-
 class _Ctx(LiveEmbedding):
     """Live embedding plus what the scanners read, and one anchor index per entry.
 
@@ -137,73 +129,72 @@ class _Ctx(LiveEmbedding):
     def of(cls, g) -> "_Ctx":
         return g if isinstance(g, _Ctx) else cls(g)
 
-    def commit(self, s: Surgery) -> list[int]:
+    def commit(self, s: Surgery) -> None:
         """Apply a surgery, then mark the anchors whose scans may now differ.
 
         A vertex scan reads its anchor's rotation and corner faces and, for
         most entries, its neighbors' degrees, rotations, corner triangles
-        and triangle counts. A vertex is touched when its rotation changed
-        or it lies on a replaced face of size <= 4 (the sizes the triggers
-        tell apart). K21/K22 also read where a 3-vertex first occurs on a
-        big face, which moves with the face's start only if the vertex
-        repeats on it, so repeated vertices of replaced faces are touched
-        too. Touched vertices are dirty for every entry. For entries that
-        read neighbors, so are their neighbors and the vertices on 5-faces
-        at a vertex whose rotation changed: K23/K24 read the 5-faces at
-        their anchor and the degrees and rotations on them. That covers the
-        vertices of every replaced 5-face too: a destroyed face's vertices
-        lie within two face edges of the deleted vertex, so among the
-        neighbors of its neighbors, and every created face passes a vertex
-        whose rotation changed. An index is told only of the dirty vertices
-        whose degree fits its entry, and of the vertices whose rotation
-        changed while their old degree fitted it: those may have to leave
-        (`_routes`). Face counts change only at touched vertices.
+        and triangle counts. A vertex is touched when its rotation changed,
+        when it lies on a replaced face of size <= 4 (the sizes the triggers
+        tell apart), or when it repeats on a bigger one: K21/K22 read where
+        a 3-vertex first occurs on a big face, which moves with the face's
+        start only for a repeated vertex. The replaced faces are the
+        destroyed walks, read before the kernel drops them, and the
+        surgery's created walks. Touched vertices are dirty for every entry;
+        for entries that read neighbors, so are their neighbors and the
+        vertices on 5-faces at a vertex whose rotation changed (K23/K24 read
+        their anchor's 5-faces). That covers every replaced 5-face too: a
+        destroyed face's vertices are neighbors of neighbors of the deleted
+        vertex, and every created face passes a changed rotation. Each dirty
+        vertex goes through the `_routes` table of its degree to the indexes
+        whose entry that degree fits; the deleted vertex and each vertex
+        whose degree changed also go, by the degree they had, to those it
+        fitted, since they may have to leave. Face counts change only at
+        touched vertices.
         """
         x = s.delete
-        deg, faces = self.deg, self.faces
-        # The vertices whose degree changes, by the degree they had; the
-        # others are in `near` and `wide`, which reach every index they fit.
-        before = _by_degree([x, *(v for v, ns in s.rot.items() if len(ns) != deg[v])], deg)
+        deg, faces, fdeg, rot, m3, m4 = self.deg, self.faces, self.fdeg, self.rot, self.m3, self.m4
         replaced = [faces[f] for f in s.destroyed]
-        created = super().commit(s)
-        replaced += [faces[f] for f in created]
-        rot, face, fdeg, off = self.rot, self.face, self.fdeg, self.off
-        del deg[x]
+        super().commit(s)
+        changed, narrow, broad = self.routes = self.routes or self._routes()
+        for add in changed[deg.pop(x)]:
+            add(x)
+        near, wide = {x, *s.rot}, set()
         for v in s.rot:
-            deg[v] = len(rot[v])
-        near = set(s.rot)
-        for walk in replaced:
+            if (d := deg[v]) != len(rot[v]):
+                deg[v] = len(rot[v])
+                for add in changed[d]:
+                    add(v)
+            for f in self.dart_faces(v):
+                if fdeg[f] == 5:
+                    wide.update(faces[f])
+        for walk in chain(replaced, s.created):
             if len(walk) <= 4:
                 near.update(walk)
             elif len(set(walk)) < len(walk):
-                once: set[int] = set()
-                near.update(u for u in walk if u in once or once.add(u))
-        near.add(x)
-        m3, m4 = self.m3, self.m4
+                w = sorted(walk)
+                near.update(compress(w, map(eq, w, w[1:])))  # the repeated vertices
         for v in near:
             m3.pop(v, None)
             m4.pop(v, None)
         near.discard(x)
-        at = set(chain.from_iterable(face[off[r]:off[r] + deg[r]] for r in s.rot))
-        wide = near.union(*(faces[f] for f in at if fdeg[f] == 5), *(rot[u] for u in near))
         if len(rot) < 2:  # K01 reads the vertex count
             near.update(rot)
-            wide.update(rot)
-        if self.routes is None:
-            self.routes = self._routes()
-        for table, by in zip(self.routes, (before, _by_degree(near, deg), _by_degree(wide, deg))):
-            for idxs, vs in zip(table, by):
-                if vs:
-                    for idx in idxs:
-                        idx.dirty.update(vs)
+        for v in near:
+            wide.update(rot[v])
+            for add in narrow[deg[v]]:
+                add(v)
+        for v in wide | near:
+            for add in broad[deg[v]]:
+                add(v)
         self.by_degree = self.pending = self.parts = None
-        return created
 
-    def _routes(self) -> list[list[list["_EntryIndex"]]]:
-        """Per degree 0..6, the indexes told of a changed, a near and a wide
-        vertex of that degree; rebuilt after `index` gains an entry."""
+    def _routes(self) -> list[list[list[Callable[[int], None]]]]:
+        """Per degree 0..6, the `dirty.add` of each index told of a vertex of
+        that degree whose degree changed, of a near one and of a wide one;
+        rebuilt after `index` gains an entry."""
         idxs = self.index.values()
-        return [[[i for i in idxs if d in i.fit and wanted(i.entry)] for d in range(7)]
+        return [[[i.dirty.add for i in idxs if d in i.fit and wanted(i.entry)] for d in range(7)]
                 for wanted in (lambda e: True, lambda e: not e.reads_neighbors,
                                lambda e: e.reads_neighbors)]
 

@@ -86,7 +86,8 @@ def plan(g, match: ConfigurationMatch) -> ReductionPlan:
     except ChordError as exc:
         raise PlanInvalid("NotOnMergedFace", getattr(exc, "chord", None)) from None
 
-    p = ReductionPlan(delete, tuple(chords), raw.source, raw.forbidden_bound, raw.variant)
+    p = raw if raw.add_edges == tuple(chords) else ReductionPlan(
+        delete, tuple(chords), raw.source, raw.forbidden_bound, raw.variant)
     ctx.pending = (p, surgery)
     return p
 

@@ -229,3 +229,46 @@ def test_errors_inside_a_trace_point_into_it(doc, pointer):
     with pytest.raises(SchemaMismatch) as exc:
         codec.read_json(json.dumps(doc))
     assert exc.value.pointer == pointer
+
+
+def _two_graphs():
+    return [G.cube(), G.octahedron()]
+
+
+def test_trace_batch_round_trip():
+    # The document `planecolor color --trace` writes for two or more graphs.
+    results = [color_by_reduction(g) for g in _two_graphs()]
+    doc = {"schema": codec.TRACE_BATCH_SCHEMA, "traces": [codec.trace_to_doc(r) for r in results]}
+    back = codec.read_json(json.dumps(doc))
+    assert isinstance(back, list) and len(back) == 2
+    for got, want in zip(back, results):
+        assert got.steps == want.steps
+        assert got.coloring.assignment == want.coloring.assignment
+        assert got.fallback == want.fallback and got.max_forbidden == want.max_forbidden
+
+
+def test_report_batch_round_trip():
+    # The document `planecolor discharge --report` writes for two or more graphs.
+    reports = [audit(g) for g in _two_graphs()]
+    doc = {"schema": codec.REPORT_BATCH_SCHEMA,
+           "reports": [codec.report_to_doc(r) for r in reports]}
+    back = codec.read_json(json.dumps(doc))
+    assert back == reports
+
+
+@pytest.mark.parametrize("doc, pointer", [
+    ({"schema": "reduction-trace-batch/1", "traces": [_trace_doc(), _trace_doc(center=1.5)]},
+     "/traces/1/steps/0/center"),
+    ({"schema": "reduction-trace-batch/1", "traces": [_trace_doc(), [1]]}, "/traces/1"),
+    ({"schema": "discharge-report-batch/1", "reports": [_report_doc(), _report_doc(ledger=[[1]])]},
+     "/reports/1/ledger"),
+    ({"schema": "discharge-report-batch/1", "reports": [_report_doc(schema="coloring/1")]},
+     "/reports/0/schema"),
+    ({"schema": "discharge-report-batch/1", "reports": {"0": _report_doc()}}, "/reports"),
+    ({"schema": "reduction-trace-batch/1"}, "/traces"),
+], ids=["trace-step", "trace-not-an-object", "report-ledger", "report-schema",
+        "reports-not-a-list", "traces-missing"])
+def test_errors_inside_a_batch_name_the_element(doc, pointer):
+    with pytest.raises(SchemaMismatch) as exc:
+        codec.read_json(json.dumps(doc))
+    assert exc.value.pointer == pointer
