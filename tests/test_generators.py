@@ -1,9 +1,11 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecolor import generators as G
-from planecolor.codec import write_planar_code
+from planecolor.codec import write_json, write_planar_code
 from planecolor.errors import BadParams
 
 
@@ -86,6 +88,19 @@ def test_random_planar_reproducible_bytes():
     b = G.random_planar(40, 11)
     assert a.rotation_map() == b.rotation_map()
     assert write_planar_code([a]) == write_planar_code([b])
+
+
+def test_random_planar_output_is_pinned():
+    # One digest over the JSON graphs of every n = 2..120 with seeds 0..24
+    # and of three larger sizes. The 10,000-vertex member is also the guard
+    # that generation stays near-linear: drawn as a whole-graph search per
+    # deletion attempt it takes about a minute.
+    cases = [(n, s) for n in range(2, 121) for s in range(25)]
+    cases += [(257, 1), (1000, 2), (10_000, 3)]
+    digest = hashlib.sha256()
+    for n, s in cases:
+        digest.update(write_json(G.random_planar(n, s)).encode() + b"\n")
+    assert digest.hexdigest() == "0dc8caffb8c6947e09cf53064310de2f46ee85c2d1ee5ad5349bb1a3a17671ef"
 
 
 def test_random_planar_seeds_differ():
