@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, compress
-from operator import eq, itemgetter
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from ._live import LiveEmbedding, Surgery
@@ -134,23 +134,24 @@ class _Ctx(LiveEmbedding):
 
         A vertex scan reads its anchor's rotation and corner faces and, for
         most entries, its neighbors' degrees, rotations, corner triangles
-        and triangle counts. A vertex is touched when its rotation changed,
-        when it lies on a replaced face of size <= 4 (the sizes the triggers
-        tell apart), or when it repeats on a bigger one: K21/K22 read where
-        a 3-vertex first occurs on a big face, which moves with the face's
-        start only for a repeated vertex. The replaced faces are the
-        destroyed walks, read before the kernel drops them, and the
-        surgery's created walks. Touched vertices are dirty for every entry;
-        for entries that read neighbors, so are their neighbors and the
-        vertices on 5-faces at a vertex whose rotation changed (K23/K24 read
-        their anchor's 5-faces). That covers every replaced 5-face too: a
-        destroyed face's vertices are neighbors of neighbors of the deleted
-        vertex, and every created face passes a changed rotation. Each dirty
-        vertex goes through the `_routes` table of its degree to the indexes
-        whose entry that degree fits; the deleted vertex and each vertex
-        whose degree changed also go, by the degree they had, to those it
-        fitted, since they may have to leave. Face counts change only at
-        touched vertices.
+        and triangle counts. A vertex is touched when its rotation changed
+        or when it lies on a replaced face of size <= 4 (the sizes the
+        triggers tell apart). The replaced faces are the destroyed walks,
+        read before the kernel drops them, and the surgery's created walks.
+        K21/K22 also read where a vertex first occurs on a big face, which
+        can move with the face's start, but that moves only their `y`/`z`
+        bindings, not whether they match, and an index keeps anchors only:
+        detection rebuilds the bindings. Touched vertices are dirty for
+        every entry; for entries that read neighbors, so are their
+        neighbors and the vertices on 5-faces at a vertex whose rotation
+        changed (K23/K24 read their anchor's 5-faces). That covers every
+        replaced 5-face too: a destroyed face's vertices are neighbors of
+        neighbors of the deleted vertex, and every created face passes a
+        changed rotation. Each dirty vertex goes through the `_routes` table
+        of its degree to the indexes whose entry that degree fits; the
+        deleted vertex and each vertex whose degree changed also go, by the
+        degree they had, to those it fitted, since they may have to leave.
+        Face counts change only at touched vertices.
         """
         x = s.delete
         deg, faces, fdeg, rot, m3, m4 = self.deg, self.faces, self.fdeg, self.rot, self.m3, self.m4
@@ -171,9 +172,6 @@ class _Ctx(LiveEmbedding):
         for walk in chain(replaced, s.created):
             if len(walk) <= 4:
                 near.update(walk)
-            elif len(set(walk)) < len(walk):
-                w = sorted(walk)
-                near.update(compress(w, map(eq, w, w[1:])))  # the repeated vertices
         for v in near:
             m3.pop(v, None)
             m4.pop(v, None)

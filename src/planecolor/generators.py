@@ -8,8 +8,11 @@ reproduce identical graphs on every platform.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from .embedding import EmbeddedGraph, build_embedded, components
+from typing import Mapping, Sequence
+
+from .embedding import EmbeddedGraph, build_embedded
 from .errors import BadParams
 
 
@@ -139,6 +142,11 @@ _LATTICE_DIRS = ((0, 1), (1, 1), (1, 0), (0, -1), (-1, -1), (-1, 0))
 
 
 def _lattice(rows: int, cols: int, diagonals: bool) -> EmbeddedGraph:
+    return build_embedded(rows * cols, _lattice_rotations(rows, cols, diagonals))
+
+
+def _lattice_rotations(rows: int, cols: int, diagonals: bool) -> list[tuple[int, ...]]:
+    """The rotation of each vertex r * cols + c of the patch, in id order."""
     def vid(r, c):
         return r * cols + c
 
@@ -153,7 +161,7 @@ def _lattice(rows: int, cols: int, diagonals: bool) -> EmbeddedGraph:
                 if 0 <= rr < rows and 0 <= cc < cols:
                     ns.append(vid(rr, cc))
             rot.append(tuple(ns))
-    return build_embedded(rows * cols, rot)
+    return rot
 
 
 # Corner coordinates are exact pairs (a, b) meaning the point (a/2, b*sqrt(3)/2);
@@ -247,48 +255,100 @@ def random_planar(n: int, seed: int) -> EmbeddedGraph:
     connected at every step. Vertex removal and edge removal only lower
     degrees, so the degree bound of the patch is preserved, and they keep
     its embedding, so only the rotation map is edited until the end.
+
+    Each removal is made in place and undone if `_joined` finds that the
+    cut ends (a deleted vertex's neighbors, a deleted edge's two ends) no
+    longer meet. Its searches stop at about the smaller side of the cut, so
+    generation is near-linear in n. The draws index sorted lists of the
+    vertices and edges, edited in place, so a seed gives the same graph as
+    when every attempt sorted and searched the whole graph.
     """
     if n < 2:
         raise BadParams("random_planar needs n >= 2")
     rng = SplitMix64((seed << 1) ^ 0xA5A5A5A5A5A5A5A5)
     side = max(2, math.isqrt(n - 1) + 2)
-    rot = tri_grid(side, side).rotation_map()
+    rot = dict(enumerate(_lattice_rotations(side, side, diagonals=True)))
+    verts = list(rot)
 
-    def cut(v, drop):
-        """rot without the edges from v to the vertices in `drop`."""
-        out = dict(rot)
-        out[v] = tuple(x for x in rot[v] if x not in drop)
-        for u in drop:
-            out[u] = tuple(x for x in rot[u] if x != v)
-        return out
-
-    while len(rot) > n:
-        verts = sorted(rot)
+    while len(verts) > n:
         for _ in range(8 * len(verts)):
             v = rng.choice(verts)
-            rot2 = cut(v, rot[v])
-            del rot2[v]
-            if len(components(rot2)) == 1:
-                rot = rot2
+            ns = rot[v]
+            undo = _cut(rot, v, ns)
+            if _joined(rot, ns):
+                del rot[v]
+                del verts[bisect_left(verts, v)]
                 break
+            rot.update(undo)
         else:
             raise BadParams("could not shrink patch while staying connected")
 
-    surplus = sum(map(len, rot.values())) // 2 - (len(rot) - 1)
+    edges = sorted((v, u) for v, ns in rot.items() for u in ns if v < u)
+    surplus = len(edges) - (len(verts) - 1)
     target_removals = (rng.below(30) * surplus) // 100  # thin 0..29% of the slack
     removed = 0
     attempts = 0
     while removed < target_removals and attempts < 20 * target_removals + 20:
         attempts += 1
-        edges = sorted((v, u) for v, ns in rot.items() for u in ns if v < u)
         u, w = rng.choice(edges)
-        rot2 = cut(u, (w,))
-        if len(components(rot2)) == 1:
-            rot = rot2
+        undo = _cut(rot, u, (w,))
+        if _joined(rot, (u, w)):
+            del edges[bisect_left(edges, (u, w))]
             removed += 1
+        else:
+            rot.update(undo)
 
-    relabel = {old: new for new, old in enumerate(sorted(rot))}
+    relabel = {old: new for new, old in enumerate(verts)}
     return EmbeddedGraph({relabel[v]: tuple(relabel[u] for u in ns) for v, ns in rot.items()})
+
+
+def _cut(rot: dict[int, tuple[int, ...]], v: int, drop: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """Remove the edges from v to the vertices in `drop` from `rot` in place;
+    return the rotations replaced, so that `rot.update` undoes the cut."""
+    undo = {u: rot[u] for u in drop}
+    undo[v] = rot[v]
+    rot[v] = tuple(x for x in rot[v] if x not in drop)
+    for u in drop:
+        rot[u] = tuple(x for x in rot[u] if x != v)
+    return undo
+
+
+def _joined(rot: Mapping[int, Sequence[int]], starts: Sequence[int]) -> bool:
+    """Whether the vertices in `starts` all lie in one component of `rot`.
+
+    One depth-first search per start runs in lockstep, a vertex at a time,
+    and searches that reach each other's vertices merge. The answer is yes
+    once all have merged and no once one runs dry. If a cut splits a
+    connected graph, every side holds a start, so the searches stop within
+    the number of starts times the smaller side (Even and Shiloach, 1981);
+    if it does not, they stop where they meet, on a lattice patch a face or
+    so away.
+    """
+    owner = {s: i for i, s in enumerate(starts)}  # vertex -> search that reached it
+    into = list(range(len(starts)))  # search -> the search it merged into
+    stacks = [[s] for s in starts]
+    live = len(starts)
+    while live > 1:
+        for i, stack in enumerate(stacks):
+            if into[i] != i:
+                continue
+            if not stack:
+                return False
+            for y in rot[stack.pop()]:
+                j = owner.get(y)
+                if j is None:
+                    owner[y] = i
+                    stack.append(y)
+                    continue
+                while into[j] != j:
+                    j = into[j]
+                if j != i:
+                    into[j] = i
+                    stack += stacks[j]
+                    live -= 1
+                    if live == 1:
+                        return True
+    return True
 
 
 _KINDS = {

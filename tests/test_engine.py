@@ -144,7 +144,8 @@ def test_far_change_of_big_face_start_rescans_k21():
     # at v. Here v2 is a cut vertex (a triangle hangs off it) and occurs on
     # that face twice, with different neighbors. Deleting Z, three edges
     # from v, moves the face's smallest vertex from Z to C, across v2, and y
-    # changes although no vertex within distance 2 of v changed.
+    # changes although no vertex within distance 2 of v changed: v stays an
+    # anchor, and detection rebuilds its bindings from the current face.
     pos = {"Z": (-4.5, -0.8), "C": (0.8, -4.2), "X": (-1.2, -2.6), "B": (1, -3),
            "D": (1.8, -3.8), "v": (0, 0), "v2": (0, -2), "l0": (-2, -1), "l2": (2, -1),
            "l3": (2, 1), "l4": (0, 2), "l5": (-2, 1), "Y": (-3, 0), "W": (-4.5, 0.8)}

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from planecolor import generators as G
 from planecolor.codec import write_json, write_planar_code
+from planecolor.embedding import EmbeddedGraph, components
 from planecolor.errors import BadParams
 
 
@@ -117,6 +118,46 @@ def test_random_planar_invariants(seed, n):
     assert g.max_degree() <= 6
     assert g.euler_characteristic() == 2
     assert sorted(g.vertices()) == list(range(n))
+
+
+def _windmill(blades):
+    """Triangles 0, 2i+1, 2i+2 sharing vertex 0, a cut vertex, plus a pendant
+    vertex on the last blade, so a bridge too."""
+    tip = 2 * blades + 1
+    rot = {0: tuple(range(1, tip))}
+    for a in range(1, tip, 2):
+        rot[a], rot[a + 1] = (0, a + 1), (a, 0)
+    rot[tip - 1] += (tip,)
+    rot[tip] = (tip - 1,)
+    return EmbeddedGraph(rot)
+
+
+def test_joined_agrees_with_components_after_every_cut():
+    # The pinned digest covers only the cuts random_planar's draws tried; this
+    # tries every vertex and edge of graphs with cut vertices and bridges.
+    graphs = ([(f"random:{n}s{s}", G.random_planar(n, s)) for n in (2, 3, 7, 19, 40) for s in range(8)]
+              + [(f"hex:{r}", G.hex_grid(r)) for r in (1, 2, 3)]
+              + [(f"path:{n}", G.path(n)) for n in (2, 3, 6)]
+              + [(f"windmill:{k}", _windmill(k)) for k in (1, 2, 3)])
+    seen = set()
+    for name, g in graphs:
+        assert g.is_connected() and g.euler_defect() == 0, name
+        rot = g.rotation_map()
+        for v in g.vertices():
+            ns = rot[v]
+            undo = G._cut(rot, v, ns)
+            kept = len(components({u: r for u, r in rot.items() if u != v})) == 1
+            assert G._joined(rot, ns) == kept, (name, v)
+            rot.update(undo)
+            seen.add(("vertex", kept))
+        for u, w in g.edges():
+            undo = G._cut(rot, u, (w,))
+            kept = len(components(rot)) == 1
+            assert G._joined(rot, (u, w)) == kept, (name, u, w)
+            rot.update(undo)
+            seen.add(("edge", kept))
+        assert rot == g.rotation_map(), name
+    assert seen == {(cut, kept) for cut in ("vertex", "edge") for kept in (True, False)}
 
 
 def test_bad_params():
