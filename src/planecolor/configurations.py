@@ -81,6 +81,10 @@ _LABELINGS = {d: [(itemgetter(*[(k + s * i) % d for i in range(d)]),
                   for s in (1, -1) for k in range(d)]
               for d in range(2, 7)}
 
+# The ring roles "v1".."vd" of the 4-, 5- and 6-vertex scanners, zipped with
+# a labeling's labels.
+_V4, _V5, _V6 = (tuple(f"v{i + 1}" for i in range(d)) for d in (4, 5, 6))
+
 
 def _count_faces(ids, fdeg, size: int) -> int:
     """Distinct faces of the given size among the face ids `ids`."""
@@ -124,6 +128,7 @@ class _Ctx(LiveEmbedding):
         self.routes = None  # see `_routes`
         self.by_degree: Optional[dict[int, list[int]]] = None  # see `candidates`
         self.pending = None  # (plan, Surgery) validated by the last `plan` call
+        self.labeled = self.table = None  # see `labelings`
 
     @classmethod
     def of(cls, g) -> "_Ctx":
@@ -185,7 +190,7 @@ class _Ctx(LiveEmbedding):
         for v in wide | near:
             for add in broad[deg[v]]:
                 add(v)
-        self.by_degree = self.pending = self.parts = None
+        self.by_degree = self.pending = self.parts = self.labeled = self.table = None
 
     def _routes(self) -> list[list[list[Callable[[int], None]]]]:
         """Per degree 0..6, the `dirty.add` of each index told of a vertex of
@@ -220,10 +225,17 @@ class _Ctx(LiveEmbedding):
 
         A list of (labels, corner face ids), the i-th id the face in the corner
         between labels[i] and labels[i+1] (cyclically): rotations, then reflections.
+        One slot is kept: the table of the last vertex asked about is returned
+        again while callers ask about that vertex, and is valid until the next
+        `commit`. Every entry scanning a vertex shares the list, so callers
+        only read it.
         """
-        rot, o = self.rot[v], self.off[v]
-        fs = self.face[o:o + len(rot)]  # dart_faces(v)
-        return [(lab(rot), fac(fs)) for lab, fac in _LABELINGS[len(rot)]]
+        if v != self.labeled:
+            rot, o = self.rot[v], self.off[v]
+            fs = self.face[o:o + len(rot)]  # dart_faces(v)
+            self.table = [(lab(rot), fac(fs)) for lab, fac in _LABELINGS[len(rot)]]
+            self.labeled = v
+        return self.table
 
     def doubled(self, a: int, b: int) -> bool:
         """Edge ab lies on two distinct triangular faces."""
@@ -318,7 +330,7 @@ def _scan_k06(ctx: _Ctx, v: int):
     fd = ctx.fdeg
     for labels, faces in ctx.labelings(v):
         if fd[faces[0]] == 3 and fd[faces[1]] == 3 and fd[faces[2]] == 3:
-            yield "", {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}}
+            yield "", dict(zip(_V4, labels), v=v)
 
 
 def _k0789_layouts(ctx: _Ctx, v: int):
@@ -339,8 +351,7 @@ def _scan_k07(ctx: _Ctx, v: int):
     for labels, faces in ctx.labelings(v):
         if fd[faces[0]] != 4:
             continue
-        b = {"v": v, **{f"v{i+1}": labels[i] for i in range(4)},
-             "x": _opposite_on_quad(ctx, faces[0], v)}
+        b = dict(zip(_V4, labels), v=v, x=_opposite_on_quad(ctx, faces[0], v))
         if fd[faces[1]] == 3 and fd[faces[2]] == 3:
             yield "adjacent", b
         if fd[faces[1]] == 3 and fd[faces[3]] == 3:
@@ -355,7 +366,7 @@ def _scan_k08(ctx: _Ctx, v: int):
     if not light:
         return
     for labels, variant in _k0789_layouts(ctx, v):
-        b = {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}, "w5": light[0]}
+        b = dict(zip(_V4, labels), v=v, w5=light[0])
         yield variant, b
 
 
@@ -365,7 +376,7 @@ def _scan_k09(ctx: _Ctx, v: int):
         return
     for labels, variant in _k0789_layouts(ctx, v):
         if ctx.doubled(labels[0], labels[1]):
-            yield variant, {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}}
+            yield variant, dict(zip(_V4, labels), v=v)
 
 
 def _scan_k10(ctx: _Ctx, v: int):
@@ -376,10 +387,10 @@ def _scan_k10(ctx: _Ctx, v: int):
     for labels, faces in ctx.labelings(v):
         if (fd[faces[0]] == 3 and fd[faces[1]] == 4
                 and fd[faces[2]] == 4 and fd[faces[3]] == 4):
-            yield "", {"v": v, **{f"v{i+1}": labels[i] for i in range(4)},
-                       "x": _opposite_on_quad(ctx, faces[1], v),
-                       "y": _opposite_on_quad(ctx, faces[2], v),
-                       "z": _opposite_on_quad(ctx, faces[3], v)}
+            yield "", dict(zip(_V4, labels), v=v,
+                           x=_opposite_on_quad(ctx, faces[1], v),
+                           y=_opposite_on_quad(ctx, faces[2], v),
+                           z=_opposite_on_quad(ctx, faces[3], v))
 
 
 def _scan_k11(ctx: _Ctx, v: int):
@@ -395,7 +406,7 @@ def _scan_k11(ctx: _Ctx, v: int):
         if fd[faces[0]] != 3:
             continue
         for vi in four:
-            yield variant, {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}, "vi": vi}
+            yield variant, dict(zip(_V4, labels), v=v, vi=vi)
 
 
 def _scan_k12(ctx: _Ctx, v: int):
@@ -408,7 +419,7 @@ def _scan_k12(ctx: _Ctx, v: int):
     for labels, faces in ctx.labelings(v):
         if fd[faces[0]] != 3:
             continue
-        b = {"v": v, **{f"v{i+1}": labels[i] for i in range(4)}}
+        b = dict(zip(_V4, labels), v=v)
         if ctx.m4[v] == 2:
             yield "m4=2", b
         elif fd[faces[1]] == 4:
@@ -423,7 +434,7 @@ def _scan_k13(ctx: _Ctx, v: int):
         return
     for labels, _ in ctx.labelings(v):
         if ctx.deg[labels[0]] <= 5:
-            yield "", {"v": v, **{f"v{i+1}": labels[i] for i in range(5)}}
+            yield "", dict(zip(_V5, labels), v=v)
 
 
 def _scan_k14(ctx: _Ctx, v: int):
@@ -440,16 +451,16 @@ def _fan_layout(ctx: _Ctx, v: int, last_degree):
     A triangle fills one corner only (its three vertices are distinct), so
     such a layout exists only where m3 is one below the degree, which the
     callers test first. There exactly one corner j is not a triangle, and the
-    two labelings that end at it are read off the labelings table in its
+    two labelings that end at it are read off `ctx.labelings(v)` in its
     order: the rotation from j + 1, then the reflection from j.
     """
-    fd, rot, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)  # corner j is fs[j + 1]
+    fd, fs = ctx.fdeg, ctx.dart_faces(v)  # corner j is fs[j + 1]
     j = next(i for i, f in enumerate(fs) if fd[f] != 3) - 1
     if not last_degree(fd[fs[j + 1]]):
         return
-    d = len(rot)
-    for lab, fac in (_LABELINGS[d][(j + 1) % d], _LABELINGS[d][d + j % d]):
-        yield lab(rot), fac(fs)
+    d, table = len(fs), ctx.labelings(v)
+    yield table[(j + 1) % d]
+    yield table[d + j % d]
 
 
 def _scan_k15(ctx: _Ctx, v: int):
@@ -457,8 +468,7 @@ def _scan_k15(ctx: _Ctx, v: int):
     if ctx.deg[v] != 5 or ctx.m3[v] != 4:
         return
     for labels, faces in _fan_layout(ctx, v, lambda d: d == 4):
-        b = {"v": v, **{f"v{i+1}": labels[i] for i in range(5)},
-             "x": _opposite_on_quad(ctx, faces[4], v)}
+        b = dict(zip(_V5, labels), v=v, x=_opposite_on_quad(ctx, faces[4], v))
         degs = [ctx.deg[u] for u in labels]
         if any(d <= 4 for d in degs):
             yield "low_neighbor", b
@@ -475,7 +485,7 @@ def _scan_k16(ctx: _Ctx, v: int):
     if ctx.deg[v] != 5 or ctx.m3[v] != 4:
         return
     for labels, _ in _fan_layout(ctx, v, lambda d: d >= 5):
-        b = {"v": v, **{f"v{i+1}": labels[i] for i in range(5)}}
+        b = dict(zip(_V5, labels), v=v)
         degs = [ctx.deg[u] for u in labels]
         n4 = sum(1 for d in degs if d == 4)
         n5 = sum(1 for d in degs if d == 5)
@@ -499,8 +509,7 @@ def _scan_k17(ctx: _Ctx, v: int):
         n6 = sum(1 for d in degs if d == 6)
         profile = (n4, n5, n6)
         if n3 == 0 and profile in ((1, 0, 4), (0, 2, 3)) and (dbl := ctx.doubled_induced(v)):
-            b = {"v": v, **{f"v{i+1}": labels[i] for i in range(5)},
-                 "a": dbl[0][0], "b": dbl[0][1]}
+            b = dict(zip(_V5, labels), v=v, a=dbl[0][0], b=dbl[0][1])
             yield ("one_four" if profile == (1, 0, 4) else "two_fives"), b
 
 
@@ -569,8 +578,7 @@ def _scan_k18(ctx: _Ctx, v: int):
             continue
         n4 = sum(1 for d in degs if d == 4)
         n5 = sum(1 for d in degs if d == 5)
-        b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)},
-             "x": _opposite_on_quad(ctx, faces[5], v)}
+        b = dict(zip(_V6, labels), v=v, x=_opposite_on_quad(ctx, faces[5], v))
 
         if n4 == 2 and degs[0] == 4 and degs[5] == 4 and n5 >= 2:
             yield "a", b
@@ -621,7 +629,7 @@ def _scan_k19(ctx: _Ctx, v: int):
             continue
         n4 = sum(1 for d in degs if d == 4)
         n5 = sum(1 for d in degs if d == 5)
-        b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)}}
+        b = dict(zip(_V6, labels), v=v)
 
         if n4 == 2 and degs[0] == 4 and degs[5] == 4 and n5 >= 3:
             yield "a", b
@@ -659,7 +667,7 @@ def _scan_k20(ctx: _Ctx, v: int):
             case = "far"
         if case is None:
             continue
-        b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)}}
+        b = dict(zip(_V6, labels), v=v)
         if n4 == 1 and n5 == 5:
             yield f"{case}/one_four", b
         if n5 == 6 and ctx.doubled_induced(v):
@@ -681,7 +689,7 @@ def _scan_k21(ctx: _Ctx, v: int):
             continue
         x = _opposite_on_quad(ctx, faces[0], v)
         y = _face_neighbor(ctx, faces[1], v2, v)
-        b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)}, "x": x, "y": y}
+        b = dict(zip(_V6, labels), v=v, x=x, y=y)
         if ctx.deg[labels[0]] == 4:
             yield "flank_first", b
         elif ctx.deg[labels[2]] == 4:
@@ -702,7 +710,7 @@ def _scan_k22(ctx: _Ctx, v: int):
             continue
         y = _face_neighbor(ctx, faces[0], v2, v)
         z = _face_neighbor(ctx, faces[1], v2, v)
-        b = {"v": v, **{f"v{i+1}": labels[i] for i in range(6)}, "y": y, "z": z}
+        b = dict(zip(_V6, labels), v=v, y=y, z=z)
         if ctx.deg[labels[0]] == 4:
             yield "flank_first", b
         elif ctx.deg[labels[2]] == 4:
@@ -808,7 +816,7 @@ def _spec_k12(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
 def _spec_k18(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
     bm = m.binding_map()
     v = bm["v"]
-    ring = tuple(bm[f"v{i}"] for i in range(1, 7))
+    ring = tuple(bm[r] for r in _V6)
     var = m.variant
     if var == "h_last":
         return _plan(m, ring[5], ((v, bm["x"]),), 19)

@@ -147,20 +147,12 @@ def _lattice(rows: int, cols: int, diagonals: bool) -> EmbeddedGraph:
 
 def _lattice_rotations(rows: int, cols: int, diagonals: bool) -> list[tuple[int, ...]]:
     """The rotation of each vertex r * cols + c of the patch, in id order."""
-    def vid(r, c):
-        return r * cols + c
-
+    dirs = [(dr, dc) for dr, dc in _LATTICE_DIRS if diagonals or not (dr and dc)]
     rot = []
     for r in range(rows):
+        steps = [(dc, dr * cols + dc) for dr, dc in dirs if 0 <= r + dr < rows]  # (dc, id step)
         for c in range(cols):
-            ns = []
-            for dr, dc in _LATTICE_DIRS:
-                if not diagonals and dr and dc:
-                    continue
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < rows and 0 <= cc < cols:
-                    ns.append(vid(rr, cc))
-            rot.append(tuple(ns))
+            rot.append(tuple([r * cols + c + step for dc, step in steps if 0 <= c + dc < cols]))
     return rot
 
 

@@ -198,14 +198,47 @@ def _labelings_generator(ctx, v):
 
 
 def test_labelings_table_equals_the_generator(corpus):
+    # Every entry that scans a vertex shares its table, so after all of them
+    # have run there the table must still be the reference: a scanner that
+    # changed the shared list fails here.
     degrees = set()
     for g in _scan_graphs(corpus):
         ctx = _Ctx(g)
         for v, d in ctx.deg.items():
             if d >= 2:
+                ctx.labelings(v)
+                for entry in CATALOG:
+                    if entry.fits(d):
+                        list(entry.scan(ctx, v))
                 assert ctx.labelings(v) == list(_labelings_generator(ctx, v)), v
                 degrees.add(d)
     assert degrees == {2, 3, 4, 5, 6}
+
+
+@pytest.mark.parametrize("g", [G.tri_grid(8, 8), G.hex_grid(4)], ids=["tri_grid", "hex_grid"])
+def test_labelings_table_is_rebuilt_after_every_step(g):
+    # The table of a neighbor of the deleted vertex is read just before the
+    # step; its rotation changes in the step, so the first read after it
+    # must be a fresh table, not the one kept from before.
+    ctx = _Ctx(g)
+    checked = 0
+    while ctx.vertex_count > 1:
+        for m in detect_iter(ctx):
+            try:
+                p = plan(ctx, m)
+            except PlanInvalid:
+                continue
+            break
+        else:
+            break
+        v = max(ctx.rot[p.delete], key=lambda u: (ctx.deg[u], u), default=None)
+        if v is not None and ctx.deg[v] >= 2:
+            ctx.labelings(v)
+        apply_plan(ctx, p)
+        if v is not None and ctx.deg[v] >= 2:
+            assert ctx.labelings(v) == list(_labelings_generator(ctx, v)), (p, v)
+            checked += 1
+    assert ctx.vertex_count == 1 and checked >= g.vertex_count // 2, checked
 
 
 def test_fan_layout_equals_filtering_every_labeling(corpus):
