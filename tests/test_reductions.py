@@ -290,3 +290,44 @@ def test_plan_ignores_an_isolated_vertex_elsewhere():
     p = plan(c5, m)
     assert p.add_edges == ((1, 4),)
     assert plan(with_isolated, m) == p
+
+
+def _rebuilt_before(g, steps, vertex):
+    """g after the steps that precede the deletion of `vertex`, rebuilt with
+    EmbeddedGraph's own surgery, and the index of that deletion."""
+    i = next(k for k, s in enumerate(steps) if s.deleted == vertex)
+    for s in steps[:i]:
+        g, face = g.delete_vertex(s.deleted)
+        g = g.add_chords(face, s.added_edges)
+    return g, i
+
+
+@pytest.mark.parametrize("make, palette, at, total", [
+    (lambda: G.tri_grid(6, 6), 8, 25, 35),
+    (lambda: G.hex_grid(3), 6, 47, 53),
+])
+def test_no_safe_color_witness_is_the_graph_at_the_failing_step(make, palette, at, total):
+    g = make()
+    with pytest.raises(NoSafeColor) as exc:
+        color_by_reduction(g, palette_size=palette)
+    steps = color_by_reduction(g).steps
+    level, i = _rebuilt_before(g, steps, exc.value.vertex)
+    assert (i, len(steps)) == (at, total)
+    assert exc.value.witness["vertex"] == exc.value.vertex
+    assert exc.value.witness["rotation"] == {str(u): list(level.neighbors(u))
+                                             for u in level.vertices()}
+
+
+def test_bound_violation_names_the_config_of_the_failing_step(monkeypatch):
+    from dataclasses import replace
+
+    from planecolor.errors import ForbiddenBoundExceeded
+    g = G.tri_grid(4, 4)
+    steps = color_by_reduction(g).steps
+    build = cfg.build_plan_spec
+    monkeypatch.setattr(cfg, "build_plan_spec",
+                        lambda graph, match: replace(build(graph, match), forbidden_bound=0))
+    with pytest.raises(ForbiddenBoundExceeded) as exc:
+        color_by_reduction(g)
+    assert exc.value.source == "K01"
+    assert next(s.config_id for s in steps if s.deleted == exc.value.vertex) == "K01"
