@@ -129,6 +129,13 @@ def _bool(value, pointer: str, nullable: bool = False) -> Optional[bool]:
     raise SchemaMismatch(pointer, f"expected a boolean{' or null' * nullable}, got {value!r}")
 
 
+def _str(value, pointer: str) -> str:
+    """A name: a JSON string, never a number or a list read as one."""
+    if isinstance(value, str):
+        return value
+    raise SchemaMismatch(pointer, f"expected a string, got {value!r}")
+
+
 def _required(doc, pointer: str, field: str):
     if not isinstance(doc, dict) or field not in doc:
         raise SchemaMismatch(f"{pointer}/{field}", "missing")
@@ -272,8 +279,8 @@ def trace_from_doc(doc: dict) -> ReductionResult:
     for i, raw in enumerate(_parsed("/steps", list, doc.get("steps", ()))):
         at = f"/steps/{i}"
         steps.append(ReductionStep(
-            config_id=_required(raw, at, "config"),
-            variant=raw.get("variant", ""),
+            config_id=_str(_required(raw, at, "config"), f"{at}/config"),
+            variant=_str(raw.get("variant", ""), f"{at}/variant"),
             center=_int(_required(raw, at, "center"), f"{at}/center"),
             bindings=_parsed(f"{at}/bindings", lambda b: tuple(sorted(
                 (k, _int(v, f"{at}/bindings/{k}")) for k, v in b.items())),
@@ -291,7 +298,7 @@ def trace_from_doc(doc: dict) -> ReductionResult:
     return ReductionResult(
         coloring=_within("/coloring", coloring_from_doc, _required(doc, "", "coloring")),
         steps=tuple(steps),
-        fallback=bool(doc.get("fallback")),
+        fallback=_bool(doc.get("fallback", False), "/fallback"),
         fallback_witness=witness,
         max_forbidden=_int(doc.get("max_forbidden", 0), "/max_forbidden"),
     )

@@ -54,9 +54,7 @@ class ReductionPlan:
 
     delete: int
     add_edges: tuple[tuple[int, int], ...]
-    source: str
     forbidden_bound: int
-    variant: str = ""
 
 
 class _Cached(dict):
@@ -758,8 +756,8 @@ def _scan_k24(ctx: _Ctx, v: int):
 # Plan construction per entry
 # ---------------------------------------------------------------------------
 
-def _plan(m: ConfigurationMatch, delete: int, chords, bound: int) -> ReductionPlan:
-    return ReductionPlan(delete, tuple(chords), m.config_id, bound, m.variant)
+def _plan(delete: int, chords, bound: int) -> ReductionPlan:
+    return ReductionPlan(delete, tuple(chords), bound)
 
 
 def _by_roles(delete: str, table: dict):
@@ -771,7 +769,7 @@ def _by_roles(delete: str, table: dict):
     def build(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
         pairs, bound = table[m.variant]
         bm = m.binding_map()
-        return _plan(m, bm[delete], ((bm[a], bm[b]) for a, b in pairs), bound)
+        return _plan(bm[delete], ((bm[a], bm[b]) for a, b in pairs), bound)
     return build
 
 
@@ -795,7 +793,7 @@ def _spec_k11(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
     vi = bm["vi"]
     others = [u for u in ctx.rot[bm["v"]] if u != vi]
     chords = [(vi, u) for u in others if not ctx.has_edge(vi, u)]
-    return _plan(m, bm["v"], chords, 18 if m.variant == "m4=2" else 19)
+    return _plan(bm["v"], chords, 18 if m.variant == "m4=2" else 19)
 
 
 def _spec_k12(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
@@ -810,7 +808,7 @@ def _spec_k12(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
         chords = ((v2, v3), (v2, v4))
     else:
         chords = ((v2, v3), (v3, v4), (v4, v1))
-    return _plan(m, bm["v"], chords, bound)
+    return _plan(bm["v"], chords, bound)
 
 
 def _spec_k18(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
@@ -819,19 +817,19 @@ def _spec_k18(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
     ring = tuple(bm[r] for r in _V6)
     var = m.variant
     if var == "h_last":
-        return _plan(m, ring[5], ((v, bm["x"]),), 19)
+        return _plan(ring[5], ((v, bm["x"]),), 19)
     if var.startswith("g"):
         vi = bm["vi"]
         i = ring.index(vi)
-        return _plan(m, v, ((ring[5], ring[0]), (vi, ring[(i - 2) % 6]),
-                            (vi, ring[(i + 2) % 6])), 19)
+        return _plan(v, ((ring[5], ring[0]), (vi, ring[(i - 2) % 6]),
+                         (vi, ring[(i + 2) % 6])), 19)
     if var in ("f", "h_mid"):
         u = bm["u"]
         i = ring.index(u)
         hit = _fan_neighbor_reduction(ctx, v, u, ring[i - 1], ring[(i + 1) % 6])
         if hit is None:
             raise PlanInvalid("NotOnMergedFace", ("fan-neighbor shape vanished", u))
-        return _plan(m, u, (hit[1],), 18 if var == "f" else 19)
+        return _plan(u, (hit[1],), 18 if var == "f" else 19)
     return _k18_by_roles(ctx, m)
 
 

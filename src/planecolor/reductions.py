@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass
 class ReductionStep:
-    """One pipeline step, recorded in reduction order; `color` filled on extension."""
+    """One pipeline step: the match that fired, its surgery, and the color it gave."""
 
     config_id: str
     variant: str
@@ -41,8 +41,8 @@ class ReductionStep:
     bindings: tuple[tuple[str, int], ...]
     deleted: int
     added_edges: tuple[tuple[int, int], ...]
-    color: Optional[int] = None
-    forbidden_size: Optional[int] = None
+    color: int
+    forbidden_size: int
 
 
 @dataclass
@@ -87,7 +87,7 @@ def plan(g, match: ConfigurationMatch) -> ReductionPlan:
         raise PlanInvalid("NotOnMergedFace", getattr(exc, "chord", None)) from None
 
     p = raw if raw.add_edges == tuple(chords) else ReductionPlan(
-        delete, tuple(chords), raw.source, raw.forbidden_bound, raw.variant)
+        delete, tuple(chords), raw.forbidden_bound)
     ctx.pending = (p, surgery)
     return p
 
@@ -146,9 +146,10 @@ def _peel(ctx, catalog):
     """Reduce the live context in place, one step per item yielded.
 
     Each step takes the first match in detection order whose plan
-    validates; it yields (match, plan, distance-2 neighborhood of the
-    deleted vertex just before deletion). Stops at one vertex left, or
-    earlier when no match can be planned.
+    validates, and yields a flat tuple of atoms, which the collector stops
+    tracking: (config id, variant, center, bindings, deleted vertex, chords,
+    bound, distance-2 neighborhood of that vertex just before deletion).
+    Stops at one vertex left, or earlier when no match can be planned.
     """
     while ctx.vertex_count > 1:
         for m in detect_iter(ctx, catalog):
@@ -159,16 +160,17 @@ def _peel(ctx, catalog):
             break
         else:
             return
-        near = ctx.distance2_neighborhood(p.delete)
+        near = tuple(ctx.distance2_neighborhood(p.delete))
         apply_plan(ctx, p)
-        yield m, p, near
+        yield (m.config_id, m.variant, m.center, m.bindings,
+               p.delete, p.add_edges, p.forbidden_bound, near)
 
 
-def _level_graph(g: EmbeddedGraph, plans) -> EmbeddedGraph:
-    """g after the given steps, rebuilt for an error report."""
+def _level_graph(g: EmbeddedGraph, levels) -> EmbeddedGraph:
+    """g after the given `_peel` steps, rebuilt for an error report."""
     ctx = cfg._Ctx(g)
-    for p in plans:
-        ctx.commit(ctx.surgery(p.delete, list(p.add_edges)))
+    for *_, deleted, chords, _, _ in levels:
+        ctx.commit(ctx.surgery(deleted, list(chords)))
     return ctx.to_graph()
 
 
@@ -197,22 +199,12 @@ def color_by_reduction(g: EmbeddedGraph, palette_size: int = 20,
     steps: list[ReductionStep] = []
     max_forbidden = 0
     for i in range(len(levels) - 1, -1, -1):
-        match, p, near = levels[i]
-        c, size = _extension(p.delete, near, assignment, palette_size,
-                             p.forbidden_bound, p.source,
-                             lambda: _level_graph(g, [q for _, q, _ in levels[:i]]))
+        config_id, variant, center, bindings, v, chords, bound, near = levels[i]
+        c, size = _extension(v, near, assignment, palette_size, bound, config_id,
+                             lambda: _level_graph(g, levels[:i]))
         max_forbidden = max(max_forbidden, size)
-        assignment[p.delete] = c
-        steps.append(ReductionStep(
-            config_id=match.config_id,
-            variant=match.variant,
-            center=match.center,
-            bindings=match.bindings,
-            deleted=p.delete,
-            added_edges=p.add_edges,
-            color=c,
-            forbidden_size=size,
-        ))
+        assignment[v] = c
+        steps.append(ReductionStep(config_id, variant, center, bindings, v, chords, c, size))
 
     steps.reverse()  # reduction order: first deletion first
     return ReductionResult(

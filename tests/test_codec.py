@@ -223,8 +223,12 @@ def _trace_with(key, value):
      "/fallback_witness/rotation"),
     (_trace_with("fallback_witness", {**_graph_doc([1]), "labels": {"x": "a"}}),
      "/fallback_witness/labels"),
+    (_trace_with("fallback", "false"), "/fallback"),
+    (_trace_doc(config=5), "/steps/0/config"),
+    (_trace_doc(variant=[1]), "/steps/0/variant"),
 ], ids=["color-value-float", "assignment-list", "palette-bool", "palette-missing", "schema",
-        "not-an-object", "witness-neighbor-float", "witness-rotation-list", "witness-label-key"])
+        "not-an-object", "witness-neighbor-float", "witness-rotation-list", "witness-label-key",
+        "fallback-string", "config-int", "variant-list"])
 def test_errors_inside_a_trace_point_into_it(doc, pointer):
     with pytest.raises(SchemaMismatch) as exc:
         codec.read_json(json.dumps(doc))

@@ -70,14 +70,14 @@ def _check_every_step(g, catalog):
     ctx = _Ctx(g)
     before, steps = g, 0
     _check_kernel(ctx)
-    for _, p, near in _peel(ctx, catalog):
+    for *_, deleted, _, _, near in _peel(ctx, catalog):
         _check_marks(ctx)
         exported = ctx.to_graph()
         assert exported.euler_defect() == 0
         assert set(ctx.faces.values()) == _face_walks(exported)
         _check_kernel(ctx)
         assert _keys(detect_iter(ctx, catalog)) == _keys(detect_all(exported, catalog))
-        assert near == before.distance2_neighborhood(p.delete)
+        assert set(near) == before.distance2_neighborhood(deleted)
         before = exported
         steps += 1
     return steps

@@ -12,6 +12,7 @@ import tracemalloc
 import pytest
 
 from planecolor import cli, codec, configurations, discharging, reductions, squares
+from planecolor import generators as G
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +80,16 @@ def test_loading_a_batch_traces_no_faces_on_it(blob, tmp_path):
     graphs, size = traced(lambda: cli._load_graphs(str(path), "auto"))
     assert all(g._faces is None for g in graphs)
     assert size <= 1.5 * rotation_bytes(graphs)
+
+
+def test_peeled_steps_are_untracked_by_the_cycle_collector():
+    # The records live until the backward pass; a dataclass, a NamedTuple or
+    # a set among them would keep every step on the collector's lists. A
+    # collection untracks a tuple only once the tuples inside it are, and it
+    # reaches those after the record, so each collection peels one level:
+    # record, chords, chord pair.
+    levels = list(reductions._peel(configurations._Ctx(G.tri_grid(12, 12)), None))
+    for _ in range(3):
+        gc.collect()
+    assert len(levels) == 143
+    assert not any(gc.is_tracked(r) for r in levels)

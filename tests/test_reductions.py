@@ -125,8 +125,7 @@ def test_plan_rejects_degree_overflow(monkeypatch):
     far = next(v for v in g.vertices()
                if v not in (center, m.binding("v")) and not g.has_edge(center, v))
     monkeypatch.setattr(cfg, "build_plan_spec",
-                        lambda graph, match: ReductionPlan(m.binding("v"), ((center, far),),
-                                                           match.config_id, 19))
+                        lambda graph, match: ReductionPlan(m.binding("v"), ((center, far),), 19))
     with pytest.raises(PlanInvalid) as exc:
         plan(g, m)
     assert exc.value.reason == "DegreeOverflow"
@@ -164,7 +163,7 @@ _K01 = ConfigurationMatch("K01", 1, (("v", 1), ("v1", 0)))
 _ENTRIES = [
     cfg.detect, cfg.detect_all, lambda g: list(cfg.detect_iter(g)), cfg.match_count,
     lambda g: plan(g, _K01), lambda g: cfg.build_plan_spec(g, _K01),
-    lambda g: apply_plan(g, ReductionPlan(1, (), "K01", 6)),
+    lambda g: apply_plan(g, ReductionPlan(1, (), 6)),
     dis.initial_charges, dis.apply_rules, dis.audit, color_by_reduction,
 ]
 _ENTRY_IDS = ["detect", "detect_all", "detect_iter", "match_count", "plan", "build_plan_spec",
