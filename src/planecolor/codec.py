@@ -178,6 +178,8 @@ def coloring_to_doc(phi: Coloring) -> dict:
 def coloring_from_doc(doc: dict) -> Coloring:
     _expect_schema(doc, COLORING_SCHEMA)
     palette_size = _int(_required(doc, "", "palette_size"), "/palette_size")
+    if palette_size < 1:
+        raise SchemaMismatch("/palette_size", f"expected at least 1, got {palette_size}")
     assignment = doc.get("assignment")
     if not isinstance(assignment, dict):
         raise SchemaMismatch("/assignment", "expected an object")

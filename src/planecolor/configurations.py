@@ -95,8 +95,8 @@ class _Ctx(LiveEmbedding):
     Scanners read faces as ids: `dart_faces(v)`, `fdeg[f]` and `faces[f]`.
     Built from an EmbeddedGraph for a one-off public call, or kept by the
     reduction engine across its steps: `commit` then drops the face counts
-    of the vertices it touches and marks the anchors whose matches may have
-    changed in every index built so far.
+    of the vertices it touches and marks the vertices whose scans may now
+    differ in every index built so far.
 
     Building one is the engine's only gate on its input, and it checks the
     paper's two hypotheses: it raises DegreeTooHigh for the first vertex of
@@ -133,7 +133,7 @@ class _Ctx(LiveEmbedding):
         return g if isinstance(g, _Ctx) else cls(g)
 
     def commit(self, s: Surgery) -> None:
-        """Apply a surgery, then mark the anchors whose scans may now differ.
+        """Apply a surgery, then mark the vertices whose scans may now differ.
 
         A vertex scan reads its anchor's rotation and corner faces and, for
         most entries, its neighbors' degrees, rotations, corner triangles
@@ -151,24 +151,20 @@ class _Ctx(LiveEmbedding):
         replaced 5-face too: a destroyed face's vertices are neighbors of
         neighbors of the deleted vertex, and every created face passes a
         changed rotation. Each dirty vertex goes through the `_routes` table
-        of its degree to the indexes whose entry that degree fits; the
-        deleted vertex and each vertex whose degree changed also go, by the
-        degree they had, to those it fitted, since they may have to leave.
-        Face counts change only at touched vertices.
+        of its degree to the indexes whose entry that degree fits. A vertex
+        that is gone or no longer fits is told to no index: detection drops
+        it from a list when it reaches it. Face counts change only at
+        touched vertices.
         """
         x = s.delete
         deg, faces, fdeg, rot, m3, m4 = self.deg, self.faces, self.fdeg, self.rot, self.m3, self.m4
         replaced = [faces[f] for f in s.destroyed]
         super().commit(s)
-        changed, narrow, broad = self.routes = self.routes or self._routes()
-        for add in changed[deg.pop(x)]:
-            add(x)
+        narrow, broad = self.routes = self.routes or self._routes()
+        del deg[x]
         near, wide = {x, *s.rot}, set()
         for v in s.rot:
-            if (d := deg[v]) != len(rot[v]):
-                deg[v] = len(rot[v])
-                for add in changed[d]:
-                    add(v)
+            deg[v] = len(rot[v])
             for f in self.dart_faces(v):
                 if fdeg[f] == 5:
                     wide.update(faces[f])
@@ -191,13 +187,12 @@ class _Ctx(LiveEmbedding):
         self.by_degree = self.pending = self.parts = self.labeled = self.table = None
 
     def _routes(self) -> list[list[list[Callable[[int], None]]]]:
-        """Per degree 0..6, the `dirty.add` of each index told of a vertex of
-        that degree whose degree changed, of a near one and of a wide one;
-        rebuilt after `index` gains an entry."""
+        """Per degree 0..6, the `dirty.add` of each index told of a near
+        vertex of that degree and of a wide one; rebuilt after `index` gains
+        an entry."""
         idxs = self.index.values()
         return [[[i.dirty.add for i in idxs if d in i.fit and wanted(i.entry)] for d in range(7)]
-                for wanted in (lambda e: True, lambda e: not e.reads_neighbors,
-                               lambda e: e.reads_neighbors)]
+                for wanted in (lambda e: not e.reads_neighbors, lambda e: e.reads_neighbors)]
 
     def candidates(self, entry: "CatalogEntry") -> list[int]:
         """The vertices whose degree fits `entry`'s anchor, sorted.
@@ -947,14 +942,12 @@ _BY_ID = {e.config_id: e for e in CATALOG}
 # ---------------------------------------------------------------------------
 
 class _EntryIndex:
-    """The anchors at which one catalog entry matches on a live context.
+    """The vertices at which one catalog entry may match on a live context.
 
     Every entry is anchored at a vertex of its degree, the center of each
-    match its scan yields there. `anchors` is sorted and holds the vertices
-    whose scan yields at least one match; `detect_iter` builds an anchor's
-    matches only when it reaches that anchor. Anchors marked dirty are
-    re-checked, by taking the first item of their scan, when detection next
-    reaches this entry; one whose degree no longer fits is dropped unscanned.
+    match its scan yields there. `anchors` is sorted, without repeats, and
+    lists every live vertex outside `dirty` whose degree fits and whose scan
+    matches; it starts as every candidate, unscanned, and may list stale ones.
     """
 
     __slots__ = ("entry", "fit", "anchors", "dirty")
@@ -962,40 +955,48 @@ class _EntryIndex:
     def __init__(self, ctx: _Ctx, entry: CatalogEntry):
         self.entry = entry
         self.fit = {d for d in range(7) if entry.fits(d)}
-        self.anchors = [v for v in ctx.candidates(entry) if self._matches(ctx, v)]
+        self.anchors = list(ctx.candidates(entry))
         self.dirty: set[int] = set()
 
-    def _matches(self, ctx: _Ctx, v: int) -> bool:
-        return next(self.entry.scan(ctx, v), None) is not None
-
-    def flush(self, ctx: _Ctx) -> None:
-        anchors, fit, deg = self.anchors, self.fit, ctx.deg
+    def reached(self, ctx: _Ctx) -> Iterator[tuple[int, list]]:
+        """List the dirty vertices, then yield each listed one that matches,
+        with `_found` there. One that is gone, no longer fits or yields nothing
+        is dropped, each run of them by one slice deletion before the next yield."""
+        anchors, fit, deg, entry = self.anchors, self.fit, ctx.deg, self.entry
         for a in self.dirty:
             i = bisect_left(anchors, a)
-            had = i < len(anchors) and anchors[i] == a
-            if deg.get(a) in fit and self._matches(ctx, a):
-                if not had:
-                    anchors.insert(i, a)
-            elif had:
-                del anchors[i]
+            if i == len(anchors) or anchors[i] != a:
+                anchors.insert(i, a)
         self.dirty.clear()
+        i = keep = 0  # anchors[keep:i] are dropped
+        while i < len(anchors):
+            a = anchors[i]
+            i += 1
+            if deg.get(a) in fit and (found := _found(ctx, entry, a)):
+                del anchors[keep:i - 1]
+                i = keep = keep + 1
+                yield a, found
+        del anchors[keep:]
+
+
+def _found(ctx: _Ctx, entry: CatalogEntry, a: int) -> list:
+    """The sorted (variant, bindings sorted by role) of each match at a."""
+    return sorted((variant, tuple(sorted(b.items()))) for variant, b in entry.scan(ctx, a))
 
 
 def _in_order(ctx: _Ctx, catalog, build_index: bool) -> Iterator[ConfigurationMatch]:
     """Matches in priority order: through each entry's index where it has
     one (built first when `build_index`), else by one full scan of every
-    vertex whose degree fits the entry; each anchor's matches are centered
-    there and sorted by variant, then bindings."""
+    vertex whose degree fits the entry, dropping nothing; each anchor's
+    matches are centered there and sorted by variant, then bindings."""
     for entry in (catalog or CATALOG):
         idx = ctx.index.get(entry)
         if idx is None and build_index:
             idx = ctx.index[entry] = _EntryIndex(ctx, entry)
             ctx.routes = None
-        elif idx is not None and idx.dirty:
-            idx.flush(ctx)
-        for a in (ctx.candidates(entry) if idx is None else idx.anchors):
-            for variant, b in sorted((variant, tuple(sorted(b.items())))
-                                     for variant, b in entry.scan(ctx, a)):
+        for a, found in (((a, _found(ctx, entry, a)) for a in ctx.candidates(entry))
+                         if idx is None else idx.reached(ctx)):
+            for variant, b in found:
                 yield ConfigurationMatch(entry.config_id, a, b, variant)
 
 
@@ -1003,12 +1004,13 @@ def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
     """Matches in priority order: catalog position, then center, variant and bindings.
 
     `g` is an EmbeddedGraph or the engine's live context. On the engine's
-    context an entry's index is built, or its dirty anchors re-checked, only
-    when iteration reaches it, and an anchor's matches are built only when
-    iteration reaches that anchor, so taking the first match costs the
-    entries before it and one anchor's scan; running out means every entry
-    has been brought up to date. The context must not change while the
-    iterator is in use. A graph gets a context of its own, built (and its
+    context an entry's index is built, or its dirty vertices listed, only
+    when iteration reaches it, and a listed vertex is scanned only when
+    iteration reaches it, so taking the first match costs the entries before
+    it and the scans of the vertices listed in front of the anchor that
+    fires. Iteration drops stale vertices from the lists, so only one
+    detection may run on a context at a time, and the context must not
+    change while it runs. A graph gets a context of its own, built (and its
     degrees checked) on the first `next`, used once and scanned without
     indexes.
     """

@@ -16,6 +16,7 @@ from . import configurations as cfg
 from .configurations import ConfigurationMatch, ReductionPlan, detect, detect_all, detect_iter
 from .embedding import EmbeddedGraph
 from .errors import (
+    BadParams,
     ChordError,
     CrossingChords,
     ForbiddenBoundExceeded,
@@ -184,8 +185,11 @@ def color_by_reduction(g: EmbeddedGraph, palette_size: int = 20,
     ceiling. The returned coloring always satisfies the distance-2 constraint
     or an error is raised. Building the context rejects a vertex of degree
     above 6 (DegreeTooHigh) and a rotation system of genus above 0
-    (PositiveGenus) before the first step.
+    (PositiveGenus) before the first step, and a palette below 1 is refused
+    (BadParams) before that.
     """
+    if palette_size < 1:
+        raise BadParams(f"palette size must be at least 1, got {palette_size}")
     ctx = cfg._Ctx(g)
     levels = list(_peel(ctx, catalog))
     fallback = ctx.vertex_count > 1

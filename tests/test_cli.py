@@ -230,6 +230,14 @@ def test_high_degree_star_is_input_error(tmp_path, capsys):
     assert f"vertex 0 has degree {n} > 6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("palette", ["0", "-3"])
+def test_palette_below_one_is_input_error(tmp_path, graph_file, capsys, palette):
+    trace = tmp_path / "t.json"
+    assert main(["color", "--in", graph_file, "--palette", palette, "--trace", str(trace)]) == 1
+    assert f"palette size must be at least 1, got {palette}" in capsys.readouterr().err
+    assert not trace.exists()
+
+
 def test_cli_import_loads_no_third_party_package():
     # The package has no runtime dependencies: the oracle's matrix product
     # runs on integer bit rows, so no command pays for importing numpy.

@@ -195,11 +195,13 @@ def _coloring_doc(**changes):
     (_graph_doc([True]), "/rotation/0/0"),
     (_coloring_doc(assignment={"0": 2.7}), "/assignment/0"),
     (_coloring_doc(palette_size=True), "/palette_size"),
+    (_coloring_doc(palette_size=0), "/palette_size"),
 ], ids=["center-float", "deleted-bool", "edge-triple", "edge-strings", "color-string",
         "color-float", "forbidden-list", "neighbor-float", "neighbor-bool", "color-value-float",
-        "palette-bool"])
+        "palette-bool", "palette-zero"])
 def test_ids_colors_and_counts_must_be_integers(doc, pointer):
-    # int() would truncate 1.5 to 1 and read true as 1; the readers refuse both.
+    # int() would truncate 1.5 to 1 and read true as 1; the readers refuse
+    # both, and a palette of no color, which no coloring fits in.
     with pytest.raises(SchemaMismatch) as exc:
         codec.read_json(json.dumps(doc))
     assert exc.value.pointer == pointer

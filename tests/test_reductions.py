@@ -7,7 +7,7 @@ from planecolor import discharging as dis
 from planecolor import generators as G
 from planecolor.configurations import CATALOG, ConfigurationMatch, ReductionPlan
 from planecolor.embedding import EmbeddedGraph, build_embedded
-from planecolor.errors import DegreeTooHigh, NoSafeColor, PositiveGenus
+from planecolor.errors import BadParams, DegreeTooHigh, NoSafeColor, PositiveGenus
 from planecolor.oracle import chi2_exact, is_proper_wrt
 from planecolor.reductions import (
     apply_plan,
@@ -185,6 +185,17 @@ def test_every_entry_rejects_high_degree_before_tracing(call, monkeypatch):
 def test_color_single_vertex_and_empty():
     assert color_by_reduction(build_embedded(1, [()])).coloring.assignment == {0: 1}
     assert color_by_reduction(build_embedded(0, [])).coloring.assignment == {}
+
+
+@pytest.mark.parametrize("palette", [0, -3])
+@pytest.mark.parametrize("g", [build_embedded(1, [()]), build_embedded(2, [(1,), (0,)])],
+                         ids=["one-vertex", "two-vertex"])
+def test_palette_below_one_is_refused_before_any_step(g, palette, monkeypatch):
+    # No coloring fits a palette of no color, whatever the graph: the call
+    # is refused before the context is built, so no step runs.
+    monkeypatch.setattr(cfg, "_Ctx", None)  # building a context would fail
+    with pytest.raises(BadParams, match=f"palette size must be at least 1, got {palette}"):
+        color_by_reduction(g, palette_size=palette)
 
 
 def test_trace_records_strict_measure_decrease():
