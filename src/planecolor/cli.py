@@ -16,7 +16,7 @@ from pathlib import Path
 from . import codec, generators
 from .discharging import audit, report_table
 from .embedding import EmbeddedGraph
-from .errors import Infeasible, PlanecolorError, PositiveGenus, TooLarge
+from .errors import Infeasible, PlanecolorError, PositiveGenus, TooLarge, TruncatedRecord
 from .oracle import chi2_exact
 from .reductions import color_by_reduction, detect, detect_all
 from .squares import verify_coloring
@@ -28,12 +28,15 @@ EXIT_FALLBACK = 3
 
 
 def _load_graphs(path: str, fmt: str) -> list[EmbeddedGraph]:
-    """Decode the input file; rotation systems of genus above 0 are input errors."""
+    """Decode the input file; rotation systems of genus above 0, and planar
+    code with no graph after its header, are input errors."""
     data = Path(path).read_bytes()
     if fmt == "auto":
         fmt = "planarcode" if data.startswith(codec.PLANAR_CODE_HEADER) else "json"
     if fmt == "planarcode":
         graphs = codec.read_planar_code(data)
+        if not graphs:
+            raise TruncatedRecord("planar code holds no graph")
     else:
         graphs = [codec.graph_from_doc(json.loads(data.decode("utf-8")))]
     for g in graphs:
@@ -50,9 +53,15 @@ def _save_graph(g: EmbeddedGraph, path: str) -> None:
         Path(path).write_bytes(codec.write_planar_code([g]))
 
 
+def _write_documents(items: list, path: str) -> None:
+    """Write one JSON document per input file: one graph's item alone, else their batch."""
+    Path(path).write_text(codec.write_json(items[0] if len(items) == 1 else items, indent=2)
+                          + "\n")
+
+
 def _cmd_color(args) -> int:
     graphs = _load_graphs(args.in_, args.format)
-    traces = []
+    results = []
     code = EXIT_OK
     for i, g in enumerate(graphs):
         result = color_by_reduction(g, palette_size=args.palette)
@@ -68,11 +77,9 @@ def _cmd_color(args) -> int:
               f"{report.colors_used} colors, "
               f"{'valid' if report.valid else 'INVALID'}, "
               f"{len(result.steps)} steps{tag}")
-        traces.append(codec.trace_to_doc(result))
+        results.append(result)
     if args.trace:
-        doc = traces[0] if len(traces) == 1 else {"schema": codec.TRACE_BATCH_SCHEMA,
-                                                  "traces": traces}
-        Path(args.trace).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_documents(results, args.trace)
     return code
 
 
@@ -103,7 +110,7 @@ def _cmd_exact(args) -> int:
 def _cmd_discharge(args) -> int:
     graphs = _load_graphs(args.in_, args.format)
     code = EXIT_OK
-    docs = []
+    reports = []
     for i, g in enumerate(graphs):
         report = audit(g)
         print(f"graph {i}: total {report.total_initial} -> {report.total_final}, "
@@ -115,11 +122,9 @@ def _cmd_discharge(args) -> int:
         if not report.conservation_ok:
             code = EXIT_VIOLATION
         if args.report:
-            docs.append(codec.report_to_doc(report))
+            reports.append(report)
     if args.report:
-        doc = docs[0] if len(docs) == 1 else {"schema": codec.REPORT_BATCH_SCHEMA,
-                                              "reports": docs}
-        Path(args.report).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_documents(reports, args.report)
     return code
 
 

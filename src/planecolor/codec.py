@@ -340,9 +340,22 @@ _WRITERS = [
     (ReductionResult, trace_to_doc),
 ]
 
+_BATCH_WRITERS = [
+    (DischargeReport, REPORT_BATCH_SCHEMA, "reports", report_to_doc),
+    (ReductionResult, TRACE_BATCH_SCHEMA, "traces", trace_to_doc),
+]
+
 
 def write_json(obj, indent=None) -> str:
-    """Serialize a graph, coloring, discharge report, or reduction trace."""
+    """Serialize a graph, coloring, discharge report, or reduction trace; a
+    non-empty list of reports or of traces is written as the batch document
+    that `read_json` reads back as that list."""
+    if isinstance(obj, list):
+        for kind, schema, key, writer in _BATCH_WRITERS:
+            if obj and all(isinstance(item, kind) for item in obj):
+                doc = {"schema": schema, key: [writer(item) for item in obj]}
+                return json.dumps(doc, indent=indent, sort_keys=True)
+        raise TypeError("a JSON batch holds one or more reports, or one or more traces")
     for kind, writer in _WRITERS:
         if isinstance(obj, kind):
             return json.dumps(writer(obj), indent=indent, sort_keys=True)

@@ -16,13 +16,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
-from ._live import LiveEmbedding, Surgery
-from .embedding import EmbeddedGraph, components, euler_defect_of
-from .errors import DegreeTooHigh, PlanInvalid, PositiveGenus
+from ._live import _Ctx
+from .errors import PlanInvalid
 
 
 @dataclass(frozen=True)
@@ -57,197 +54,9 @@ class ReductionPlan:
     forbidden_bound: int
 
 
-class _Cached(dict):
-    """vertex -> value, computed on the first read after the entry is dropped."""
-
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, v):
-        value = self[v] = self.compute(v)
-        return value
-
-
-# Per degree d in 2..6, (labels, corner faces) getters for the 2d labelings of
-# `_Ctx.labelings`, applied to v's rotation and to the faces of v's darts in
-# rotation order, fs, where corner j is fs[j + 1]: rotations from k (labels[i] =
-# rot[k + i], faces[i] = fs[k + i + 1]), then reflections (labels[i] = rot[k - i],
-# faces[i] = fs[k - i]), mod d.
-_LABELINGS = {d: [(itemgetter(*[(k + s * i) % d for i in range(d)]),
-                   itemgetter(*[(k + s * i + max(s, 0)) % d for i in range(d)]))
-                  for s in (1, -1) for k in range(d)]
-              for d in range(2, 7)}
-
 # The ring roles "v1".."vd" of the 4-, 5- and 6-vertex scanners, zipped with
 # a labeling's labels.
 _V4, _V5, _V6 = (tuple(f"v{i + 1}" for i in range(d)) for d in (4, 5, 6))
-
-
-def _count_faces(ids, fdeg, size: int) -> int:
-    """Distinct faces of the given size among the face ids `ids`."""
-    return sum(1 for f in set(ids) if fdeg[f] == size)
-
-
-class _Ctx(LiveEmbedding):
-    """Live embedding plus what the scanners read, and one anchor index per entry.
-
-    Scanners read faces as ids: `dart_faces(v)`, `fdeg[f]` and `faces[f]`.
-    Built from an EmbeddedGraph for a one-off public call, or kept by the
-    reduction engine across its steps: `commit` then drops the face counts
-    of the vertices it touches and marks the vertices whose scans may now
-    differ in every index built so far.
-
-    Building one is the engine's only gate on its input, and it checks the
-    paper's two hypotheses: it raises DegreeTooHigh for the first vertex of
-    degree above 6 in `g.vertices()` order before any face is traced, since
-    every catalog bound assumes maximum degree 6, and then PositiveGenus
-    when the traced faces do not embed every component in the sphere, which
-    the surgery's local Euler count assumes.
-    """
-
-    def __init__(self, g: EmbeddedGraph):
-        self.deg = {v: g.degree(v) for v in g.vertices()}
-        for v, d in self.deg.items():
-            if d > 6:
-                raise DegreeTooHigh(v, d)
-        super().__init__(g)
-        self.parts = components(self.rot)  # until the first commit; the audit reads them
-        defect = euler_defect_of(self.rot, g.edge_count, len(self.faces), len(self.parts))
-        if defect:
-            raise PositiveGenus(defect)
-        # The tables close over the lists they read, not over the context, so
-        # a context is freed when its last reference goes instead of waiting,
-        # caches and all, for the cycle collector.
-        off, deg, face, fdeg = self.off, self.deg, self.face, self.fdeg
-        self.m3 = _Cached(lambda v: _count_faces(face[off[v]:off[v] + deg[v]], fdeg, 3))
-        self.m4 = _Cached(lambda v: _count_faces(face[off[v]:off[v] + deg[v]], fdeg, 4))
-        self.index: dict[CatalogEntry, _EntryIndex] = {}
-        self.routes = None  # see `_routes`
-        self.by_degree: Optional[dict[int, list[int]]] = None  # see `candidates`
-        self.pending = None  # (plan, Surgery) validated by the last `plan` call
-        self.labeled = self.table = None  # see `labelings`
-
-    @classmethod
-    def of(cls, g) -> "_Ctx":
-        return g if isinstance(g, _Ctx) else cls(g)
-
-    def commit(self, s: Surgery) -> None:
-        """Apply a surgery, then mark the vertices whose scans may now differ.
-
-        A vertex scan reads its anchor's rotation and corner faces and, for
-        most entries, its neighbors' degrees, rotations, corner triangles
-        and triangle counts. A vertex is touched when its rotation changed
-        or when it lies on a replaced face of size <= 4 (the sizes the
-        triggers tell apart). The replaced faces are the destroyed walks,
-        read before the kernel drops them, and the surgery's created walks.
-        K21/K22 also read where a vertex first occurs on a big face, which
-        can move with the face's start, but that moves only their `y`/`z`
-        bindings, not whether they match, and an index keeps anchors only:
-        detection rebuilds the bindings. Touched vertices are dirty for
-        every entry; for entries that read neighbors, so are their
-        neighbors and the vertices on 5-faces at a vertex whose rotation
-        changed (K23/K24 read their anchor's 5-faces). That covers every
-        replaced 5-face too: a destroyed face's vertices are neighbors of
-        neighbors of the deleted vertex, and every created face passes a
-        changed rotation. Each dirty vertex goes through the `_routes` table
-        of its degree to the indexes whose entry that degree fits. A vertex
-        that is gone or no longer fits is told to no index: detection drops
-        it from a list when it reaches it. Face counts change only at
-        touched vertices.
-        """
-        x = s.delete
-        deg, faces, fdeg, rot, m3, m4 = self.deg, self.faces, self.fdeg, self.rot, self.m3, self.m4
-        replaced = [faces[f] for f in s.destroyed]
-        super().commit(s)
-        narrow, broad = self.routes = self.routes or self._routes()
-        del deg[x]
-        near, wide = {x, *s.rot}, set()
-        for v in s.rot:
-            deg[v] = len(rot[v])
-            for f in self.dart_faces(v):
-                if fdeg[f] == 5:
-                    wide.update(faces[f])
-        for walk in chain(replaced, s.created):
-            if len(walk) <= 4:
-                near.update(walk)
-        for v in near:
-            m3.pop(v, None)
-            m4.pop(v, None)
-        near.discard(x)
-        if len(rot) < 2:  # K01 reads the vertex count
-            near.update(rot)
-        for v in near:
-            wide.update(rot[v])
-            for add in narrow[deg[v]]:
-                add(v)
-        for v in wide | near:
-            for add in broad[deg[v]]:
-                add(v)
-        self.by_degree = self.pending = self.parts = self.labeled = self.table = None
-
-    def _routes(self) -> list[list[list[Callable[[int], None]]]]:
-        """Per degree 0..6, the `dirty.add` of each index told of a near
-        vertex of that degree and of a wide one; rebuilt after `index` gains
-        an entry."""
-        idxs = self.index.values()
-        return [[[i.dirty.add for i in idxs if d in i.fit and wanted(i.entry)] for d in range(7)]
-                for wanted in (lambda e: not e.reads_neighbors, lambda e: e.reads_neighbors)]
-
-    def candidates(self, entry: "CatalogEntry") -> list[int]:
-        """The vertices whose degree fits `entry`'s anchor, sorted.
-
-        The vertices are grouped by degree on the first call after a change;
-        the list returned may be one of those groups, so callers only read it.
-        """
-        if self.by_degree is None:
-            self.by_degree = {}
-            for v in sorted(self.rot):
-                self.by_degree.setdefault(self.deg[v], []).append(v)
-        groups = [vs for d, vs in self.by_degree.items() if entry.fits(d)]
-        return groups[0] if len(groups) == 1 else sorted(v for vs in groups for v in vs)
-
-    def dart_faces(self, v: int) -> list[int]:
-        """The face id of each dart of v in rotation order: entry j is the face
-        of (v, rot[v][j]), in the corner between rot[v][j - 1] and rot[v][j]."""
-        o = self.off[v]
-        return self.face[o:o + self.deg[v]]
-
-    def labelings(self, v: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """All rotations and reflections of the neighbor sequence at v (degree 2..6).
-
-        A list of (labels, corner face ids), the i-th id the face in the corner
-        between labels[i] and labels[i+1] (cyclically): rotations, then reflections.
-        One slot is kept: the table of the last vertex asked about is returned
-        again while callers ask about that vertex, and is valid until the next
-        `commit`. Every entry scanning a vertex shares the list, so callers
-        only read it.
-        """
-        if v != self.labeled:
-            rot, o = self.rot[v], self.off[v]
-            fs = self.face[o:o + len(rot)]  # dart_faces(v)
-            self.table = [(lab(rot), fac(fs)) for lab, fac in _LABELINGS[len(rot)]]
-            self.labeled = v
-        return self.table
-
-    def doubled(self, a: int, b: int) -> bool:
-        """Edge ab lies on two distinct triangular faces."""
-        ns = self.rot[a]
-        if b not in ns:
-            return False
-        d = self.off[a] + ns.index(b)
-        f1, f2 = self.face[d], self.face[self.twin[d]]
-        return self.fdeg[f1] == 3 and self.fdeg[f2] == 3 and f1 != f2
-
-    def doubled_induced(self, v: int) -> list[tuple[int, int]]:
-        """Edges between neighbors of v that lie on two triangles."""
-        ns = sorted(self.rot[v])
-        out = []
-        for i, a in enumerate(ns):
-            for b in ns[i + 1:]:
-                if self.doubled(a, b):
-                    out.append((a, b))
-        return out
 
 
 def _opposite_on_quad(ctx: _Ctx, f: int, v: int) -> int:
@@ -947,7 +756,7 @@ class _EntryIndex:
     Every entry is anchored at a vertex of its degree, the center of each
     match its scan yields there. `anchors` is sorted, without repeats, and
     lists every live vertex outside `dirty` whose degree fits and whose scan
-    matches; it starts as every candidate, unscanned, and may list stale ones.
+    matches; it starts as every vertex that fits, unscanned, and may list stale ones.
     """
 
     __slots__ = ("entry", "fit", "anchors", "dirty")
@@ -955,7 +764,7 @@ class _EntryIndex:
     def __init__(self, ctx: _Ctx, entry: CatalogEntry):
         self.entry = entry
         self.fit = {d for d in range(7) if entry.fits(d)}
-        self.anchors = list(ctx.candidates(entry))
+        self.anchors = sorted(v for v, d in ctx.deg.items() if d in self.fit)
         self.dirty: set[int] = set()
 
     def reached(self, ctx: _Ctx) -> Iterator[tuple[int, list]]:
@@ -984,44 +793,28 @@ def _found(ctx: _Ctx, entry: CatalogEntry, a: int) -> list:
     return sorted((variant, tuple(sorted(b.items()))) for variant, b in entry.scan(ctx, a))
 
 
-def _in_order(ctx: _Ctx, catalog, build_index: bool) -> Iterator[ConfigurationMatch]:
-    """Matches in priority order: through each entry's index where it has
-    one (built first when `build_index`), else by one full scan of every
-    vertex whose degree fits the entry, dropping nothing; each anchor's
-    matches are centered there and sorted by variant, then bindings."""
-    for entry in (catalog or CATALOG):
-        idx = ctx.index.get(entry)
-        if idx is None and build_index:
-            idx = ctx.index[entry] = _EntryIndex(ctx, entry)
-            ctx.routes = None
-        for a, found in (((a, _found(ctx, entry, a)) for a in ctx.candidates(entry))
-                         if idx is None else idx.reached(ctx)):
-            for variant, b in found:
-                yield ConfigurationMatch(entry.config_id, a, b, variant)
-
-
 def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
     """Matches in priority order: catalog position, then center, variant and bindings.
 
-    `g` is an EmbeddedGraph or the engine's live context. On the engine's
-    context an entry's index is built, or its dirty vertices listed, only
-    when iteration reaches it, and a listed vertex is scanned only when
-    iteration reaches it, so taking the first match costs the entries before
-    it and the scans of the vertices listed in front of the anchor that
-    fires. Iteration drops stale vertices from the lists, so only one
-    detection may run on a context at a time, and the context must not
-    change while it runs. A graph gets a context of its own, built (and its
-    degrees checked) on the first `next`, used once and scanned without
-    indexes.
+    `g` is an EmbeddedGraph or the engine's live context. An entry's index
+    is built, or its dirty vertices listed, only when iteration reaches it,
+    and a listed vertex is scanned only when iteration reaches it, so taking
+    the first match costs the entries before it and the scans of the
+    vertices listed in front of the anchor that fires. Iteration drops stale
+    vertices from the lists, so only one detection may run on a context at
+    a time, and the context must not change while it runs. A graph gets a
+    context of its own, built (and its degrees checked) on the first
+    `next`, whose lists go with it.
     """
     ctx = _Ctx.of(g)
-    yield from _in_order(ctx, catalog, build_index=ctx is g)
-
-
-def detect_all(g, catalog=None) -> list[ConfigurationMatch]:
-    """Every match in priority order, as `detect_iter`, but building no index:
-    entries without one are scanned once in full."""
-    return list(_in_order(_Ctx.of(g), catalog, build_index=False))
+    for entry in (catalog or CATALOG):
+        idx = ctx.index.get(entry)
+        if idx is None:
+            idx = ctx.index[entry] = _EntryIndex(ctx, entry)
+            ctx.routes = None
+        for a, found in idx.reached(ctx):
+            for variant, b in found:
+                yield ConfigurationMatch(entry.config_id, a, b, variant)
 
 
 def _entries_by_degree(catalog) -> list[tuple[CatalogEntry, ...]]:
@@ -1030,6 +823,20 @@ def _entries_by_degree(catalog) -> list[tuple[CatalogEntry, ...]]:
 
 
 _CATALOG_BY_DEGREE = _entries_by_degree(CATALOG)
+
+
+def detect_all(g, catalog=None) -> list[ConfigurationMatch]:
+    """Every match in `detect_iter`'s order, building no index: one pass over
+    the vertices scans each for the entries its degree fits, as `match_count`
+    does, and the anchors that match are sorted by catalog position, then
+    center; each anchor's matches are sorted by variant, then bindings."""
+    ctx = _Ctx.of(g)
+    by_degree = _entries_by_degree(catalog) if catalog else _CATALOG_BY_DEGREE
+    rank = {e: i for i, e in enumerate(catalog or CATALOG)}
+    hits = sorted((rank[e], v, e.config_id, found) for v, d in ctx.deg.items()
+                  for e in by_degree[d] if (found := _found(ctx, e, v)))
+    return [ConfigurationMatch(config_id, v, b, variant)
+            for _, v, config_id, found in hits for variant, b in found]
 
 
 def match_count(g, catalog=None) -> int:

@@ -135,7 +135,7 @@ def apply_rules(g) -> tuple[dict[Element, Fraction], Ledger]:
     """Run all nine rules simultaneously from the initial state.
 
     `g` is an EmbeddedGraph or a context built from one by
-    `configurations._Ctx`, whose degrees, corner face ids, face walks and
+    `_live._Ctx`, whose degrees, corner face ids, face walks and
     triangle counts the rules read; building that context is what rejects
     a vertex of degree above 6 (DegreeTooHigh), so the rules check nothing
     themselves.

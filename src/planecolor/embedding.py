@@ -2,11 +2,11 @@
 
 A graph is given by its rotation system: for every vertex, the cyclic sequence
 of its neighbors in clockwise order. The face set is not part of the input; it
-is traced from the rotations on demand by the integer dart kernel `Darts`,
-the one face walker of the package. Only the face accessors (`faces`,
-`face_of_dart` and the methods built on them) cache faces on the graph, as
-`Face` objects; the reduction engine and the audit keep a kernel of their own
-(`_live.LiveEmbedding`) and leave the graph as it was built. Two surgery
+is traced from the rotations on demand by the integer dart kernel `Darts`.
+Only the face accessors (`faces`, `face_of_dart` and the methods built on
+them) cache faces on the graph, as `Face` objects; the reduction engine and
+the audit keep a kernel of their own (`_live._Ctx`, which also walks the
+faces at a hole) and leave the graph as it was built. Two surgery
 primitives return new graphs: vertex deletion (the faces around the hole
 merge into one returned face) and chord insertion inside a face.
 

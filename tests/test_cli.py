@@ -120,6 +120,16 @@ def test_discharge_batch_of_graphs(tmp_path, capsys):
         planecolor.audit(g).match_count for g in (G.cube(), G.octahedron())]
 
 
+def test_planar_code_without_a_graph_is_input_error(tmp_path, capsys):
+    # A batch document is named by its items, so an input with no graph
+    # would leave --trace and --report nothing to name.
+    path = tmp_path / "empty.pc"
+    path.write_bytes(codec.PLANAR_CODE_HEADER)
+    assert main(["color", "--in", str(path), "--trace", str(tmp_path / "t.json")]) == 1
+    assert "no graph" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_gen_platonic_by_name(tmp_path):
     out = tmp_path / "ico.pc"
     assert main(["gen", "--kind", "platonic", "--params", "name=icosahedron",

@@ -244,8 +244,7 @@ def _two_graphs():
 def test_trace_batch_round_trip():
     # The document `planecolor color --trace` writes for two or more graphs.
     results = [color_by_reduction(g) for g in _two_graphs()]
-    doc = {"schema": codec.TRACE_BATCH_SCHEMA, "traces": [codec.trace_to_doc(r) for r in results]}
-    back = codec.read_json(json.dumps(doc))
+    back = codec.read_json(codec.write_json(results))
     assert isinstance(back, list) and len(back) == 2
     for got, want in zip(back, results):
         assert got.steps == want.steps
@@ -256,10 +255,15 @@ def test_trace_batch_round_trip():
 def test_report_batch_round_trip():
     # The document `planecolor discharge --report` writes for two or more graphs.
     reports = [audit(g) for g in _two_graphs()]
-    doc = {"schema": codec.REPORT_BATCH_SCHEMA,
-           "reports": [codec.report_to_doc(r) for r in reports]}
-    back = codec.read_json(json.dumps(doc))
+    back = codec.read_json(codec.write_json(reports))
     assert back == reports
+
+
+def test_write_json_refuses_a_list_that_names_no_batch():
+    trace, report = color_by_reduction(G.cube()), audit(G.cube())
+    for items in ([], [trace, report], [G.cube()]):
+        with pytest.raises(TypeError):
+            codec.write_json(items)
 
 
 @pytest.mark.parametrize("doc, pointer", [

@@ -161,6 +161,7 @@ def test_one_off_detection_builds_no_index_and_agrees_with_the_index(corpus):
             assert not once.index, name
             assert _keyed(detect_all(live)) == found, (name, steps)
             assert _keyed(detect_iter(live)) == found, (name, steps)
+            assert _keyed(detect_iter(live.to_graph())) == found, (name, steps)
             assert len(live.index) == len(CATALOG)
 
 

@@ -21,7 +21,6 @@ import pytest
 from conftest import build_corpus
 from planecolor import generators as G
 from planecolor.configurations import CATALOG, _Ctx, detect_all, detect_iter
-from planecolor._live import LiveEmbedding
 from planecolor.embedding import EmbeddedGraph, build_embedded
 from planecolor.errors import ChordError, PlanInvalid
 from planecolor.reductions import _peel, apply_plan, color_by_reduction, plan
@@ -270,7 +269,7 @@ def test_live_surgery_agrees_with_deleting_and_adding_chords():
                 chords = sorted(pairs)
                 if not chords:
                     continue
-                live = LiveEmbedding(g)
+                live = _Ctx(g)
                 gains = Counter(u for c in chords for u in c)
                 over = [u for u in gains if rest.degree(u) + gains[u] > 6]
                 if over:  # the rebuild path has no degree limit; the surgery refuses
@@ -328,7 +327,7 @@ def test_live_surgery_across_fragments_keeps_the_graph_plane():
                 chords = sorted(pairs)
                 if not chords:
                     continue
-                live = LiveEmbedding(g)
+                live = _Ctx(g)
                 try:
                     surgery = live.surgery(x, chords)
                 except PlanInvalid as exc:
