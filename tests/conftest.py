@@ -1,6 +1,7 @@
 import pytest
 
 from planecolor import generators as G
+from planecolor.embedding import EmbeddedGraph
 
 PLATONIC_NAMES = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
 
@@ -12,6 +13,14 @@ RANDOM_COUNT = 150
 
 def random_size(seed: int) -> int:
     return 5 + (seed * 37) % 96
+
+
+def windmill(blades):
+    """`blades` triangles sharing vertex 0: two make a bowtie."""
+    rot = {0: list(range(1, 2 * blades + 1))}
+    for i in range(1, 2 * blades + 1, 2):
+        rot[i], rot[i + 1] = [i + 1, 0], [0, i]
+    return EmbeddedGraph(rot)
 
 
 def build_corpus():

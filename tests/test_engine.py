@@ -18,7 +18,7 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import build_corpus
+from conftest import build_corpus, windmill
 from planecolor import generators as G
 from planecolor.configurations import CATALOG, _Ctx, detect_all, detect_iter
 from planecolor.embedding import EmbeddedGraph, build_embedded
@@ -293,21 +293,13 @@ def test_live_surgery_agrees_with_deleting_and_adding_chords():
     assert outcomes["overflow"] > 20, outcomes
 
 
-def _windmill(blades):
-    """`blades` triangles sharing vertex 0: two make a bowtie."""
-    rot = {0: list(range(1, 2 * blades + 1))}
-    for i in range(1, 2 * blades + 1, 2):
-        rot[i], rot[i + 1] = [i + 1, 0], [0, i]
-    return EmbeddedGraph(rot)
-
-
 def test_live_surgery_across_fragments_keeps_the_graph_plane():
     # Where x leaves two or more fragments the rebuild path has no one face
     # to draw into, so the check is the outcome itself: every accepted step
     # commits to a graph of Euler defect 0 whose faces are a fresh trace's.
     # Chord ends come from the whole hole, so many chords bridge fragments.
     rng = random.Random(2025)
-    graphs = [G.path(7), _windmill(2), _windmill(3)]
+    graphs = [G.path(7), windmill(2), windmill(3)]
     graphs += [G.random_planar(n, seed) for n, seed in ((30, 5), (40, 9), (60, 11))]
     outcomes = Counter()
     for g in graphs:

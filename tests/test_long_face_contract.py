@@ -1,0 +1,31 @@
+"""The reduction traces on long faces and cut vertices are a behavioural contract.
+
+The digest of `test_trace_contract.py` covers the acceptance corpus, whose
+cycles and paths stop at 30 vertices. Here the same record of every step is
+folded into one SHA-256 digest over graphs whose faces run to hundreds of
+vertices or whose vertices repeat on a face: cycles and paths of 200 to 400
+vertices, ladders (`square_grid(2, k)`), bowtie and three-blade windmills, and
+the sparsest few `random_planar` graphs of their sizes. Each graph's vertex
+ids are shuffled, as in the corpus digest. The pinned digest changes only
+when a change to the engine means to change its output.
+"""
+
+from conftest import windmill
+from planecolor import generators as G
+from test_trace_contract import relabel, trace_digest
+
+PINNED = "4d2cc6cdd8e37860180729547f6e35789c0262ae4403af33964a28d80e6c0f80"
+
+
+def long_face_inputs():
+    graphs = [(f"cycle:{n}", G.cycle(n)) for n in (200, 301, 400)]
+    graphs += [(f"path:{n}", G.path(n)) for n in (200, 333, 400)]
+    graphs += [(f"ladder:{k}", G.square_grid(2, k)) for k in (100, 151, 200)]
+    graphs += [(f"windmill:{k}", windmill(k)) for k in (2, 3)]
+    graphs += [(f"random:n{n}s{s}", G.random_planar(n, s))
+               for n, s in ((80, 3), (80, 16), (150, 3), (150, 31))]
+    return [(name, relabel(g, 500 + i)) for i, (name, g) in enumerate(graphs)]
+
+
+def test_long_face_traces_match_pinned_digest():
+    assert trace_digest(long_face_inputs()) == PINNED
