@@ -1,21 +1,31 @@
 """The reduction engine's state: one plane embedding edited in place.
 
-A reduction step deletes one vertex and draws chords into the hole it
-leaves. `_Ctx` keeps rotation lists, the dart kernel `Darts`, each face's
-vertex walk and what the catalog's scanners read, and rewrites only the
-darts and faces at the hole. It agrees with EmbeddedGraph wherever a caller
-could tell: rotations keep the order EmbeddedGraph.delete_vertex and
-place_chords give them, and each walk starts at its smallest dart, where
-EmbeddedGraph's trace starts it (positions read from a walk pick a repeated
-vertex's first occurrence). A fresh context numbers its faces as
-`g.faces()` does; later ids count on.
+A reduction step deletes one vertex x and draws chords into the hole it
+leaves. `_Ctx` keeps rotation lists, the dart kernel `Darts`, face ids and
+sizes, the vertex walks the catalog's scanners read, and one anchor index per
+catalog entry, and edits only the darts at the hole. A step pays for the
+smaller pieces of the faces it merges, not for whole faces, as in the face
+upkeep of dynamic plane embeddings (Italiano, La Poutre and Rauch 1993): in
+the common step each face left at the hole is made of segments of x's faces
+and chord darts, and keeps the id of its largest segment's face, so a chord
+relabels nothing, and `fdeg` is kept by arithmetic. Walks are kept for the
+faces of at most five darts, the only ones the scanners read in full, and
+for the faces no step has touched; `walk` traces any other on demand.
 
-Validation assumes each component is embedded in the sphere, which a
-context checks when it is built: then x's faces leave one hole walk per
-fragment, and a step keeps the graph plane exactly when V - E + F + I - 2C
-stays zero. The step counts it over the faces it swaps: those of x go, and
-in come the hole walks no chord touches and the faces traced in the new
-rotations from each chord's darts. That count is the step's only plane test.
+The context agrees with EmbeddedGraph wherever a caller could tell:
+rotations keep the order EmbeddedGraph.delete_vertex and place_chords give
+them, and each walk starts at its smallest dart, where EmbeddedGraph's trace
+starts it (positions read from a walk pick a repeated vertex's first
+occurrence). A fresh context numbers its faces as `g.faces()` does; later ids
+count on.
+
+Validation assumes each component is embedded in the sphere, which a context
+checks when it is built. Then the common step's plane test is local: x lies
+on deg(x) distinct faces, so it leaves one fragment, and the hole meets x's
+neighbors in the reverse of their order around x, so chords between them,
+drawn in turn, each have both end corners on one face exactly when no two
+interleave around x. Any other step is tried on a copy-on-write view of the
+context, where it counts V - E + F + I - 2C over the faces it traces anew.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from typing import Callable, Optional
 
 from .embedding import (Darts, EmbeddedGraph, components, euler_defect_of, place_chords,
                         within_distance2)
-from .errors import CrossingChords, DegreeTooHigh, EndpointNotOnFace, PlanInvalid, PositiveGenus
+from .errors import (ChordAlreadyEdge, CrossingChords, DegreeTooHigh, EndpointNotOnFace,
+                     PlanInvalid, PositiveGenus)
 
 
 class _Cached(dict):
@@ -60,22 +71,23 @@ def _count_faces(ids, fdeg, size: int) -> int:
 
 @dataclass
 class Surgery:
-    """A validated step not yet applied: new rotations and the faces it swaps."""
+    """A validated step not yet applied: the new rotations, and how to make it."""
 
     delete: int
     rot: dict[int, list[int]]  # rotation after the step of every vertex it changes
     chords: list[tuple[int, int]]
-    destroyed: list[int]  # ids of the faces that contain the deleted vertex
-    created: list[list[int]]  # vertex walks of the faces that replace them
+    fast: bool  # whether `commit` may take the fast path
 
 
 class _Ctx(Darts):
     """Rotation lists, dart kernel and face walks, edited in place, plus
     what the scanners read and one anchor index per catalog entry.
 
-    `faces` maps each face id to its vertex walk and `fdeg[f]` is the
-    length of face f's walk, kept for every id handed out. Scanners read
-    faces as ids: `dart_faces(v)`, `fdeg[f]` and `faces[f]`. Built from an
+    `faces` maps face ids to vertex walks: every face of a fresh context;
+    after steps, each face of at most five darts and each face no step
+    touched. `fdeg[f]` is the length of face f's walk, kept for every id
+    handed out. Scanners read faces as ids: `dart_faces(v)`, `fdeg[f]` and
+    `faces[f]` for the small faces (`walk` traces any face). Built from an
     EmbeddedGraph for a one-off public call, or kept by the reduction
     engine across its steps: `commit` then drops the face counts of the
     vertices it touches and marks the vertices whose scans may now differ
@@ -86,7 +98,7 @@ class _Ctx(Darts):
     degree above 6 in `g.vertices()` order before any face is traced, since
     every catalog bound assumes maximum degree 6, and then PositiveGenus
     when the traced faces do not embed every component in the sphere, which
-    the surgery's local Euler count assumes.
+    the surgery's plane test assumes.
     """
 
     def __init__(self, g: EmbeddedGraph):
@@ -180,87 +192,115 @@ class _Ctx(Darts):
     def surgery(self, x: int, chords: list[tuple[int, int]]) -> Surgery:
         """Validate deleting x and drawing `chords` (sorted, new pairs) into the hole.
 
-        The hole walks are walked through the darts, past x. Chords between
-        fragments are drawn first, where the hole meets their ends; the rest
-        go through place_chords on the hole walk of x's first neighbor of
-        degree two or more. The faces with a chord dart are then traced in
-        the new rotations (`_walk`), and the step is plane exactly when the
-        faces created less those destroyed cancel the change in
-        V - E + I - 2C: x and its deg(x) edges go, and in come the k chords,
-        the neighbors left isolated and the fragments no chord joins.
-        Raises PlanInvalid (DegreeOverflow) when an end would pass degree 6,
-        EndpointNotOnFace when one is off the hole, and CrossingChords,
-        naming all chords, when the graph would not stay plane. Nothing
-        changes until `commit`.
+        Raises PlanInvalid (DegreeOverflow), naming the first end that would
+        pass degree 6. The common step takes a fast path: x lies on d
+        distinct faces and has no neighbor of degree one, so it leaves one
+        fragment, and every chord joins two neighbors of x, each once on the
+        hole. After EndpointNotOnFace for a loop and ChordAlreadyEdge for a
+        pair given twice or already an edge, as place_chords raises them: the
+        hole walk meets the neighbors in the reverse of their order around
+        x, so two chords cross exactly when their ends interleave there
+        (CrossingChords names them all), and each end gets its chords
+        after the neighbor that precedes x in its rotation, farthest along
+        the hole first, where place_chords puts them. Any other step goes to
+        `_fallback`. Nothing changes until `commit`.
         """
-        rot, tail, twin, nxt = self.rot, self.tail, self.twin, self.nxt
-        around, o = rot[x], self.off[x]
-        destroyed = list(dict.fromkeys(self.face[o:o + len(around)]))
+        rot, off, face = self.rot, self.off, self.face
+        around, d = rot[x], len(rot[x])
         new_rot = {u: rot[u].copy() for u in around}
         for ns in new_rot.values():
             ns.remove(x)
-        # One hole walk per fragment, and `frag` maps each vertex on one to it;
-        # fragments share no vertex, so u is walked exactly when it is mapped.
-        walks, frag = [], {}
-        for d in (nxt[twin[o + j]] for j in range(len(around))):  # (u, c): c after x at u
-            if tail[d] in frag or tail[twin[d]] == x:  # walked, or u is left isolated
-                continue
-            i, walk, e = len(walks), [], d
-            while True:
-                walk.append(v := tail[e])
-                frag[v] = i
-                e = nxt[twin[e]]
-                if tail[twin[e]] == x:  # (u, x): go on past x
-                    e = nxt[e]
-                if e == d:
-                    break
-            walks.append(walk)
-        if not chords:
-            return Surgery(x, new_rot, chords, destroyed, walks)
-
-        def look(v):
-            r = new_rot.get(v)
-            return rot[v] if r is None else r
-
         ends = list(chain.from_iterable(chords))
-        for w in dict.fromkeys(ends):
-            if (n := len(new_rot[w] if w in new_rot else rot.get(w, ())) + ends.count(w)) > 6:
+        for w in ends:
+            if (n := len(rot.get(w, ())) - (w in new_rot) + ends.count(w)) > 6:
                 raise PlanInvalid("DegreeOverflow", (w, n))
-        for u in around:
-            if not new_rot[u]:  # one vertex: no dart
-                frag[u] = len(walks)
-                walks.append([u])
+        at = set(face[off[x]:off[x] + d])
+        # A neighbor's corners before and after x make one corner of the hole.
+        if len(at) < d or d == 1 and len(rot[around[0]]) < 2 or not all(
+                w in new_rot and sum(map(at.__contains__, face[off[w]:off[w] + len(rot[w])])) == 2
+                for w in set(ends)):
+            return self._fallback(x, chords, new_rot, at)
+        seen = set()
+        for a, b in chords:  # as place_chords checks a plan from outside
+            if a == b:
+                raise EndpointNotOnFace((a, b))
+            if (key := (min(a, b), max(a, b))) in seen or b in rot[a]:
+                raise ChordAlreadyEdge((a, b))
+            seen.add(key)
+        pos = {u: i for i, u in enumerate(around)}
+        for i, (a, b) in enumerate(chords):
+            lo, hi = sorted((pos[a], pos[b]))
+            for c, e in chords[i + 1:]:
+                if len({a, b, c, e}) == 4 and (lo < pos[c] < hi) != (lo < pos[e] < hi):
+                    raise CrossingChords(tuple(chords))
+        targets: dict[int, list[int]] = {}
+        for a, b in chords:
+            targets.setdefault(a, []).append(b)
+            targets.setdefault(b, []).append(a)
+        for u, ts in targets.items():  # the hole walk leaves u toward rot[x][pos[u] - 1]
+            if len(ts) > 1:
+                ts.sort(key=lambda v: (pos[u] - pos[v]) % d, reverse=True)
+            ns, old = new_rot[u], rot[u]
+            i = ns.index(old[old.index(x) - 1]) + 1
+            ns[i:i] = ts
+        return Surgery(x, new_rot, chords, True)
+
+    def _fallback(self, x: int, chords, new_rot, at) -> Surgery:
+        """The surgery of a step off the fast path, tried on a `_Trial`.
+
+        With x's edges gone, each fragment x leaves has one hole face, or is
+        a neighbor left isolated. Chords between fragments are drawn first,
+        where `_hole_corner` puts their ends; the rest go through
+        place_chords on the face of x's first neighbor of degree two or
+        more, from its smallest dart, so a repeated end is drawn at its
+        first occurrence. Every face at a changed vertex is then traced in
+        the new rotations, and the step is plane exactly when the faces
+        gained cancel the change in V - E + I - 2C: x and its deg(x) edges
+        go, and in come the k chords, the neighbors left isolated and the
+        fragments no chord joins. Raises EndpointNotOnFace for the first
+        chord with an end off the hole, what place_chords raises, then
+        CrossingChords.
+        """
+        rot, off, face = self.rot, self.off, self.face
+        around = rot[x]
+        t = _Trial(self)
+        t.rotate(new_rot, {})
+        t.retrace(new_rot)
+        frag = {}  # vertex on the hole -> its fragment's hole face, or ~u for u left isolated
+        for w in (*around, *chain.from_iterable(chords)):
+            ns = rot.get(w, ())
+            if w in new_rot:
+                frag[w] = t.face[off[w] + t.rot[w].index(ns[(ns.index(x) + 1) % len(ns)])] \
+                    if new_rot[w] else ~w
+            elif w != x and (hole := [p for p in range(len(ns)) if face[off[w] + p] in at]):
+                frag[w] = t.face[off[w] + hole[0]]
+        parts = len({frag[u] for u in around})
         for c in chords:
             if c[0] not in frag or c[1] not in frag:
                 raise EndpointNotOnFace(c)
-        bridging = [c for c in chords if frag[c[0]] != frag[c[1]]]
-        same = [c for c in chords if frag[c[0]] == frag[c[1]]]
         joined: dict[int, int] = {}  # fragment -> the one it was joined to; one per merge
-        for a, b in bridging:
-            for w, t in ((a, b), (b, a)):
-                cur = new_rot.setdefault(w, list(rot[w]))
-                z = self._hole_corner(x, w, destroyed)
-                cur.insert(0 if z is None else cur.index(z) + 1, t)
-            if (ca := _root(joined, frag[a])) != (cb := _root(joined, frag[b])):
-                joined[ca] = cb
-        if same:  # on the hole walk of x's first neighbor of degree two or more
-            merged = _walk(new_rot, rot, *walks[0][:2]) if bridging else walks[0]
-            new_rot.update(place_chords(_start(merged, look), same, look,
-                                        lambda a, b: b in look(a)))
-        touched = {frag[v] for c in chords for v in c}
-        created = [w for i, w in enumerate(walks) if i not in touched and len(w) > 1]
-        traced: set[tuple[int, int]] = set()
-        for d in chain.from_iterable(((a, b), (b, a)) for a, b in chords):
-            if d not in traced:
-                created.append(walk := _walk(new_rot, rot, *d))
-                traced.update(zip(walk, walk[1:] + walk[:1]))
+        for a, b in chords:
+            if frag[a] != frag[b]:
+                for w, v in ((a, b), (b, a)):  # a new list: the trial holds the old one
+                    cur = new_rot[w] = list(new_rot.get(w, rot[w]))
+                    z = self._hole_corner(x, w, at)
+                    cur.insert(0 if z is None else cur.index(z) + 1, v)
+                if (ca := _root(joined, frag[a])) != (cb := _root(joined, frag[b])):
+                    joined[ca] = cb
+        if same := [c for c in chords if frag[c[0]] == frag[c[1]]]:
+            t.rotate(new_rot, _darts(c for c in chords if c not in same))
+            u = next(u for u in around if len(rot[u]) > 1)
+            c = rot[u][(rot[u].index(x) + 1) % len(rot[u])]
+            new_rot.update(place_chords(t.walk(off[u] + t.rot[u].index(c)), same,
+                                        t.rot.__getitem__, lambda a, b: b in t.rot[a]))
+        t.rotate(new_rot, _darts(chords))
         isolated = sum(1 for u in around if not new_rot[u])
-        if len(created) - len(destroyed) != (len(chords) - len(around) + 1 - isolated
-                                             + 2 * (len(walks) - len(joined) - 1)):
+        if len(t.retrace(new_rot)) - len(self._faces_at(x, new_rot)) != (
+                len(chords) - len(around) + 1 - isolated + 2 * (parts - len(joined) - 1)):
             raise CrossingChords(tuple(chords))
-        return Surgery(x, new_rot, chords, destroyed, created)
+        return Surgery(x, new_rot, chords, False)
 
-    def _hole_corner(self, x: int, w: int, destroyed) -> Optional[int]:
+    def _hole_corner(self, x: int, w: int, at) -> Optional[int]:
         """The neighbor of w after which a dart into the hole left by x goes,
         or None when w is left isolated: for a former neighbor the one before
         x, else the first whose next corner's face touched x."""
@@ -268,69 +308,58 @@ class _Ctx(Darts):
         if x in ns:
             return None if len(ns) == 1 else ns[ns.index(x) - 1]
         d, o = len(ns), self.off[w]
-        return ns[next(j for j in range(d) if self.face[o + (j + 1) % d] in destroyed)]
+        return ns[next(j for j in range(d) if self.face[o + (j + 1) % d] in at)]
 
     def commit(self, s: Surgery) -> None:
-        """Apply a validated surgery in one pass; new faces take the next ids.
+        """Apply a validated surgery; new faces take the next ids.
 
-        Each destroyed walk is dropped, a changed vertex renumbers its darts
-        in rotation order, each moved dart taking its twin and face along,
-        and each created face is walked once, its darts pointed at it, and
-        stored from its smallest dart (`_start`). A vertex scan reads its
-        anchor's rotation and corner faces and, for most entries, its
-        neighbors' degrees, rotations, corner triangles and triangle counts.
-        A vertex is touched when its rotation changed or when it lies on a
-        replaced face of size <= 4 (the sizes the triggers tell apart),
-        marked as the walk is dropped or gets its id. K21/K22 also read
-        where a vertex first occurs on a big face, which can move with the
-        face's start, but that moves only their `y`/`z` bindings, not whether
-        they match, and an index keeps anchors only: detection rebuilds the
+        A fast-path step sets its faces' ids and sizes by `_pieces` while x's
+        darts still stand; any other step traces every face at a changed
+        vertex anew (`retrace`). Then `rotate` renumbers the darts of each
+        changed vertex. Each face the step leaves at the hole with at most
+        five darts is walked once; the other faces it touched lose their
+        walks.
+
+        A vertex scan reads its anchor's rotation and corner faces and, for
+        most entries, its neighbors' degrees, rotations, corner triangles and
+        triangle counts. A vertex is touched when its rotation changed or
+        when it lies on a face of size <= 4 (the sizes the triggers tell
+        apart) that x was on or that the step left. K21/K22 also read where
+        a vertex first occurs on a big face, which can move with the face's
+        start, but that moves only their `y`/`z` bindings, not whether they
+        match, and an index keeps anchors only: detection rebuilds the
         bindings. Touched vertices are dirty for every entry; for entries
         that read neighbors, so are their neighbors and the vertices on
         5-faces at a vertex whose rotation changed (K23/K24 read their
-        anchor's 5-faces), read once every created face has its id. That
-        covers every replaced 5-face too: a destroyed face's vertices are
-        neighbors of neighbors of the deleted vertex, and every created face
-        passes a changed rotation. Each dirty vertex goes through the
-        `_routes` table of its degree to the indexes whose entry that degree
-        fits. A vertex that is gone or no longer fits is told to no index:
-        detection drops it from a list when it reaches it. Face counts
-        change only at touched vertices.
+        anchor's 5-faces). That covers every replaced 5-face too: a face x
+        was on holds only neighbors of neighbors of x, and every face the
+        step leaves passes a changed rotation. Each dirty vertex goes
+        through the `_routes` table of its degree to the indexes whose entry
+        that degree fits. A vertex that is gone or no longer fits is told to
+        no index: detection drops it from a list when it reaches it. Face
+        counts change only at touched vertices.
         """
-        x = s.delete
-        rot, off, twin, nxt, face = self.rot, self.off, self.twin, self.nxt, self.face
+        x, rot, off = s.delete, self.rot, self.off
         deg, faces, fdeg, m3, m4 = self.deg, self.faces, self.fdeg, self.m3, self.m4
+        fs = self.dart_faces(x)
         near = {x, *s.rot}
-        for f in s.destroyed:
-            if len(walk := faces.pop(f)) <= 4:
-                near.update(walk)
-        for u, ns in s.rot.items():
-            o, old = off[u], rot[u]
-            tw, fs = twin[o:o + len(old)], face[o:o + len(old)]
-            for j, w in enumerate(ns):
-                if w in old and (i := old.index(w)) != j:
-                    twin[o + j] = t = tw[i]
-                    twin[t] = o + j
-                    face[o + j] = fs[i]
-            if len(ns) != len(old):  # the last dart wraps to the first
-                nxt[o + len(old) - 1] = o + len(old)
-                if ns:
-                    nxt[o + len(ns) - 1] = o
-            deg[u] = len(ns)
+        for f in set(fs):
+            if fdeg[f] <= 4:
+                near.update(faces[f])
+        if s.fast:
+            made, small = self._pieces(s, fs)
+            self.rotate(s.rot, made)
+            small = [(f, off[a] + rot[a].index(b)) for f, (a, b) in small]
+        else:
+            fs = self._faces_at(x, s.rot)
+            self.rotate(s.rot, _darts(s.chords))
+            small = [(f, d) for f, d in self.retrace(s.rot) if fdeg[f] <= 5]
         del rot[x], deg[x]
-        rot.update(s.rot)
         self.labels.pop(x, None)
-        for a, b in s.chords:
-            da, db = off[a] + rot[a].index(b), off[b] + rot[b].index(a)
-            twin[da], twin[db] = db, da
-        for walk in s.created:
-            f = len(fdeg)
-            d = off[walk[0]] + rot[walk[0]].index(walk[1])
-            for _ in walk:
-                face[d] = f
-                d = nxt[twin[d]]
-            faces[f] = tuple(_start(walk, rot.__getitem__))
-            fdeg.append(len(walk))
+        for f in fs:
+            faces.pop(f, None)
+        for f, d in small:
+            faces[f] = walk = self.walk(d)
             if len(walk) <= 4:
                 near.update(walk)
         wide = set()
@@ -354,6 +383,142 @@ class _Ctx(Darts):
                 add(v)
         self.pending = self.parts = self.labeled = self.table = None
 
+    def _pieces(self, s: Surgery, fs: list[int]):
+        """Give each face a fast-path step leaves at the hole its id and size.
+
+        S_j is the walk of F_j, the face of dart (x, rot[x][j]), from rot[x][j]
+        to rot[x][j - 1] without x, and the hole walk runs through S_0,
+        S_d-1, ..., S_1. Each face left is a cycle of these segments and of
+        chord darts. A chord dart (u, v) with v after u around x closes S_j,
+        v = rot[x][j], into a face that keeps F_j's id. When every chord
+        joins two neighbors next to each other, the segments and chord darts
+        left make one face; otherwise the faces left are traced: reaching the
+        j-th neighbor along a segment, a face turns into its farthest chord,
+        and along a chord into the next nearer one, or into S_j after the
+        last. Each keeps the id of its largest segment's face, the darts of
+        its other segments taking that id while x's darts still stand, so a
+        step pays for the smaller pieces of the faces it merges, and a chord
+        relabels nothing; a face of chords only gets a new id. Returns the
+        face of each chord dart, and each face of at most five darts with one
+        of its darts, as a vertex pair.
+        """
+        x, fdeg, face, nxt, twin = s.delete, self.fdeg, self.face, self.nxt, self.twin
+        around, o, d = self.rot[x], self.off[x], len(self.rot[x])
+        pos = {u: i for i, u in enumerate(around)}
+        made, small, rest, segs = {}, [], [], list(range(d))
+        for a, b in s.chords:
+            for u, v in ((a, b), (b, a)):
+                if (pos[v] - pos[u]) % d == 1:
+                    segs.remove(pos[v])
+                    f = made[u, v] = fs[pos[v]]
+                    fdeg[f] -= 1
+                    if fdeg[f] <= 5:
+                        small.append((f, (u, v)))
+                else:
+                    rest.append((u, v))
+        faces = [(segs, rest)]
+        if len(made) < len(s.chords):  # a chord between neighbors apart
+            faces, outs, seen = [], {}, {*made, *(pos[v] for u, v in made)}
+            for u, v in rest:
+                outs.setdefault(u, []).append(v)
+            for u, vs in outs.items():  # farthest along the hole first
+                vs.sort(key=lambda v: (pos[u] - pos[v]) % d, reverse=True)
+            for e in chain(segs, rest):
+                cycle = ([], [])  # its segments, its chord darts
+                while e not in seen:  # e: segment S_e, or a chord dart
+                    seen.add(e)
+                    if type(e) is int:
+                        cycle[0].append(e)
+                        u, w = None, around[e - 1]
+                    else:
+                        cycle[1].append(e)
+                        u, w = e
+                    vs = outs.get(w, ())  # after a segment or w's closing chord: its first
+                    m = vs.index(u) + 1 if u in vs else 0
+                    e = (w, vs[m]) if m < len(vs) else pos[w]
+                if cycle != ([], []):
+                    faces.append(cycle)
+        for segs, darts in faces:
+            if segs:
+                f = max((fs[j] for j in segs), key=fdeg.__getitem__)
+                size = len(darts) - 2 * len(segs)
+                for j in segs:
+                    size += fdeg[fs[j]]
+                    if fs[j] != f:  # the fdeg - 2 darts after (rot[x][j], x)
+                        e = nxt[twin[o + j]]
+                        for _ in range(fdeg[fs[j]] - 2):
+                            face[e] = f
+                            e = nxt[twin[e]]
+                ns = self.rot[around[segs[0]]]
+                start = darts[0] if darts else (around[segs[0]], ns[(ns.index(x) + 1) % len(ns)])
+            elif darts:
+                f, size, start = self._new_face(0), len(darts), darts[0]
+            else:
+                continue
+            fdeg[f] = size
+            made.update(dict.fromkeys(darts, f))
+            if size <= 5:
+                small.append((f, start))
+        return made, small
+
+    # -- dart kernel edits -----------------------------------------------------
+
+    def rotate(self, new_rot: dict[int, list[int]], darts: dict[tuple[int, int], int]) -> None:
+        """Give each vertex in `new_rot` that rotation, renumbering its darts
+        in rotation order, each kept dart taking its twin and face along, and
+        pair each new dart (a, b) of `darts` with its twin, on the face given."""
+        rot, off, twin, nxt, face = self.rot, self.off, self.twin, self.nxt, self.face
+        for u, ns in new_rot.items():
+            o, old = off[u], rot[u]
+            n = len(old)
+            tw, fu = twin[o:o + n], face[o:o + n]
+            for j, w in enumerate(ns):
+                if (j >= n or old[j] != w) and w in old:
+                    twin[o + j] = t = tw[i := old.index(w)]
+                    twin[t] = o + j
+                    face[o + j] = fu[i]
+            if len(ns) != n:  # the last dart wraps to the first
+                nxt[o + n - 1] = o + n
+                if ns:
+                    nxt[o + len(ns) - 1] = o
+            self.deg[u] = len(ns)
+            rot[u] = ns
+        for (a, b), f in darts.items():
+            d = off[a] + rot[a].index(b)
+            twin[d], face[d] = off[b] + rot[b].index(a), f
+
+    def retrace(self, vertices) -> list[tuple[int, int]]:
+        """Give every face at these vertices a new id; return each with a dart."""
+        nxt, twin, face, top, made = self.nxt, self.twin, self.face, len(self.fdeg), []
+        for u in vertices:
+            for d in range(self.off[u], self.off[u] + self.deg[u]):
+                if face[d] < top:
+                    f, e, n = self._new_face(0), d, 0
+                    while face[e] != f:
+                        face[e] = f
+                        e, n = nxt[twin[e]], n + 1
+                    self.fdeg[f] = n
+                    made.append((f, d))
+        return made
+
+    def _faces_at(self, x: int, new_rot) -> set[int]:
+        """The faces at x and at the vertices of `new_rot`."""
+        return {f for v in (x, *new_rot) for f in self.dart_faces(v)}
+
+    def walk(self, d: int) -> tuple[int, ...]:
+        """The vertex walk of dart d's face, from its smallest dart."""
+        nxt, twin = self.nxt, self.twin
+        ds, e = [d], nxt[twin[d]]
+        while e != d:
+            ds.append(e)
+            e = nxt[twin[e]]
+        i = ds.index(min(ds))
+        return tuple(map(self.tail.__getitem__, ds[i:] + ds[:i]))
+
+    def _new_face(self, size: int) -> int:
+        self.fdeg.append(size)
+        return len(self.fdeg) - 1
+
     def _routes(self) -> list[list[list[Callable[[int], None]]]]:
         """Per degree 0..6, the `dirty.add` of each index told of a near
         vertex of that degree and of a wide one; rebuilt after `index` gains
@@ -363,28 +528,43 @@ class _Ctx(Darts):
                 for wanted in (lambda e: not e.reads_neighbors, lambda e: e.reads_neighbors)]
 
 
-def _walk(new_rot: dict[int, list[int]], rot: dict[int, list[int]], a: int, b: int) -> list[int]:
-    """The vertex walk of the face of dart (a, b) under the rotations
-    `new_rot`, else `rot`: the next dart of (a, b) is (b, the neighbor
-    after a at b), nxt[twin[d]] in the kernel."""
-    walk, v, w = [], a, b
-    while True:
-        walk.append(v)
-        ns = new_rot[w] if w in new_rot else rot[w]
-        v, w = w, ns[(ns.index(v) + 1) % len(ns)]
-        if v == a and w == b:
-            return walk
+class _Trial(_Ctx):
+    """A copy-on-write view of a context, where `_fallback` tries a step:
+    reads fall through to the context, and writes stay here."""
+
+    def __init__(self, ctx: _Ctx):
+        self.off, self.tail, self.fdeg = ctx.off, ctx.tail, _Layer(ctx.fdeg)
+        self.rot = _Cached(lambda v: list(ctx.rot[v]))
+        self.deg, self.twin, self.nxt, self.face = map(_Layer, (ctx.deg, ctx.twin, ctx.nxt,
+                                                                ctx.face))
 
 
-def _start(walk: list[int], rotation) -> list[int]:
-    """The vertex walk from its smallest dart: its smallest vertex, on that
-    vertex's first dart in rotation order."""
-    low = min(walk)
-    i = walk.index(low)
-    if walk.count(low) > 1:
-        ns, n = rotation(low), len(walk)
-        i = min((ns.index(walk[(p + 1) % n]), p) for p in range(n) if walk[p] == low)[1]
-    return walk[i:] + walk[:i]
+class _Layer(dict):
+    """Writes over `base`, a list or dict, which reads fall through to."""
+
+    def __init__(self, base):
+        super().__init__()
+        self.base, self.size = base, len(base)
+
+    def __missing__(self, k):
+        return self.base[k]
+
+    def __getitem__(self, k):
+        if type(k) is slice:
+            return [self[i] for i in range(k.start, k.stop)]
+        return super().__getitem__(k)
+
+    def __len__(self) -> int:  # of the list it grows
+        return self.size
+
+    def append(self, value) -> None:
+        self[self.size] = value
+        self.size += 1
+
+
+def _darts(chords) -> dict[tuple[int, int], int]:
+    """Both darts of each chord, on no face yet."""
+    return {d: -1 for a, b in chords for d in ((a, b), (b, a))}
 
 
 def _root(joined: dict[int, int], i: int) -> int:

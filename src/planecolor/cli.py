@@ -154,11 +154,15 @@ def _cmd_gen(args) -> int:
         if "=" not in kv:
             raise generators.BadParams(f"--params expects key=value, got {kv!r}")
         k, v = kv.split("=", 1)
+        if k in params:
+            raise generators.BadParams(f"--params gives {k} twice")
         try:
             params[k] = v if k == "name" else int(v)
         except ValueError:
             raise generators.BadParams(f"--params {k} expects an integer, got {v!r}") from None
     if args.seed is not None:
+        if "seed" in params:
+            raise generators.BadParams("the seed is given both as --seed and in --params")
         params["seed"] = args.seed
     g = generators.generate(generators.GeneratorSpec(args.kind, params))
     _save_graph(g, args.out)

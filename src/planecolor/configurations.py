@@ -66,12 +66,16 @@ def _opposite_on_quad(ctx: _Ctx, f: int, v: int) -> int:
 
 
 def _face_neighbor(ctx: _Ctx, f: int, u: int, exclude: int) -> int:
-    """u's boundary neighbor on face f other than `exclude`."""
-    walk = ctx.faces[f]
-    j = walk.index(u)
-    n = len(walk)
-    cands = {walk[(j - 1) % n], walk[(j + 1) % n]} - {exclude}
-    return min(cands)
+    """u's boundary neighbor on face f other than `exclude`, where u first
+    occurs on f's walk. That is u's one corner on f unless u has several;
+    only then is the walk read, and traced when the context keeps none."""
+    ns, fs = ctx.rot[u], ctx.dart_faces(u)
+    at = [p for p, g in enumerate(fs) if g == f]  # corner p lies between ns[p - 1] and ns[p]
+    if len(at) > 1:
+        walk = ctx.faces.get(f) or ctx.walk(ctx.off[u] + at[0])
+        j = walk.index(u)
+        at = [ns.index(walk[(j + 1) % len(walk)])]
+    return min({ns[at[0] - 1], ns[at[0]]} - {exclude})
 
 
 # ---------------------------------------------------------------------------

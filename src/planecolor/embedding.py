@@ -5,7 +5,7 @@ of its neighbors in clockwise order. The face set is not part of the input; it
 is traced from the rotations on demand by the integer dart kernel `Darts`.
 Only the face accessors (`faces`, `face_of_dart` and the methods built on
 them) cache faces on the graph, as `Face` objects; the reduction engine and
-the audit keep a kernel of their own (`_live._Ctx`, which also walks the
+the audit keep a kernel of their own (`_live._Ctx`, which also edits the
 faces at a hole) and leave the graph as it was built. Two surgery
 primitives return new graphs: vertex deletion (the faces around the hole
 merge into one returned face) and chord insertion inside a face.
@@ -407,7 +407,9 @@ def place_chords(walk: Sequence[int], chords: Sequence[tuple[int, int]],
     first, so the chords are drawn inside the face. Raises EndpointNotOnFace
     or ChordAlreadyEdge. Crossing chords are not detected here: whether the
     placement splits the face once per chord, and so keeps the graph plane,
-    is left to the caller's face count or Euler count.
+    is left to the caller's face count or Euler count. Besides `add_chords`,
+    the engine's general surgery draws chords with it, and the tests hold
+    the engine's common path, which places chords without a walk, to it.
     """
     length = len(walk)
     seen: set[tuple[int, int]] = set()

@@ -217,6 +217,18 @@ def test_gen_non_integer_param_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, params, key", [
+    ("cycle", ["--params", "n=3", "n=4"], "n"),
+    ("random_planar", ["--params", "n=20", "seed=1", "--seed", "2"], "seed"),
+], ids=["twice", "seed-twice"])
+def test_gen_repeated_param_is_input_error(tmp_path, capsys, kind, params, key):
+    # A repeated key used to keep its last value and exit 0.
+    out = tmp_path / "x.json"
+    assert main(["gen", "--kind", kind, *params, "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_too_large_for_planar_code_is_input_error(tmp_path, capsys):
     out = tmp_path / "x.pc"
     assert main(["gen", "--kind", "tri_grid", "--params", "rows=16", "cols=16",

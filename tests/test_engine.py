@@ -1,8 +1,9 @@
 """The incremental engine against fresh recomputation, step by step.
 
-After every step the live context is exported to an EmbeddedGraph. Its face
-walks must equal a fresh trace of the exported rotations, walk starts
-included; its dart kernel must hold together (`_check_kernel`); its match
+After every step the live context is exported to an EmbeddedGraph. Its dart
+kernel must hold together, and its face ids, sizes and the walks it keeps
+must agree with a fresh trace of the exported rotations, walk starts
+included (`_check_kernel`); its match
 index must list exactly what `detect_all` finds on the exported graph, in
 the same order; and the neighborhood recorded for the
 extension must be the deleted vertex's distance-2 neighborhood in the graph
@@ -36,19 +37,28 @@ def _face_walks(g):
     return {f.vertex_walk() for f in g.faces()}
 
 
-def _check_kernel(ctx):
-    """twin is an involution between (v, w) and (w, v), every face's degree
-    is its walk's length, and every dart's face holds that dart."""
-    pairs = {f: set(zip(walk, walk[1:] + walk[:1])) for f, walk in ctx.faces.items()}
-    for f, walk in ctx.faces.items():
-        assert ctx.fdeg[f] == len(walk), f
+def _check_kernel(ctx, g):
+    """twin is an involution between (v, w) and (w, v); and every face of a
+    fresh trace of g, the graph ctx holds, has one id over its darts, which
+    no other face has, that id's fdeg is its length, and a face of size <= 5
+    has its walk kept in full under that id. Every walk kept is its face's."""
     for v, ns in ctx.rot.items():
         for j, w in enumerate(ns):
             d = ctx.off[v] + j
             t = ctx.twin[d]
             assert ctx.twin[t] == d and t == ctx.off[w] + ctx.rot[w].index(v), (v, w)
             assert ctx.tail[d] == v and ctx.nxt[d] == ctx.off[v] + (j + 1) % len(ns), (v, w)
-            assert (v, w) in pairs[ctx.face[d]], (v, w)
+    walks = {}
+    for face in g.faces():
+        ids = {ctx.face[ctx.off[v] + ctx.rot[v].index(w)] for v, w in face.boundary}
+        assert len(ids) == 1, face
+        (f,) = ids
+        assert f not in walks and ctx.fdeg[f] == face.degree, face
+        walks[f] = face.vertex_walk()
+        if face.degree <= 5:
+            assert ctx.faces[f] == walks[f], face
+    for f, walk in ctx.faces.items():
+        assert walks.get(f) == walk, f
 
 
 def _check_marks(ctx):
@@ -67,13 +77,12 @@ def _check_marks(ctx):
 def _check_every_step(g, catalog):
     ctx = _Ctx(g)
     before, steps = g, 0
-    _check_kernel(ctx)
+    _check_kernel(ctx, g)
     for *_, deleted, _, _, near in _peel(ctx, catalog):
         _check_marks(ctx)
         exported = ctx.to_graph()
         assert exported.euler_defect() == 0
-        assert set(ctx.faces.values()) == _face_walks(exported)
-        _check_kernel(ctx)
+        _check_kernel(ctx, exported)
         assert _keys(detect_iter(ctx, catalog)) == _keys(detect_all(exported, catalog))
         assert set(near) == before.distance2_neighborhood(deleted)
         before = exported
@@ -293,6 +302,55 @@ def test_live_surgery_agrees_with_deleting_and_adding_chords():
     assert outcomes["overflow"] > 20, outcomes
 
 
+def test_fast_path_draws_chords_where_place_chords_does():
+    # Chords between neighbors next to each other around x take the
+    # surgery's fast path, which places them without walking the hole.
+    # Where x leaves one fragment, the rebuild path (place_chords on the
+    # merged face) is its reference, as in the test above.
+    graphs = [G.random_planar(n, seed) for n, seed in ((12, 1), (30, 3), (60, 7), (120, 13))]
+    graphs += [G.tri_grid(6, 6), G.hex_grid(3), G.cycle(7), G.square_grid(2, 6)]
+    fast = 0
+    for g in graphs:
+        for x in g.vertices():
+            rest, merged = g.delete_vertex(x)
+            if merged is None or any(rest.degree(u) == 0 for u in g.neighbors(x)) \
+                    or not any(set(g.neighbors(x)) <= c for c in rest.connected_components()):
+                continue
+            ring = g.rotation(x)
+            pairs = [(min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1])
+                     if a != b and not rest.has_edge(a, b)]
+            for k in range(1, len(pairs) + 1):
+                chords = sorted(set(pairs[:k]))
+                live = _Ctx(g)
+                surgery = _outcome(lambda: live.surgery(x, chords))
+                if surgery is PlanInvalid:
+                    continue
+                rebuilt = _outcome(lambda: rest.add_chords(merged, chords))
+                if isinstance(rebuilt, type):
+                    assert surgery == rebuilt, (g, x, chords)
+                    continue
+                fast += surgery.fast
+                live.commit(surgery)
+                assert live.to_graph() == rebuilt, (g, x, chords)
+                _check_kernel(live, rebuilt)
+    assert fast > 300, fast
+
+
+def test_fast_path_refuses_what_place_chords_refuses():
+    # `plan` never hands the surgery a loop, a pair twice or an existing
+    # edge, but `apply_plan` takes any ReductionPlan. Between neighbors of
+    # a vertex of the octahedron the fast path applies, and it must raise
+    # what the rebuild path raises.
+    g = G.platonic("octahedron")
+    x = 0
+    a, b, c = g.rotation(x)[:3]  # a, b adjacent; a, c opposite
+    rest, merged = g.delete_vertex(x)
+    for chords in ([(a, a)], [(min(a, b), max(a, b))], [(a, c), (a, c)], [(a, c), (c, a)]):
+        expected = _outcome(lambda: rest.add_chords(merged, chords))
+        assert isinstance(expected, type), chords
+        assert _outcome(lambda: _Ctx(g).surgery(x, chords)) == expected, chords
+
+
 def test_live_surgery_across_fragments_keeps_the_graph_plane():
     # Where x leaves two or more fragments the rebuild path has no one face
     # to draw into, so the check is the outcome itself: every accepted step
@@ -332,7 +390,7 @@ def test_live_surgery_across_fragments_keeps_the_graph_plane():
                 live.commit(surgery)
                 reduced = live.to_graph()
                 assert reduced.euler_defect() == 0, (g, x, chords)
-                assert set(live.faces.values()) == _face_walks(reduced), (g, x, chords)
+                _check_kernel(live, reduced)
                 outcomes["accepted"] += 1
                 outcomes["bridging"] += any(frag[a] != frag[b] for a, b in chords)
     assert outcomes["accepted"] > 1000 and outcomes["bridging"] > 600, outcomes
@@ -382,6 +440,56 @@ def test_matches_are_built_only_where_detection_looks():
     calls, matches = _scanner_calls_per_step(G.hex_grid(8))
     assert matches <= 6, matches
     assert calls <= 1.5, calls
+
+
+class _Counted(list):
+    """A list that counts the items read and written through it."""
+
+    def __init__(self, items, tally):
+        super().__init__(items)
+        self.tally = tally
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        self.tally[0] += len(got) if type(i) is slice else 1
+        return got
+
+    def __setitem__(self, i, value):
+        self.tally[0] += 1
+        super().__setitem__(i, value)
+
+
+class _Tallied(_Ctx):
+    """A context whose `face` and `nxt` count their reads and writes. They
+    are swapped in before the faces are traced, so the face-count tables,
+    which close over `face`, count through it too."""
+
+    def __init__(self, g):
+        self.tally = [0]
+        super().__init__(g)
+
+    def trace(self):
+        self.face, self.nxt = _Counted(self.face, self.tally), _Counted(self.nxt, self.tally)
+        return super().trace()
+
+
+def _dart_work_per_step(g) -> float:
+    ctx = _Tallied(g)
+    start = ctx.tally[0]
+    steps = sum(1 for _ in _peel(ctx, None))
+    assert ctx.vertex_count == 1
+    return (ctx.tally[0] - start) / steps
+
+
+@pytest.mark.parametrize("family", [G.cycle, G.path, lambda n: G.square_grid(2, n // 2)],
+                         ids=["cycle", "path", "ladder"])
+def test_dart_work_per_step_stays_flat_on_long_faces(family):
+    # Deterministic stand-in for a timing check: a step reads and writes
+    # `face` and `nxt` a number of times set by the faces at its hole, not
+    # by their size. Walking whole faces at each step made this count grow
+    # with n on cycles, paths and ladders, whose faces are long.
+    small, large = (_dart_work_per_step(family(n)) for n in (500, 4000))
+    assert large <= 1.1 * small, (small, large)
 
 
 class _Routed(_Ctx):
