@@ -23,6 +23,17 @@ def windmill(blades):
     return EmbeddedGraph(rot)
 
 
+def barbell(k):
+    """Triangles 0 1 2 and k+3 k+4 k+5 joined by the path 0, 3, ..., k+2, k+3:
+    each path vertex and both joints are cut vertices on the one long face."""
+    rot = {0: [1, 2, 3], 1: [2, 0], 2: [0, 1]}
+    for v in range(3, k + 3):
+        rot[v] = [v - 1 if v > 3 else 0, v + 1]
+    rot[k + 3] = [k + 4, k + 5, k + 2 if k else 0]
+    rot[k + 4], rot[k + 5] = [k + 5, k + 3], [k + 3, k + 4]
+    return EmbeddedGraph(rot)
+
+
 def build_corpus():
     graphs = []
     for name in PLATONIC_NAMES:

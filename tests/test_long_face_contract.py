@@ -5,16 +5,19 @@ cycles and paths stop at 30 vertices. Here the same record of every step is
 folded into one SHA-256 digest over graphs whose faces run to hundreds of
 vertices or whose vertices repeat on a face: cycles and paths of 200 to 400
 vertices, ladders (`square_grid(2, k)`), bowtie and three-blade windmills, and
-the sparsest few `random_planar` graphs of their sizes. Each graph's vertex
-ids are shuffled, as in the corpus digest. The pinned digest changes only
-when a change to the engine means to change its output.
+the sparsest few `random_planar` graphs of their sizes. A second digest
+covers barbells, two triangles joined by a path of up to 400 vertices, whose
+every step deletes a cut vertex on one long face. Each graph's vertex ids
+are shuffled, as in the corpus digest. A pinned digest changes only when a
+change to the engine means to change its output.
 """
 
-from conftest import windmill
+from conftest import barbell, windmill
 from planecolor import generators as G
 from test_trace_contract import relabel, trace_digest
 
 PINNED = "4d2cc6cdd8e37860180729547f6e35789c0262ae4403af33964a28d80e6c0f80"
+BARBELL_PINNED = "c672ede43d6781699609837b5d21efc939ce89fecc104259e1e4614198722356"
 
 
 def long_face_inputs():
@@ -29,3 +32,12 @@ def long_face_inputs():
 
 def test_long_face_traces_match_pinned_digest():
     assert trace_digest(long_face_inputs()) == PINNED
+
+
+def barbell_inputs():
+    return [(f"barbell:{k}", relabel(barbell(k), 600 + i))
+            for i, k in enumerate((0, 1, 2, 3, 8, 51, 200, 400))]
+
+
+def test_barbell_traces_match_pinned_digest():
+    assert trace_digest(barbell_inputs()) == BARBELL_PINNED
