@@ -24,7 +24,11 @@ checks when it is built. Then the common step's plane test is local: x lies
 on deg(x) distinct faces, so it leaves one fragment, and the hole meets x's
 neighbors in the reverse of their order around x, so chords between them,
 drawn in turn, each have both end corners on one face exactly when no two
-interleave around x. Any other step is tried on a copy-on-write view of the
+interleave around x. Two steps at a cut vertex need no test and take the
+same path: a component's last step, whose face is left with no darts, and a
+cut vertex of degree 2 whose one chord joins its two neighbors, whose face
+stays one face. Any other step (a chord end twice on the hole, or a cut
+vertex of degree 3 or more) is tried on a copy-on-write view of the
 context, where it counts V - E + F + I - 2C over the faces it traces anew.
 """
 
@@ -76,7 +80,12 @@ class Surgery:
     delete: int
     rot: dict[int, list[int]]  # rotation after the step of every vertex it changes
     chords: list[tuple[int, int]]
-    fast: bool  # whether `commit` may take the fast path
+    pos: Optional[dict[int, int]]  # on the fast path, each neighbor's place around x
+
+    @property
+    def fast(self) -> bool:
+        """Whether `commit` may take the fast path."""
+        return self.pos is not None
 
 
 class _Ctx(Darts):
@@ -194,16 +203,19 @@ class _Ctx(Darts):
 
         Raises PlanInvalid (DegreeOverflow), naming the first end that would
         pass degree 6. The common step takes a fast path: x lies on d
-        distinct faces and has no neighbor of degree one, so it leaves one
-        fragment, and every chord joins two neighbors of x, each once on the
-        hole. After EndpointNotOnFace for a loop and ChordAlreadyEdge for a
-        pair given twice or already an edge, as place_chords raises them: the
-        hole walk meets the neighbors in the reverse of their order around
-        x, so two chords cross exactly when their ends interleave there
-        (CrossingChords names them all), and each end gets its chords
-        after the neighbor that precedes x in its rotation, farthest along
-        the hole first, where place_chords puts them. Any other step goes to
-        `_fallback`. Nothing changes until `commit`.
+        distinct faces, so it leaves one fragment, and every chord joins two
+        neighbors of x, each once on the hole. So do the last step of a
+        component, an edge whose ends both have degree one, and a cut vertex
+        of degree 2 whose one chord joins its two neighbors. After
+        EndpointNotOnFace for a loop and ChordAlreadyEdge for a pair given
+        twice or already an edge, as place_chords raises them: the hole walk
+        meets the neighbors in the reverse of their order around x, so two
+        chords cross exactly when their ends interleave there
+        (CrossingChords names them all), and each end gets its chords after
+        the neighbor that precedes x in its rotation, farthest along the
+        hole first, where place_chords and `_hole_corner` put them. Any other
+        step goes to `_fallback`: a chord end twice on the hole, or a cut
+        vertex of degree 3 or more. Nothing changes until `commit`.
         """
         rot, off, face = self.rot, self.off, self.face
         around, d = rot[x], len(rot[x])
@@ -215,10 +227,12 @@ class _Ctx(Darts):
             if (n := len(rot.get(w, ())) - (w in new_rot) + ends.count(w)) > 6:
                 raise PlanInvalid("DegreeOverflow", (w, n))
         at = set(face[off[x]:off[x] + d])
+        if len(at) < d:  # a cut vertex: fast only at degree 2, its one chord joining its neighbors
+            if d != 2 or len(chords) != 1 or {*chords[0]} != {*around}:
+                return self._fallback(x, chords, new_rot, at)
         # A neighbor's corners before and after x make one corner of the hole.
-        if len(at) < d or d == 1 and len(rot[around[0]]) < 2 or not all(
-                w in new_rot and sum(map(at.__contains__, face[off[w]:off[w] + len(rot[w])])) == 2
-                for w in set(ends)):
+        elif not all(w in new_rot and sum(map(at.__contains__, face[off[w]:off[w] + len(rot[w])])) == 2
+                     for w in set(ends)):
             return self._fallback(x, chords, new_rot, at)
         seen = set()
         for a, b in chords:  # as place_chords checks a plan from outside
@@ -240,10 +254,10 @@ class _Ctx(Darts):
         for u, ts in targets.items():  # the hole walk leaves u toward rot[x][pos[u] - 1]
             if len(ts) > 1:
                 ts.sort(key=lambda v: (pos[u] - pos[v]) % d, reverse=True)
-            ns, old = new_rot[u], rot[u]
-            i = ns.index(old[old.index(x) - 1]) + 1
+            ns = new_rot[u]
+            i = rot[u].index(x) or len(ns)  # after the neighbor before x
             ns[i:i] = ts
-        return Surgery(x, new_rot, chords, True)
+        return Surgery(x, new_rot, chords, pos)
 
     def _fallback(self, x: int, chords, new_rot, at) -> Surgery:
         """The surgery of a step off the fast path, tried on a `_Trial`.
@@ -298,7 +312,7 @@ class _Ctx(Darts):
         if len(t.retrace(new_rot)) - len(self._faces_at(x, new_rot)) != (
                 len(chords) - len(around) + 1 - isolated + 2 * (parts - len(joined) - 1)):
             raise CrossingChords(tuple(chords))
-        return Surgery(x, new_rot, chords, False)
+        return Surgery(x, new_rot, chords, None)
 
     def _hole_corner(self, x: int, w: int, at) -> Optional[int]:
         """The neighbor of w after which a dart into the hole left by x goes,
@@ -333,7 +347,8 @@ class _Ctx(Darts):
         5-faces at a vertex whose rotation changed (K23/K24 read their
         anchor's 5-faces). That covers every replaced 5-face too: a face x
         was on holds only neighbors of neighbors of x, and every face the
-        step leaves passes a changed rotation. Each dirty vertex goes
+        step leaves passes a changed rotation; those are gathered only when
+        an index built so far reads neighbors. Each dirty vertex goes
         through the `_routes` table of its degree to the indexes whose entry
         that degree fits. A vertex that is gone or no longer fits is told to
         no index: detection drops it from a list when it reaches it. Face
@@ -341,6 +356,7 @@ class _Ctx(Darts):
         """
         x, rot, off = s.delete, self.rot, self.off
         deg, faces, fdeg, m3, m4 = self.deg, self.faces, self.fdeg, self.m3, self.m4
+        self.pending = self.parts = self.labeled = self.table = None
         fs = self.dart_faces(x)
         near = {x, *s.rot}
         for f in set(fs):
@@ -362,11 +378,6 @@ class _Ctx(Darts):
             faces[f] = walk = self.walk(d)
             if len(walk) <= 4:
                 near.update(walk)
-        wide = set()
-        for v in s.rot:
-            for f in self.dart_faces(v):
-                if fdeg[f] == 5:
-                    wide.update(faces[f])
         for v in near:
             m3.pop(v, None)
             m4.pop(v, None)
@@ -375,13 +386,20 @@ class _Ctx(Darts):
             near.update(rot)
         narrow, broad = self.routes = self.routes or self._routes()
         for v in near:
-            wide.update(rot[v])
             for add in narrow[deg[v]]:
                 add(v)
-        for v in wide | near:
+        if not any(broad):  # no index built so far reads neighbors
+            return
+        wide = set(near)
+        for v in s.rot:
+            for f in self.dart_faces(v):
+                if fdeg[f] == 5:
+                    wide.update(faces[f])
+        for v in near:
+            wide.update(rot[v])
+        for v in wide:
             for add in broad[deg[v]]:
                 add(v)
-        self.pending = self.parts = self.labeled = self.table = None
 
     def _pieces(self, s: Surgery, fs: list[int]):
         """Give each face a fast-path step leaves at the hole its id and size.
@@ -398,13 +416,15 @@ class _Ctx(Darts):
         last. Each keeps the id of its largest segment's face, the darts of
         its other segments taking that id while x's darts still stand, so a
         step pays for the smaller pieces of the faces it merges, and a chord
-        relabels nothing; a face of chords only gets a new id. Returns the
-        face of each chord dart, and each face of at most five darts with one
-        of its darts, as a vertex pair.
+        relabels nothing; a face of chords only gets a new id. The face of
+        the last edge of a component is left with no darts and dropped. At a
+        cut vertex of degree 2, F_0 and F_1 are one face, which the chord
+        closes at both corners: it keeps its id, two darts shorter. Returns
+        the face of each chord dart, and each face of one to five darts with
+        one of its darts, as a vertex pair.
         """
-        x, fdeg, face, nxt, twin = s.delete, self.fdeg, self.face, self.nxt, self.twin
+        x, fdeg, face, nxt, twin, pos = s.delete, self.fdeg, self.face, self.nxt, self.twin, s.pos
         around, o, d = self.rot[x], self.off[x], len(self.rot[x])
-        pos = {u: i for i, u in enumerate(around)}
         made, small, rest, segs = {}, [], [], list(range(d))
         for a, b in s.chords:
             for u, v in ((a, b), (b, a)):
@@ -449,16 +469,18 @@ class _Ctx(Darts):
                         for _ in range(fdeg[fs[j]] - 2):
                             face[e] = f
                             e = nxt[twin[e]]
-                ns = self.rot[around[segs[0]]]
-                start = darts[0] if darts else (around[segs[0]], ns[(ns.index(x) + 1) % len(ns)])
             elif darts:
-                f, size, start = self._new_face(0), len(darts), darts[0]
+                f, size = self._new_face(0), len(darts)
             else:
                 continue
             fdeg[f] = size
             made.update(dict.fromkeys(darts, f))
-            if size <= 5:
-                small.append((f, start))
+            if 0 < size <= 5:
+                if darts:
+                    small.append((f, darts[0]))
+                else:
+                    ns = self.rot[u := around[segs[0]]]
+                    small.append((f, (u, ns[(ns.index(x) + 1) % len(ns)])))
         return made, small
 
     # -- dart kernel edits -----------------------------------------------------

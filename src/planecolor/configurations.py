@@ -816,6 +816,8 @@ def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
         if idx is None:
             idx = ctx.index[entry] = _EntryIndex(ctx, entry)
             ctx.routes = None
+        if not (idx.anchors or idx.dirty):
+            continue
         for a, found in idx.reached(ctx):
             for variant, b in found:
                 yield ConfigurationMatch(entry.config_id, a, b, variant)

@@ -19,9 +19,9 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import build_corpus, windmill
+from conftest import barbell, build_corpus, windmill
 from planecolor import generators as G
-from planecolor.configurations import CATALOG, _Ctx, detect_all, detect_iter
+from planecolor.configurations import CATALOG, _Ctx, _EntryIndex, detect_all, detect_iter
 from planecolor.embedding import EmbeddedGraph, build_embedded
 from planecolor.errors import ChordError, PlanInvalid
 from planecolor.reductions import _peel, apply_plan, color_by_reduction, plan
@@ -440,6 +440,77 @@ def test_matches_are_built_only_where_detection_looks():
     calls, matches = _scanner_calls_per_step(G.hex_grid(8))
     assert matches <= 6, matches
     assert calls <= 1.5, calls
+
+
+def test_index_scans_per_step_stay_few(monkeypatch):
+    # Deterministic stand-in for a timing check: detection starts an index's
+    # scan only when the index lists or marks a vertex. On tri_grid(8, 8)
+    # most indexes before K06 and K07 hold nothing, and starting a scan for
+    # every index up to the one that fires cost 4.73 per step; skipping the
+    # empty ones costs 1.51.
+    calls = 0
+    reached = _EntryIndex.reached
+
+    def counted(self, ctx):
+        nonlocal calls
+        calls += 1
+        return reached(self, ctx)
+
+    monkeypatch.setattr(_EntryIndex, "reached", counted)
+    result = color_by_reduction(G.tri_grid(8, 8))
+    assert not result.fallback
+    assert calls / len(result.steps) <= 2, calls / len(result.steps)
+
+
+class _Differential(_Ctx):
+    """Runs each fast-path step that leaves no face or deletes a cut vertex
+    also through `_fallback`, on a fresh context of the graph before it, and
+    checks that both reach the same rotations and faces. Records the degree,
+    the faces at the vertex and the degree of its first neighbor of each
+    step that reaches `_fallback` itself."""
+
+    def __init__(self, g):
+        super().__init__(g)
+        self.compared, self.slow = 0, []
+
+    def _fallback(self, x, chords, new_rot, at):
+        self.slow.append((len(self.rot[x]), len(at), len(self.rot[self.rot[x][0]])))
+        return super()._fallback(x, chords, new_rot, at)
+
+    def commit(self, s):
+        x = s.delete
+        around = self.rot[x]
+        if not (s.fast and (len(set(self.dart_faces(x))) < len(around)
+                            or len(around) == 1 and self.deg[around[0]] == 1)):
+            return super().commit(s)
+        other = _Ctx(self.to_graph())
+        new_rot = {u: [w for w in other.rot[u] if w != x] for u in around}
+        other.commit(other._fallback(x, list(s.chords), new_rot, set(other.dart_faces(x))))
+        super().commit(s)
+        assert self.rot == other.rot, x
+        reduced = self.to_graph()
+        _check_kernel(self, reduced)
+        _check_kernel(other, reduced)
+        self.compared += 1
+
+
+def test_fast_path_steps_agree_with_the_fallback():
+    # The last step of a component and a cut vertex of degree 2 with its
+    # chord take the fast path; the copy-on-write trial is their reference.
+    graphs = build_corpus() + [(f"barbell:{k}", barbell(k)) for k in (0, 1, 2, 9, 40)]
+    compared, last, cut = 0, 0, 0
+    for name, g in graphs:
+        ctx = _Differential(g)
+        for _ in _peel(ctx, None):
+            pass
+        assert ctx.vertex_count == 1, name
+        compared += ctx.compared
+        last += sum(1 for d, _, nd in ctx.slow if d == 1 and nd == 1)
+        cut += sum(1 for d, faces, _ in ctx.slow if d == 2 and faces < 2)
+        if name.startswith("barbell"):
+            assert ctx.compared and not ctx.slow, name
+    assert last == cut == 0, (last, cut)
+    assert compared > 300, compared
 
 
 class _Counted(list):

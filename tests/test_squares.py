@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +8,10 @@ from hypothesis import strategies as st
 from planecolor import generators as G
 from planecolor.errors import ColorOutOfPalette, PaletteExhausted
 from planecolor.oracle import distances_le2
+from planecolor.reductions import color_by_reduction
 from planecolor.squares import (
     Coloring,
+    ValidityReport,
     default_order,
     greedy_square_color,
     square,
@@ -125,3 +130,36 @@ def test_verify_agrees_with_pairwise_check(seed, colors):
     clean = all(phi.get(u) != phi.get(w)
                 for pair in distances_le2(g) for u, w in [tuple(pair)])
     assert report.valid == clean
+
+
+def _pairwise_report(g, phi):
+    """verify_coloring's report, built from every pair at distance 1 or 2."""
+    violations = tuple((u, w, 1 if g.has_edge(u, w) else 2, phi.get(u))
+                       for u, w in square_pairs(g)
+                       if phi.get(u) is not None and phi.get(u) == phi.get(w))
+    used = {phi.assignment[v] for v in g.vertices() if v in phi.assignment}
+    return ValidityReport(not violations, violations, len(used))
+
+
+def test_verify_report_matches_the_pairwise_reference(corpus):
+    # verify_coloring checks rotations and lists pairs only on a clash; the
+    # report must be the one the pairs alone give, on the engine's colorings,
+    # on broken ones (one vertex takes a color within distance 2, or colors
+    # drawn from three), and on partial ones of each.
+    rng = random.Random(23)
+    verdicts = Counter()
+    for name, g in corpus:
+        full = color_by_reduction(g).coloring.assignment
+        vs = sorted(g.vertices())
+        v = rng.choice(vs)
+        near = sorted(g.distance2_neighborhood(v))
+        clash = {**full, v: full[rng.choice(near)]} if near else full
+        drawn = {u: rng.randint(1, 3) for u in vs}
+        for colors in (full, clash, drawn):
+            kept = {u: c for u, c in colors.items() if rng.random() < 0.5}
+            for assignment in (colors, kept):
+                phi = Coloring(assignment, 20)
+                report = verify_coloring(g, phi)
+                assert report == _pairwise_report(g, phi), name
+                verdicts[report.valid] += 1
+    assert min(verdicts.values()) > 300, verdicts
