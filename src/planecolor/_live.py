@@ -12,24 +12,18 @@ relabels nothing, and `fdeg` is kept by arithmetic. Walks are kept for the
 faces of at most five darts, the only ones the scanners read in full, and
 for the faces no step has touched; `walk` traces any other on demand.
 
-The context agrees with EmbeddedGraph wherever a caller could tell:
-rotations keep the order EmbeddedGraph.delete_vertex and place_chords give
-them, and each walk starts at its smallest dart, where EmbeddedGraph's trace
-starts it (positions read from a walk pick a repeated vertex's first
-occurrence). A fresh context numbers its faces as `g.faces()` does; later ids
-count on.
+The context agrees with EmbeddedGraph wherever a caller could tell: each
+walk starts at its smallest dart, where EmbeddedGraph's trace starts it
+(positions read from a walk pick a repeated vertex's first occurrence), and
+a fresh context numbers its faces as `g.faces()` does; later ids count on.
 
 Validation assumes each component is embedded in the sphere, which a context
-checks when it is built. Then the common step's plane test is local: x lies
-on deg(x) distinct faces, so it leaves one fragment, and the hole meets x's
-neighbors in the reverse of their order around x, so chords between them,
-drawn in turn, each have both end corners on one face exactly when no two
-interleave around x. Two steps at a cut vertex need no test and take the
-same path: a component's last step, whose face is left with no darts, and a
-cut vertex of degree 2 whose one chord joins its two neighbors, whose face
-stays one face. Any other step (a chord end twice on the hole, or a cut
-vertex of degree 3 or more) is tried on a copy-on-write view of the
-context, where it counts V - E + F + I - 2C over the faces it traces anew.
+checks when it is built. Then one local rule validates every step: each
+chord end gets one corner on the hole (a neighbor of x the corner x leaves),
+the ends sit on a ring around x in rotation order, and the chords keep the
+graph plane when no two interleave there, since each is drawn through x's
+place and along one face x was on (`surgery`). Where an end occurs once on
+the hole, this is where place_chords draws it on the merged face.
 """
 
 from __future__ import annotations
@@ -39,8 +33,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .embedding import (Darts, EmbeddedGraph, components, euler_defect_of, place_chords,
-                        within_distance2)
+from .embedding import Darts, EmbeddedGraph, components, euler_defect_of, within_distance2
 from .errors import (ChordAlreadyEdge, CrossingChords, DegreeTooHigh, EndpointNotOnFace,
                      PlanInvalid, PositiveGenus)
 
@@ -202,20 +195,20 @@ class _Ctx(Darts):
         """Validate deleting x and drawing `chords` (sorted, new pairs) into the hole.
 
         Raises PlanInvalid (DegreeOverflow), naming the first end that would
-        pass degree 6. The common step takes a fast path: x lies on d
-        distinct faces, so it leaves one fragment, and every chord joins two
-        neighbors of x, each once on the hole. So do the last step of a
-        component, an edge whose ends both have degree one, and a cut vertex
-        of degree 2 whose one chord joins its two neighbors. After
-        EndpointNotOnFace for a loop and ChordAlreadyEdge for a pair given
-        twice or already an edge, as place_chords raises them: the hole walk
-        meets the neighbors in the reverse of their order around x, so two
-        chords cross exactly when their ends interleave there
-        (CrossingChords names them all), and each end gets its chords after
-        the neighbor that precedes x in its rotation, farthest along the
-        hole first, where place_chords and `_hole_corner` put them. Any other
-        step goes to `_fallback`: a chord end twice on the hole, or a cut
-        vertex of degree 3 or more. Nothing changes until `commit`.
+        pass degree 6; then, chord by chord as place_chords does,
+        EndpointNotOnFace for a loop or an end off the hole and
+        ChordAlreadyEdge for a pair given twice or already an edge. Each end
+        gets one corner on the hole: a neighbor of x the corner x leaves, any
+        other vertex its first corner whose face x was on (`_hole_dart`).
+        The ends sit on a ring around x in rotation order, a non-neighbor in
+        the gap of the corner of x whose stretch of face holds its corner
+        (`_places`). Each chord is drawn through x's place and along one face
+        x was on, so the graph stays plane when no two chords with four
+        distinct ends interleave on the ring; chords that do are refused
+        (CrossingChords names them all), even at a cut vertex where other
+        corners would draw them plane. Each end takes its chords after the
+        neighbor before its corner, farthest along the ring first. Nothing
+        changes until `commit`.
         """
         rot, off, face = self.rot, self.off, self.face
         around, d = rot[x], len(rot[x])
@@ -226,22 +219,21 @@ class _Ctx(Darts):
         for w in ends:
             if (n := len(rot.get(w, ())) - (w in new_rot) + ends.count(w)) > 6:
                 raise PlanInvalid("DegreeOverflow", (w, n))
-        at = set(face[off[x]:off[x] + d])
-        if len(at) < d:  # a cut vertex: fast only at degree 2, its one chord joining its neighbors
-            if d != 2 or len(chords) != 1 or {*chords[0]} != {*around}:
-                return self._fallback(x, chords, new_rot, at)
-        # A neighbor's corners before and after x make one corner of the hole.
-        elif not all(w in new_rot and sum(map(at.__contains__, face[off[w]:off[w] + len(rot[w])])) == 2
-                     for w in set(ends)):
-            return self._fallback(x, chords, new_rot, at)
+        fs = face[off[x]:off[x] + d]
+        at = set(fs)
+        corner = {w: self._hole_dart(x, w, at) for w in set(ends) - new_rot.keys()}
+        off_hole = {w for w, c in corner.items() if c is None}
         seen = set()
-        for a, b in chords:  # as place_chords checks a plan from outside
-            if a == b:
+        for a, b in chords:
+            if a == b or a in off_hole or b in off_hole:
                 raise EndpointNotOnFace((a, b))
             if (key := (min(a, b), max(a, b))) in seen or b in rot[a]:
                 raise ChordAlreadyEdge((a, b))
             seen.add(key)
         pos = {u: i for i, u in enumerate(around)}
+        if corner:
+            places = self._places(x, fs, corner)
+            pos = {w: i for i, w in enumerate(sorted(places, key=places.__getitem__))}
         for i, (a, b) in enumerate(chords):
             lo, hi = sorted((pos[a], pos[b]))
             for c, e in chords[i + 1:]:
@@ -251,83 +243,64 @@ class _Ctx(Darts):
         for a, b in chords:
             targets.setdefault(a, []).append(b)
             targets.setdefault(b, []).append(a)
-        for u, ts in targets.items():  # the hole walk leaves u toward rot[x][pos[u] - 1]
+        size = len(pos)
+        for u, ts in targets.items():  # the hole walk leaves u toward the ring's lower places
             if len(ts) > 1:
-                ts.sort(key=lambda v: (pos[u] - pos[v]) % d, reverse=True)
-            ns = new_rot[u]
-            i = rot[u].index(x) or len(ns)  # after the neighbor before x
+                ts.sort(key=lambda v: (pos[u] - pos[v]) % size, reverse=True)
+            if u in new_rot:
+                ns, i = new_rot[u], rot[u].index(x)
+            else:
+                ns = new_rot[u] = rot[u].copy()
+                i = corner[u] - off[u]
+            i = i or len(ns)  # after the neighbor before the corner
             ns[i:i] = ts
-        return Surgery(x, new_rot, chords, pos)
+        fast = not corner and (len(at) == d or d == 2 and len(chords) == 1)
+        return Surgery(x, new_rot, chords, pos if fast else None)
 
-    def _fallback(self, x: int, chords, new_rot, at) -> Surgery:
-        """The surgery of a step off the fast path, tried on a `_Trial`.
+    def _hole_dart(self, x: int, w: int, at) -> Optional[int]:
+        """The dart of w, not a neighbor of x, that leaves its first corner
+        (between rot[w][k] and rot[w][k + 1], k from 0) on a face in `at`, the
+        faces x was on; None when w is x, gone or off the hole."""
+        if w == x or w not in self.rot:
+            return None
+        d, o, face = self.deg[w], self.off[w], self.face
+        return next((o + j % d for j in range(1, d + 1) if face[o + j % d] in at), None)
 
-        With x's edges gone, each fragment x leaves has one hole face, or is
-        a neighbor left isolated. Chords between fragments are drawn first,
-        where `_hole_corner` puts their ends; the rest go through
-        place_chords on the face of x's first neighbor of degree two or
-        more, from its smallest dart, so a repeated end is drawn at its
-        first occurrence. Every face at a changed vertex is then traced in
-        the new rotations, and the step is plane exactly when the faces
-        gained cancel the change in V - E + I - 2C: x and its deg(x) edges
-        go, and in come the k chords, the neighbors left isolated and the
-        fragments no chord joins. Raises EndpointNotOnFace for the first
-        chord with an end off the hole, what place_chords raises, then
-        CrossingChords.
+    def _places(self, x: int, fs: list[int], corner: dict[int, int]) -> dict[int, tuple[int, int]]:
+        """Each end's place on the ring around x, as a sortable pair.
+
+        Neighbor rot[x][j] is at (j, 0). The segment S_j of the face of dart
+        (x, rot[x][j]) runs from rot[x][j] until the face next returns to x,
+        and an end whose corner dart lies on S_j sits in gap j, between
+        rot[x][j - 1] and rot[x][j], at (j, -t) for its corner dart the t-th
+        along S_j. A segment is walked only to order two ends in one gap, or
+        to find the segment that holds an end when its face meets x more than
+        once; a lone end in a gap is at (j, -1).
         """
-        rot, off, face = self.rot, self.off, self.face
-        around = rot[x]
-        t = _Trial(self)
-        t.rotate(new_rot, {})
-        t.retrace(new_rot)
-        frag = {}  # vertex on the hole -> its fragment's hole face, or ~u for u left isolated
-        for w in (*around, *chain.from_iterable(chords)):
-            ns = rot.get(w, ())
-            if w in new_rot:
-                frag[w] = t.face[off[w] + t.rot[w].index(ns[(ns.index(x) + 1) % len(ns)])] \
-                    if new_rot[w] else ~w
-            elif w != x and (hole := [p for p in range(len(ns)) if face[off[w] + p] in at]):
-                frag[w] = t.face[off[w] + hole[0]]
-        parts = len({frag[u] for u in around})
-        for c in chords:
-            if c[0] not in frag or c[1] not in frag:
-                raise EndpointNotOnFace(c)
-        joined: dict[int, int] = {}  # fragment -> the one it was joined to; one per merge
-        for a, b in chords:
-            if frag[a] != frag[b]:
-                for w, v in ((a, b), (b, a)):  # a new list: the trial holds the old one
-                    cur = new_rot[w] = list(new_rot.get(w, rot[w]))
-                    z = self._hole_corner(x, w, at)
-                    cur.insert(0 if z is None else cur.index(z) + 1, v)
-                if (ca := _root(joined, frag[a])) != (cb := _root(joined, frag[b])):
-                    joined[ca] = cb
-        if same := [c for c in chords if frag[c[0]] == frag[c[1]]]:
-            t.rotate(new_rot, _darts(c for c in chords if c not in same))
-            u = next(u for u in around if len(rot[u]) > 1)
-            c = rot[u][(rot[u].index(x) + 1) % len(rot[u])]
-            new_rot.update(place_chords(t.walk(off[u] + t.rot[u].index(c)), same,
-                                        t.rot.__getitem__, lambda a, b: b in t.rot[a]))
-        t.rotate(new_rot, _darts(chords))
-        isolated = sum(1 for u in around if not new_rot[u])
-        if len(t.retrace(new_rot)) - len(self._faces_at(x, new_rot)) != (
-                len(chords) - len(around) + 1 - isolated + 2 * (parts - len(joined) - 1)):
-            raise CrossingChords(tuple(chords))
-        return Surgery(x, new_rot, chords, None)
-
-    def _hole_corner(self, x: int, w: int, at) -> Optional[int]:
-        """The neighbor of w after which a dart into the hole left by x goes,
-        or None when w is left isolated: for a former neighbor the one before
-        x, else the first whose next corner's face touched x."""
-        ns = self.rot[w]
-        if x in ns:
-            return None if len(ns) == 1 else ns[ns.index(x) - 1]
-        d, o = len(ns), self.off[w]
-        return ns[next(j for j in range(d) if self.face[o + (j + 1) % d] in at)]
+        nxt, twin, tail, o = self.nxt, self.twin, self.tail, self.off[x]
+        places = {u: (j, 0) for j, u in enumerate(self.rot[x])}
+        wanted: dict[int, dict[int, int]] = {}  # face -> corner dart -> its end
+        for w, c in corner.items():
+            wanted.setdefault(self.face[c], {})[c] = w
+        for f, darts in wanted.items():
+            gaps = [j for j in range(len(fs)) if fs[j] == f]
+            if len(gaps) == 1 and len(darts) == 1:
+                places[darts.popitem()[1]] = (gaps[0], -1)
+                continue
+            for j in gaps:
+                e, t = nxt[twin[o + j]], 1
+                while darts and tail[twin[e]] != x:
+                    if e in darts:
+                        places[darts.pop(e)] = (j, -t)
+                    e, t = nxt[twin[e]], t + 1
+        return places
 
     def commit(self, s: Surgery) -> None:
         """Apply a validated surgery; new faces take the next ids.
 
-        A fast-path step sets its faces' ids and sizes by `_pieces` while x's
+        A step where x lies on deg(x) distinct faces and every chord end is
+        a neighbor, or x is a cut vertex of degree 2 whose one chord joins
+        its neighbors, sets its faces' ids and sizes by `_pieces` while x's
         darts still stand; any other step traces every face at a changed
         vertex anew (`retrace`). Then `rotate` renumbers the darts of each
         changed vertex. Each face the step leaves at the hole with at most
@@ -367,8 +340,9 @@ class _Ctx(Darts):
             self.rotate(s.rot, made)
             small = [(f, off[a] + rot[a].index(b)) for f, (a, b) in small]
         else:
-            fs = self._faces_at(x, s.rot)
-            self.rotate(s.rot, _darts(s.chords))
+            fs = {f for v in (x, *s.rot) for f in self.dart_faces(v)}
+            new = {d: -1 for a, b in s.chords for d in ((a, b), (b, a))}  # on no face yet
+            self.rotate(s.rot, new)
             small = [(f, d) for f, d in self.retrace(s.rot) if fdeg[f] <= 5]
         del rot[x], deg[x]
         self.labels.pop(x, None)
@@ -523,10 +497,6 @@ class _Ctx(Darts):
                     made.append((f, d))
         return made
 
-    def _faces_at(self, x: int, new_rot) -> set[int]:
-        """The faces at x and at the vertices of `new_rot`."""
-        return {f for v in (x, *new_rot) for f in self.dart_faces(v)}
-
     def walk(self, d: int) -> tuple[int, ...]:
         """The vertex walk of dart d's face, from its smallest dart."""
         nxt, twin = self.nxt, self.twin
@@ -548,48 +518,3 @@ class _Ctx(Darts):
         idxs = self.index.values()
         return [[[i.dirty.add for i in idxs if d in i.fit and wanted(i.entry)] for d in range(7)]
                 for wanted in (lambda e: not e.reads_neighbors, lambda e: e.reads_neighbors)]
-
-
-class _Trial(_Ctx):
-    """A copy-on-write view of a context, where `_fallback` tries a step:
-    reads fall through to the context, and writes stay here."""
-
-    def __init__(self, ctx: _Ctx):
-        self.off, self.tail, self.fdeg = ctx.off, ctx.tail, _Layer(ctx.fdeg)
-        self.rot = _Cached(lambda v: list(ctx.rot[v]))
-        self.deg, self.twin, self.nxt, self.face = map(_Layer, (ctx.deg, ctx.twin, ctx.nxt,
-                                                                ctx.face))
-
-
-class _Layer(dict):
-    """Writes over `base`, a list or dict, which reads fall through to."""
-
-    def __init__(self, base):
-        super().__init__()
-        self.base, self.size = base, len(base)
-
-    def __missing__(self, k):
-        return self.base[k]
-
-    def __getitem__(self, k):
-        if type(k) is slice:
-            return [self[i] for i in range(k.start, k.stop)]
-        return super().__getitem__(k)
-
-    def __len__(self) -> int:  # of the list it grows
-        return self.size
-
-    def append(self, value) -> None:
-        self[self.size] = value
-        self.size += 1
-
-
-def _darts(chords) -> dict[tuple[int, int], int]:
-    """Both darts of each chord, on no face yet."""
-    return {d: -1 for a, b in chords for d in ((a, b), (b, a))}
-
-
-def _root(joined: dict[int, int], i: int) -> int:
-    while i in joined:
-        i = joined[i]
-    return i

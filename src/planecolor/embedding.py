@@ -407,9 +407,9 @@ def place_chords(walk: Sequence[int], chords: Sequence[tuple[int, int]],
     first, so the chords are drawn inside the face. Raises EndpointNotOnFace
     or ChordAlreadyEdge. Crossing chords are not detected here: whether the
     placement splits the face once per chord, and so keeps the graph plane,
-    is left to the caller's face count or Euler count. Besides `add_chords`,
-    the engine's general surgery draws chords with it, and the tests hold
-    the engine's common path, which places chords without a walk, to it.
+    is left to the caller's face count. Only `add_chords` draws chords with
+    it; the tests hold the engine's surgery, which places each end at one
+    corner without a walk, to it where no end repeats on the face.
     """
     length = len(walk)
     seen: set[tuple[int, int]] = set()

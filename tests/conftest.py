@@ -34,6 +34,18 @@ def barbell(k):
     return EmbeddedGraph(rot)
 
 
+def necklace(k):
+    """k 4-cycles in a row, each sharing one vertex with the next: 3i, 3i+1,
+    3i+3, 3i+2. The shared vertices are cut vertices of degree 4 that meet
+    the outer face twice; every vertex lies on it."""
+    rot = {3 * k: [3 * k - 2, 3 * k - 1] if k else []}
+    for i in range(k):
+        s = 3 * i
+        rot[s] = ([s - 2] if i else []) + [s + 1, s + 2] + ([s - 1] if i else [])
+        rot[s + 1], rot[s + 2] = [s + 3, s], [s, s + 3]
+    return EmbeddedGraph(rot)
+
+
 def build_corpus():
     graphs = []
     for name in PLATONIC_NAMES:

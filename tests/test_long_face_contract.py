@@ -7,17 +7,20 @@ vertices or whose vertices repeat on a face: cycles and paths of 200 to 400
 vertices, ladders (`square_grid(2, k)`), bowtie and three-blade windmills, and
 the sparsest few `random_planar` graphs of their sizes. A second digest
 covers barbells, two triangles joined by a path of up to 400 vertices, whose
-every step deletes a cut vertex on one long face. Each graph's vertex ids
-are shuffled, as in the corpus digest. A pinned digest changes only when a
+every step deletes a cut vertex on one long face, and a third necklaces,
+chains of up to 200 4-cycles each sharing one vertex with the next, whose
+shared vertices meet the outer face twice. Each graph's vertex ids are
+shuffled, as in the corpus digest. A pinned digest changes only when a
 change to the engine means to change its output.
 """
 
-from conftest import barbell, windmill
+from conftest import barbell, necklace, windmill
 from planecolor import generators as G
 from test_trace_contract import relabel, trace_digest
 
 PINNED = "4d2cc6cdd8e37860180729547f6e35789c0262ae4403af33964a28d80e6c0f80"
 BARBELL_PINNED = "c672ede43d6781699609837b5d21efc939ce89fecc104259e1e4614198722356"
+NECKLACE_PINNED = "1548f96b55de6e9cc6c6f9e4b97841eab1d9d257607a7a55fcd33708741bf3af"
 
 
 def long_face_inputs():
@@ -41,3 +44,12 @@ def barbell_inputs():
 
 def test_barbell_traces_match_pinned_digest():
     assert trace_digest(barbell_inputs()) == BARBELL_PINNED
+
+
+def necklace_inputs():
+    return [(f"necklace:{k}", relabel(necklace(k), 700 + i))
+            for i, k in enumerate((1, 2, 3, 4, 9, 40, 133, 200))]
+
+
+def test_necklace_traces_match_pinned_digest():
+    assert trace_digest(necklace_inputs()) == NECKLACE_PINNED

@@ -20,7 +20,7 @@ from planecolor import generators as G
 from planecolor.embedding import EmbeddedGraph
 from planecolor.reductions import color_by_reduction
 
-PINNED = "4ace1fb8b7bbf892dc6c4e81c14b40d0aef3eb6f3a5193a193cf8059a70ad99d"
+PINNED = "7d19c83cc70b04ebeb1de75d64b98259578f0c8e41dc5373012e0f6dff66f689"
 KEPT_PINNED = "cfbfb64fc604a9d101c0d52aa1fddc5aa243c81e4d6712dbf9f3c4abbd343969"
 MOVED = frozenset({"random:n56s87", "random:n59s126", "random:n52s131", "random:n128s1012"})
 
