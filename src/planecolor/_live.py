@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Optional
 
 from .embedding import Darts, EmbeddedGraph, components, euler_defect_of, within_distance2
 from .errors import (ChordAlreadyEdge, CrossingChords, DegreeTooHigh, EndpointNotOnFace,
@@ -209,18 +209,26 @@ class _Ctx(Darts):
         corners would draw them plane. Each end takes its chords after the
         neighbor before its corner, farthest along the ring first. Nothing
         changes until `commit`.
+
+        A step pays only for the checks its chords need: with no chord it
+        returns once the new rotations are built, only ends that are not
+        neighbors of x are searched for a corner, and the interleave test
+        runs only for two or more chords.
         """
         rot, off, face = self.rot, self.off, self.face
         around, d = rot[x], len(rot[x])
         new_rot = {u: rot[u].copy() for u in around}
         for ns in new_rot.values():
             ns.remove(x)
+        fs = face[off[x]:off[x] + d]
+        at = set(fs)
+        pos = {u: i for i, u in enumerate(around)}
+        if not chords:
+            return Surgery(x, new_rot, chords, pos if len(at) == d else None)
         ends = list(chain.from_iterable(chords))
         for w in ends:
             if (n := len(rot.get(w, ())) - (w in new_rot) + ends.count(w)) > 6:
                 raise PlanInvalid("DegreeOverflow", (w, n))
-        fs = face[off[x]:off[x] + d]
-        at = set(fs)
         corner = {w: self._hole_dart(x, w, at) for w in set(ends) - new_rot.keys()}
         off_hole = {w for w, c in corner.items() if c is None}
         seen = set()
@@ -230,15 +238,15 @@ class _Ctx(Darts):
             if (key := (min(a, b), max(a, b))) in seen or b in rot[a]:
                 raise ChordAlreadyEdge((a, b))
             seen.add(key)
-        pos = {u: i for i, u in enumerate(around)}
         if corner:
             places = self._places(x, fs, corner)
             pos = {w: i for i, w in enumerate(sorted(places, key=places.__getitem__))}
-        for i, (a, b) in enumerate(chords):
-            lo, hi = sorted((pos[a], pos[b]))
-            for c, e in chords[i + 1:]:
-                if len({a, b, c, e}) == 4 and (lo < pos[c] < hi) != (lo < pos[e] < hi):
-                    raise CrossingChords(tuple(chords))
+        if len(chords) > 1:
+            for i, (a, b) in enumerate(chords):
+                lo, hi = sorted((pos[a], pos[b]))
+                for c, e in chords[i + 1:]:
+                    if len({a, b, c, e}) == 4 and (lo < pos[c] < hi) != (lo < pos[e] < hi):
+                        raise CrossingChords(tuple(chords))
         targets: dict[int, list[int]] = {}
         for a, b in chords:
             targets.setdefault(a, []).append(b)
@@ -320,8 +328,10 @@ class _Ctx(Darts):
         5-faces at a vertex whose rotation changed (K23/K24 read their
         anchor's 5-faces). That covers every replaced 5-face too: a face x
         was on holds only neighbors of neighbors of x, and every face the
-        step leaves passes a changed rotation; those are gathered only when
-        an index built so far reads neighbors. Each dirty vertex goes
+        step leaves passes a changed rotation. The neighbors are gathered
+        only when an index built so far reads neighbors, and the 5-face
+        vertices only when one reads 5-faces (`reads_five_faces`), since no
+        other entry reads an exact size of 5. Each dirty vertex goes
         through the `_routes` table of its degree to the indexes whose entry
         that degree fits. A vertex that is gone or no longer fits is told to
         no index: detection drops it from a list when it reaches it. Face
@@ -358,19 +368,20 @@ class _Ctx(Darts):
         near.discard(x)
         if len(rot) < 2:  # K01 reads the vertex count
             near.update(rot)
-        narrow, broad = self.routes = self.routes or self._routes()
+        narrow, broad, fives = self.routes = self.routes or self._routes()
         for v in near:
             for add in narrow[deg[v]]:
                 add(v)
         if not any(broad):  # no index built so far reads neighbors
             return
         wide = set(near)
-        for v in s.rot:
-            for f in self.dart_faces(v):
-                if fdeg[f] == 5:
-                    wide.update(faces[f])
         for v in near:
             wide.update(rot[v])
+        if fives:  # an index built so far reads its anchor's 5-faces
+            for v in s.rot:
+                for f in self.dart_faces(v):
+                    if fdeg[f] == 5:
+                        wide.update(faces[f])
         for v in wide:
             for add in broad[deg[v]]:
                 add(v)
@@ -511,10 +522,12 @@ class _Ctx(Darts):
         self.fdeg.append(size)
         return len(self.fdeg) - 1
 
-    def _routes(self) -> list[list[list[Callable[[int], None]]]]:
+    def _routes(self) -> tuple[list, list, bool]:
         """Per degree 0..6, the `dirty.add` of each index told of a near
-        vertex of that degree and of a wide one; rebuilt after `index` gains
-        an entry."""
+        vertex of that degree and of a wide one, and whether any index reads
+        its anchor's 5-faces; rebuilt after `index` gains an entry."""
         idxs = self.index.values()
-        return [[[i.dirty.add for i in idxs if d in i.fit and wanted(i.entry)] for d in range(7)]
-                for wanted in (lambda e: not e.reads_neighbors, lambda e: e.reads_neighbors)]
+        narrow, broad = ([[i.dirty.add for i in idxs
+                           if d in i.fit and i.entry.reads_neighbors == wide] for d in range(7)]
+                         for wide in (False, True))
+        return narrow, broad, any(i.entry.reads_five_faces for i in idxs)

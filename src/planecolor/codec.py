@@ -163,7 +163,12 @@ def graph_from_doc(doc: dict) -> EmbeddedGraph:
     if "labels" in doc:
         if not isinstance(doc["labels"], dict):
             raise SchemaMismatch("/labels", "expected an object")
-        labels = {_int(v, "/labels"): str(s) for v, s in doc["labels"].items()}
+        labels = {}
+        for key, name in doc["labels"].items():
+            v = _int(key, "/labels")
+            if v not in rot:
+                raise SchemaMismatch(f"/labels/{key}", f"no vertex {v} in the rotation")
+            labels[v] = _str(name, f"/labels/{key}")
     return EmbeddedGraph(rot, labels)
 
 

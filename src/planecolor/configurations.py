@@ -130,8 +130,10 @@ def _scan_k05(ctx: _Ctx, v: int):
 
 
 def _scan_k06(ctx: _Ctx, v: int):
-    # 4-vertex on three consecutive triangles.
-    if ctx.deg[v] != 4:
+    # 4-vertex on three consecutive triangles. A triangle fills at most one
+    # corner of a vertex (its three vertices are distinct), so three corners
+    # need m3 >= 3, tested before the labeling table is built.
+    if ctx.deg[v] != 4 or ctx.m3[v] < 3:
         return
     fd = ctx.fdeg
     for labels, faces in ctx.labelings(v):
@@ -643,17 +645,26 @@ def _spec_k18(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
 
 @dataclass(frozen=True, eq=False)  # entries key the indexes: hashed by identity, in C
 class CatalogEntry:
+    """One reducible configuration: its scan, its plan builder, and what the
+    scan reads, which tells the engine which anchors to re-check after a step.
+
+    `degree` is the degree the scan requires of its anchor (see `fits`).
+    `reads_neighbors` is False when the scan reads only its anchor's
+    rotation and corner faces, so fewer anchors are re-checked; True when it
+    also reads the vertices around its anchor: its neighbors or, for K23 and
+    K24, the vertices on its 5-faces. `reads_five_faces` is True for those
+    two, whose scans read the faces of exactly five darts at their anchor
+    (`_five_face_walks`): a step gathers the vertices on the 5-faces at its
+    changed vertices only once an index of such an entry exists.
+    """
+
     config_id: str
     summary: str
     scan: Callable
     build: Callable
-    # The degree the scan requires of its anchor; see `fits`.
     degree: int
-    # False when the scan reads only its anchor's rotation and corner faces;
-    # the engine then re-checks fewer anchors after a step. True when it
-    # also reads the vertices around its anchor: its neighbors or, for K23
-    # and K24, the vertices on its 5-faces.
     reads_neighbors: bool = True
+    reads_five_faces: bool = False
 
     def fits(self, d: int) -> bool:
         """Whether a vertex of degree d can anchor a match: K01 also takes degree 0."""
@@ -741,10 +752,10 @@ CATALOG: tuple[CatalogEntry, ...] = (
                  degree=6),
     CatalogEntry("K23", "5-face with two 3-vertices",
                  _scan_k23, _by_roles("v1", {"": ((("v2", "v4"), ("v4", "v6")), 18)}),
-                 degree=3),
+                 degree=3, reads_five_faces=True),
     CatalogEntry("K24", "5-face with a 3-vertex and a 4-vertex",
                  _scan_k24, _by_roles("v1", {"": ((("v2", "v4"), ("v4", "v6")), 18)}),
-                 degree=3),
+                 degree=3, reads_five_faces=True),
 )
 
 _BY_ID = {e.config_id: e for e in CATALOG}
@@ -794,7 +805,10 @@ class _EntryIndex:
 
 def _found(ctx: _Ctx, entry: CatalogEntry, a: int) -> list:
     """The sorted (variant, bindings sorted by role) of each match at a."""
-    return sorted((variant, tuple(sorted(b.items()))) for variant, b in entry.scan(ctx, a))
+    found = [(variant, tuple(sorted(b.items()))) for variant, b in entry.scan(ctx, a)]
+    if len(found) > 1:
+        found.sort()
+    return found
 
 
 def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:

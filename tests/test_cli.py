@@ -164,11 +164,14 @@ _GRAPH = {"schema": "embedded-graph/1", "rotation": {"0": [1], "1": [0]}}
     ("--in", _TRACE),
     ("--in", [1, 2]),
     ("--in", {**_GRAPH, "labels": {"x": "a"}}),
+    ("--in", {**_GRAPH, "labels": {"9": [1, 2], "0": None}}),
+    ("--in", {**_GRAPH, "labels": {"0": None}}),
     ("--coloring", _TRACE),
     ("--coloring", json.loads(codec.write_json(color_by_reduction(G.cycle(4))))),
     ("--coloring", _GRAPH),
     ("--coloring", [1, 2]),
-], ids=["malformed-trace-as-graph", "array-as-graph", "label-key", "malformed-trace-as-coloring",
+], ids=["malformed-trace-as-graph", "array-as-graph", "label-key", "label-off-the-rotation",
+        "label-null", "malformed-trace-as-coloring",
         "trace-as-coloring", "graph-as-coloring", "array-as-coloring"])
 def test_wrong_document_is_input_error(tmp_path, graph_file, capsys, option, doc):
     path = tmp_path / "doc.json"

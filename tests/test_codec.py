@@ -108,6 +108,22 @@ def test_schema_pointer_on_bad_label_key():
     assert exc.value.pointer == "/labels"
 
 
+@pytest.mark.parametrize("labels, pointer", [
+    ({"9": [1, 2], "0": None}, "/labels/9"),
+    ({"0": None}, "/labels/0"),
+    ({"1": "b", "0": [1, 2]}, "/labels/0"),
+], ids=["vertex-off-the-rotation", "null-name", "list-name"])
+def test_labels_name_a_vertex_of_the_rotation_with_a_string(labels, pointer):
+    # str() would read null or a list as a name, and a label of a vertex
+    # the rotation lacks would be kept and written back with the graph.
+    doc = {"schema": "embedded-graph/1", "rotation": {"0": [1], "1": [0]}, "labels": labels}
+    with pytest.raises(SchemaMismatch) as exc:
+        codec.read_json(json.dumps(doc))
+    assert exc.value.pointer == pointer
+    doc["labels"] = {"1": "b", "0": "a"}
+    assert codec.read_json(json.dumps(doc)).labels() == {0: "a", 1: "b"}
+
+
 @pytest.mark.parametrize("field", ["config", "center", "deleted"])
 def test_schema_pointer_on_a_step_missing_a_field(field):
     step = {"config": "K02", "center": 0, "deleted": 0}
