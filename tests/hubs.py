@@ -60,13 +60,24 @@ class Hub:
         assert not self.chains[j], "corner has no direct ring edge"
         return self.attach_triangle(self.ring[j], self.ring[(j + 1) % self.degree])
 
+    def _face_size(self, a: int, b: int) -> int:
+        """Darts on the face of dart (a, b): after (u, w) comes w's next dart after u."""
+        n, (u, w) = 1, (b, self._after(b, a))
+        while (u, w) != (a, b):
+            n, (u, w) = n + 1, (w, self._after(w, u))
+        return n
+
+    def _after(self, w: int, u: int) -> int:
+        ns = self.rot[w]
+        return ns[(ns.index(u) + 1) % len(ns)]
+
     def pendant(self, v: int) -> int:
-        """Attach a degree-1 vertex inside v's largest incident face."""
-        g = EmbeddedGraph(self.rot)
-        cf = g.corner_faces(v)
-        i = max(range(len(cf)), key=lambda i: cf[i].degree)
+        """Attach a degree-1 vertex inside v's largest incident face: corner i,
+        between rot[v][i] and rot[v][i + 1], holds the dart (v, rot[v][i + 1])."""
+        ns = self.rot[v]
+        i = max(range(len(ns)), key=lambda i: self._face_size(v, ns[(i + 1) % len(ns)]))
         p = self._fresh()
-        self.rot[v].insert(i + 1, p)
+        ns.insert(i + 1, p)
         self.rot[p] = [v]
         return p
 
