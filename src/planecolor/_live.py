@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from typing import Optional
 
 from .embedding import Darts, EmbeddedGraph, components, euler_defect_of, within_distance2
@@ -48,17 +47,6 @@ class _Cached(dict):
     def __missing__(self, v):
         value = self[v] = self.compute(v)
         return value
-
-
-# Per degree d in 2..6, (labels, corner faces) getters for the 2d labelings of
-# `_Ctx.labelings`, applied to v's rotation and to the faces of v's darts in
-# rotation order, fs, where corner j is fs[j + 1]: rotations from k (labels[i] =
-# rot[k + i], faces[i] = fs[k + i + 1]), then reflections (labels[i] = rot[k - i],
-# faces[i] = fs[k - i]), mod d.
-_LABELINGS = {d: [(itemgetter(*[(k + s * i) % d for i in range(d)]),
-                   itemgetter(*[(k + s * i + max(s, 0)) % d for i in range(d)]))
-                  for s in (1, -1) for k in range(d)]
-              for d in range(2, 7)}
 
 
 def _count_faces(ids, fdeg, size: int) -> int:
@@ -89,7 +77,9 @@ class _Ctx(Darts):
     after steps, each face of at most five darts and each face no step
     touched. `fdeg[f]` is the length of face f's walk, kept for every id
     handed out. Scanners read faces as ids: `dart_faces(v)`, `fdeg[f]` and
-    `faces[f]` for the small faces (`walk` traces any face). Built from an
+    `faces[f]` for the small faces (`walk` traces any face). A scanner
+    builds the labelings it needs from `rot[v]` and `dart_faces(v)`; the
+    context keeps none, so a step has none to drop. Built from an
     EmbeddedGraph for a one-off public call, or kept by the reduction
     engine across its steps: `commit` then drops the face counts of the
     vertices it touches and marks the vertices whose scans may now differ
@@ -126,7 +116,6 @@ class _Ctx(Darts):
         self.index: dict = {}  # catalog entry -> its configurations._EntryIndex
         self.routes = None  # see `_routes`
         self.pending = None  # (plan, Surgery) validated by the last `plan` call
-        self.labeled = self.table = None  # see `labelings`
 
     @classmethod
     def of(cls, g) -> "_Ctx":
@@ -152,23 +141,6 @@ class _Ctx(Darts):
         of (v, rot[v][j]), in the corner between rot[v][j - 1] and rot[v][j]."""
         o = self.off[v]
         return self.face[o:o + self.deg[v]]
-
-    def labelings(self, v: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """All rotations and reflections of the neighbor sequence at v (degree 2..6).
-
-        A list of (labels, corner face ids), the i-th id the face in the corner
-        between labels[i] and labels[i+1] (cyclically): rotations, then reflections.
-        One slot is kept: the table of the last vertex asked about is returned
-        again while callers ask about that vertex, and is valid until the next
-        `commit`. Every entry scanning a vertex shares the list, so callers
-        only read it.
-        """
-        if v != self.labeled:
-            rot, o = self.rot[v], self.off[v]
-            fs = self.face[o:o + len(rot)]  # dart_faces(v)
-            self.table = [(lab(rot), fac(fs)) for lab, fac in _LABELINGS[len(rot)]]
-            self.labeled = v
-        return self.table
 
     def doubled(self, a: int, b: int) -> bool:
         """Edge ab lies on two distinct triangular faces."""
@@ -339,7 +311,7 @@ class _Ctx(Darts):
         """
         x, rot, off = s.delete, self.rot, self.off
         deg, faces, fdeg, m3, m4 = self.deg, self.faces, self.fdeg, self.m3, self.m4
-        self.pending = self.parts = self.labeled = self.table = None
+        self.pending = self.parts = None
         fs = self.dart_faces(x)
         near = {x, *s.rot}
         for f in set(fs):

@@ -5,7 +5,10 @@ sizes, neighbor degrees, doubled edges) with an executable reduction: delete
 one vertex and add chords inside the merged face so that every surviving pair
 at distance <= 2 stays at distance <= 2. Detection evaluates every trigger
 under all rotations and reflections of the neighbor labeling, so no "pick a
-labeling" step is left implicit.
+labeling" step is left implicit: each scanner enumerates every labeling
+that can match, read off its anchor's corner layout or light neighbors, and
+builds no other. It yields each match as vertex values against a constant
+role tuple sorted by name, which detection zips into the match's bindings.
 
 `forbidden_bound` on each constructed plan is the guaranteed ceiling on the
 number of colors that can be blocked at the deleted vertex when the reduced
@@ -54,9 +57,18 @@ class ReductionPlan:
     forbidden_bound: int
 
 
-# The ring roles "v1".."vd" of the 4-, 5- and 6-vertex scanners, zipped with
-# a labeling's labels.
-_V4, _V5, _V6 = (tuple(f"v{i + 1}" for i in range(d)) for d in (4, 5, 6))
+# The role tuples the scanners yield their values against, each sorted by
+# role name: "a", "b" and "u" sort before the anchor "v", "v" before its
+# ring "v1".."vd" (read in a labeling's order), and "vi", "w", "x", "y", "z"
+# after them.
+_R3, _R4, _R5, _R6 = (("v", *(f"v{i + 1}" for i in range(d))) for d in (3, 4, 5, 6))
+_K05 = (*_R3, "x", "y")
+_K07, _K08, _K10, _K11 = (*_R4, "x"), (*_R4, "w5"), (*_R4, "x", "y", "z"), (*_R4, "vi")
+_K15, _K15_SIX, _K17 = (*_R5, "x"), (*_R5, "w", "x"), ("a", "b", *_R5)
+_K18, _K18_VI, _K18_U = (*_R6, "x"), (*_R6, "vi", "x"), ("u", *_R6, "v7", "v8", "x")
+_K21, _K22 = (*_R6, "x", "y"), (*_R6, "y", "z")
+_K23 = tuple(f"v{i}" for i in range(1, 8))
+_K24 = _K23[:6]
 
 
 def _opposite_on_quad(ctx: _Ctx, f: int, v: int) -> int:
@@ -78,104 +90,143 @@ def _face_neighbor(ctx: _Ctx, f: int, u: int, exclude: int) -> int:
     return min({ns[at[0] - 1], ns[at[0]]} - {exclude})
 
 
+def _labeling(ns: list, fs: list, k: int, forward: bool) -> tuple[list, list]:
+    """A vertex's neighbors ns read from position k, forward or backward, and
+    their corner faces: faces[i] lies between labels[i] and labels[i + 1],
+    cyclically. fs is the vertex's `dart_faces`, fs[j] the face in the corner
+    between ns[j - 1] and ns[j]. Labels and faces are new lists."""
+    if forward:
+        return ns[k:] + ns[:k], fs[k + 1:] + fs[:k + 1]
+    return ns[k::-1] + ns[:k:-1], fs[k::-1] + fs[:k:-1]
+
+
+def _from_corner(ns: list, fs: list, p: int):
+    """The two labelings whose first corner is fs[p], between ns[p - 1] and
+    ns[p]: forward from ns[p - 1], then backward from ns[p]."""
+    yield _labeling(ns, fs, p - 1, True)
+    yield _labeling(ns, fs, p, False)
+
+
 # ---------------------------------------------------------------------------
-# Scanners. Each yields (variant, role -> vertex bindings) for every match
-# anchored at one vertex, their center. Only detection builds the matches.
+# Scanners. Each yields (variant, roles, values) for every match anchored at
+# one vertex, their center: the match binds roles[i] to values[i], and roles
+# is one of the sorted tuples above. A labeling is a rotation or reflection
+# of the anchor's neighbors; each scanner builds only the labelings that its
+# corner layout or a light neighbor admits, each of them read off the
+# anchor's rotation and `dart_faces`. Only detection builds the matches.
 # ---------------------------------------------------------------------------
 
 def _scan_k01(ctx: _Ctx, v: int):
     # Degree <= 1 in a graph with something else left to color.
     if ctx.deg[v] <= 1 and ctx.vertex_count >= 2:
-        b = {"v": v}
         if ctx.deg[v] == 1:
-            b["v1"] = ctx.rot[v][0]
-        yield "", b
+            yield "", ("v", "v1"), (v, ctx.rot[v][0])
+        else:
+            yield "", ("v",), (v,)
 
 
 def _scan_k02(ctx: _Ctx, v: int):
     if ctx.deg[v] == 2:
-        x, y = ctx.rot[v]
-        yield "", {"v": v, "x": x, "y": y}
+        yield "", ("v", "x", "y"), (v, *ctx.rot[v])
 
 
 def _scan_k03(ctx: _Ctx, v: int):
-    # 3-vertex with a neighbor of degree <= 5.
+    # 3-vertex with a neighbor of degree <= 5: the two labelings from it.
     if ctx.deg[v] != 3:
         return
-    for labels, _ in ctx.labelings(v):
-        if ctx.deg[labels[0]] <= 5:
-            yield "", {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2]}
+    deg = ctx.deg
+    a, b, c = ctx.rot[v]
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        if deg[x] <= 5:
+            yield "", _R3, (v, x, y, z)
+            yield "", _R3, (v, x, z, y)
+
+
+def _corners3(ctx: _Ctx, v: int):
+    """At a 3-vertex, each neighbor y in rotation order with the one before
+    it, x, the one after it, z, and the faces of the corners (x, y), (y, z)."""
+    a, b, c = ctx.rot[v]
+    f_ca, f_ab, f_bc = ctx.dart_faces(v)
+    return ((c, a, b, f_ca, f_ab), (a, b, c, f_ab, f_bc), (b, c, a, f_bc, f_ca))
 
 
 def _scan_k04(ctx: _Ctx, v: int):
-    # 3-vertex on a triangle.
+    # 3-vertex on a triangle: the two labelings that start at its corner.
     if ctx.deg[v] != 3:
         return
     fd = ctx.fdeg
-    for labels, faces in ctx.labelings(v):
-        if fd[faces[0]] == 3:
-            yield "", {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2]}
+    for x, y, z, f, _ in _corners3(ctx, v):
+        if fd[f] == 3:
+            yield "", _R3, (v, x, y, z)
+            yield "", _R3, (v, y, x, z)
 
 
 def _scan_k05(ctx: _Ctx, v: int):
-    # 3-vertex between two 4-faces.
+    # 3-vertex between two 4-faces: the two labelings through the neighbor between them.
     if ctx.deg[v] != 3:
         return
     fd = ctx.fdeg
-    for labels, faces in ctx.labelings(v):
-        if fd[faces[0]] == 4 and fd[faces[1]] == 4:
-            yield "", {"v": v, "v1": labels[0], "v2": labels[1], "v3": labels[2],
-                       "x": _opposite_on_quad(ctx, faces[0], v),
-                       "y": _opposite_on_quad(ctx, faces[1], v)}
+    for x, y, z, f, g in _corners3(ctx, v):
+        if fd[f] == 4 and fd[g] == 4:
+            p, q = _opposite_on_quad(ctx, f, v), _opposite_on_quad(ctx, g, v)
+            yield "", _K05, (v, x, y, z, p, q)
+            yield "", _K05, (v, z, y, x, q, p)
 
 
 def _scan_k06(ctx: _Ctx, v: int):
     # 4-vertex on three consecutive triangles. A triangle fills at most one
     # corner of a vertex (its three vertices are distinct), so three corners
-    # need m3 >= 3, tested before the labeling table is built.
+    # need m3 >= 3: with four every labeling matches, with three the fan layouts.
     if ctx.deg[v] != 4 or ctx.m3[v] < 3:
         return
-    fd = ctx.fdeg
-    for labels, faces in ctx.labelings(v):
-        if fd[faces[0]] == 3 and fd[faces[1]] == 3 and fd[faces[2]] == 3:
-            yield "", dict(zip(_V4, labels), v=v)
-
-
-def _k0789_layouts(ctx: _Ctx, v: int):
-    """Common 4-vertex / two-triangle layouts: yields (labels, "adjacent" or "split")."""
-    fd = ctx.fdeg
-    for labels, faces in ctx.labelings(v):
-        if fd[faces[0]] == 3 and fd[faces[1]] == 3:
-            yield labels, "adjacent"
-        if fd[faces[0]] == 3 and fd[faces[2]] == 3 and fd[faces[1]] != 3:
-            yield labels, "split"
+    if ctx.m3[v] == 3:
+        layouts = _fan_layout(ctx, v, lambda d: True)
+    else:
+        ns, fs = ctx.rot[v], ctx.dart_faces(v)
+        layouts = (lab for p in range(4) for lab in _from_corner(ns, fs, p))
+    for labels, _ in layouts:
+        yield "", _R4, (v, *labels)
 
 
 def _scan_k07(ctx: _Ctx, v: int):
-    # 4-vertex, exactly two triangles, plus a 4-face.
+    # 4-vertex, exactly two triangles, plus a 4-face: the labelings from a 4-face.
     if ctx.deg[v] != 4 or ctx.m3[v] != 2 or ctx.m4[v] < 1:
         return
-    fd = ctx.fdeg
-    for labels, faces in ctx.labelings(v):
-        if fd[faces[0]] != 4:
+    fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
+    for p, f in enumerate(fs):
+        if fd[f] != 4:
             continue
-        b = dict(zip(_V4, labels), v=v, x=_opposite_on_quad(ctx, faces[0], v))
-        if fd[faces[1]] == 3 and fd[faces[2]] == 3:
-            yield "adjacent", b
-        if fd[faces[1]] == 3 and fd[faces[3]] == 3:
-            yield "split", b
+        x = _opposite_on_quad(ctx, f, v)
+        for labels, faces in _from_corner(ns, fs, p):
+            if fd[faces[1]] == 3 and fd[faces[2]] == 3:
+                yield "adjacent", _K07, (v, *labels, x)
+            if fd[faces[1]] == 3 and fd[faces[3]] == 3:
+                yield "split", _K07, (v, *labels, x)
+
+
+def _k0789_layouts(ctx: _Ctx, v: int):
+    """Common 4-vertex / two-triangle layouts, read from each triangle:
+    yields (labels, "adjacent" or "split")."""
+    fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
+    for p, f in enumerate(fs):
+        if fd[f] != 3:
+            continue
+        for labels, faces in _from_corner(ns, fs, p):
+            if fd[faces[1]] == 3:
+                yield labels, "adjacent"
+            elif fd[faces[2]] == 3:
+                yield labels, "split"
 
 
 def _scan_k08(ctx: _Ctx, v: int):
     # 4-vertex, exactly two triangles, some neighbor of degree <= 5.
     if ctx.deg[v] != 4 or ctx.m3[v] != 2:
         return
-    light = [u for u in sorted(ctx.rot[v]) if ctx.deg[u] <= 5]
-    if not light:
+    w5 = min((u for u in ctx.rot[v] if ctx.deg[u] <= 5), default=None)
+    if w5 is None:
         return
     for labels, variant in _k0789_layouts(ctx, v):
-        b = dict(zip(_V4, labels), v=v, w5=light[0])
-        yield variant, b
+        yield variant, _K08, (v, *labels, w5)
 
 
 def _scan_k09(ctx: _Ctx, v: int):
@@ -184,21 +235,23 @@ def _scan_k09(ctx: _Ctx, v: int):
         return
     for labels, variant in _k0789_layouts(ctx, v):
         if ctx.doubled(labels[0], labels[1]):
-            yield variant, dict(zip(_V4, labels), v=v)
+            yield variant, _R4, (v, *labels)
+
+
+def _triangle_first(ctx: _Ctx, v: int):
+    """At a vertex with one triangle, the two labelings that start at it."""
+    fd, fs = ctx.fdeg, ctx.dart_faces(v)
+    return _from_corner(ctx.rot[v], fs, next(p for p, f in enumerate(fs) if fd[f] == 3))
 
 
 def _scan_k10(ctx: _Ctx, v: int):
     # 4-vertex: one triangle and three 4-faces.
-    if ctx.deg[v] != 4:
+    if ctx.deg[v] != 4 or ctx.m3[v] != 1:
         return
     fd = ctx.fdeg
-    for labels, faces in ctx.labelings(v):
-        if (fd[faces[0]] == 3 and fd[faces[1]] == 4
-                and fd[faces[2]] == 4 and fd[faces[3]] == 4):
-            yield "", dict(zip(_V4, labels), v=v,
-                           x=_opposite_on_quad(ctx, faces[1], v),
-                           y=_opposite_on_quad(ctx, faces[2], v),
-                           z=_opposite_on_quad(ctx, faces[3], v))
+    for labels, faces in _triangle_first(ctx, v):
+        if fd[faces[1]] == 4 and fd[faces[2]] == 4 and fd[faces[3]] == 4:
+            yield "", _K10, (v, *labels, *(_opposite_on_quad(ctx, f, v) for f in faces[1:]))
 
 
 def _scan_k11(ctx: _Ctx, v: int):
@@ -209,12 +262,9 @@ def _scan_k11(ctx: _Ctx, v: int):
     if not four:
         return
     variant = f"m4={ctx.m4[v]}"
-    fd = ctx.fdeg
-    for labels, faces in ctx.labelings(v):
-        if fd[faces[0]] != 3:
-            continue
+    for labels, _ in _triangle_first(ctx, v):
         for vi in four:
-            yield variant, dict(zip(_V4, labels), v=v, vi=vi)
+            yield variant, _K11, (v, *labels, vi)
 
 
 def _scan_k12(ctx: _Ctx, v: int):
@@ -224,25 +274,25 @@ def _scan_k12(ctx: _Ctx, v: int):
     if sum(1 for u in ctx.rot[v] if ctx.deg[u] == 5) < 2:
         return
     fd = ctx.fdeg
-    for labels, faces in ctx.labelings(v):
-        if fd[faces[0]] != 3:
-            continue
-        b = dict(zip(_V4, labels), v=v)
+    for labels, faces in _triangle_first(ctx, v):
         if ctx.m4[v] == 2:
-            yield "m4=2", b
+            yield "m4=2", _R4, (v, *labels)
         elif fd[faces[1]] == 4:
-            yield "m4=1 near", b
+            yield "m4=1 near", _R4, (v, *labels)
         elif fd[faces[2]] == 4:
-            yield "m4=1 far", b
+            yield "m4=1 far", _R4, (v, *labels)
 
 
 def _scan_k13(ctx: _Ctx, v: int):
-    # 5-vertex in a full triangle fan with a neighbor of degree <= 5.
+    # 5-vertex in a full triangle fan with a neighbor of degree <= 5: the two
+    # labelings from that neighbor.
     if ctx.deg[v] != 5 or ctx.m3[v] != 5:
         return
-    for labels, _ in ctx.labelings(v):
-        if ctx.deg[labels[0]] <= 5:
-            yield "", dict(zip(_V5, labels), v=v)
+    ns = ctx.rot[v]
+    for k, u in enumerate(ns):
+        if ctx.deg[u] <= 5:
+            yield "", _R5, (v, *ns[k:], *ns[:k])
+            yield "", _R5, (v, *ns[k::-1], *ns[:k:-1])
 
 
 def _scan_k14(ctx: _Ctx, v: int):
@@ -250,25 +300,24 @@ def _scan_k14(ctx: _Ctx, v: int):
     if ctx.deg[v] != 5 or ctx.m3[v] != 5:
         return
     for a, b in ctx.doubled_induced(v):
-        yield "", {"v": v, "v1": a, "v2": b}
+        yield "", ("v", "v1", "v2"), (v, a, b)
 
 
 def _fan_layout(ctx: _Ctx, v: int, last_degree):
-    """Layouts with a triangle in every corner but the last, which passes last_degree.
+    """Labelings with a triangle in every corner but the last, which passes last_degree.
 
     A triangle fills one corner only (its three vertices are distinct), so
     such a layout exists only where m3 is one below the degree, which the
-    callers test first. There exactly one corner j is not a triangle, and the
-    two labelings that end at it are read off `ctx.labelings(v)` in its
-    order: the rotation from j + 1, then the reflection from j.
+    callers test first. There exactly one corner, fs[p], is not a triangle,
+    and the two labelings that end at it are built: forward from ns[p],
+    then backward from ns[p - 1].
     """
-    fd, fs = ctx.fdeg, ctx.dart_faces(v)  # corner j is fs[j + 1]
-    j = next(i for i, f in enumerate(fs) if fd[f] != 3) - 1
-    if not last_degree(fd[fs[j + 1]]):
-        return
-    d, table = len(fs), ctx.labelings(v)
-    yield table[(j + 1) % d]
-    yield table[d + j % d]
+    fd, fs = ctx.fdeg, ctx.dart_faces(v)
+    p = next(i for i, f in enumerate(fs) if fd[f] != 3)
+    if last_degree(fd[fs[p]]):
+        ns = ctx.rot[v]
+        yield _labeling(ns, fs, p, True)
+        yield _labeling(ns, fs, p - 1, False)
 
 
 def _scan_k15(ctx: _Ctx, v: int):
@@ -276,15 +325,15 @@ def _scan_k15(ctx: _Ctx, v: int):
     if ctx.deg[v] != 5 or ctx.m3[v] != 4:
         return
     for labels, faces in _fan_layout(ctx, v, lambda d: d == 4):
-        b = dict(zip(_V5, labels), v=v, x=_opposite_on_quad(ctx, faces[4], v))
+        x = _opposite_on_quad(ctx, faces[4], v)
         degs = [ctx.deg[u] for u in labels]
         if any(d <= 4 for d in degs):
-            yield "low_neighbor", b
+            yield "low_neighbor", _K15, (v, *labels, x)
         if sum(1 for d in degs if d == 5) >= 2:
-            yield "two_fives", b
+            yield "two_fives", _K15, (v, *labels, x)
         for w in labels[1:4]:
             if ctx.deg[w] == 6 and ctx.m3[w] == 6:
-                yield "saturated_six", {**b, "w": w}
+                yield "saturated_six", _K15_SIX, (v, *labels, w, x)
                 break
 
 
@@ -293,16 +342,16 @@ def _scan_k16(ctx: _Ctx, v: int):
     if ctx.deg[v] != 5 or ctx.m3[v] != 4:
         return
     for labels, _ in _fan_layout(ctx, v, lambda d: d >= 5):
-        b = dict(zip(_V5, labels), v=v)
+        values = (v, *labels)
         degs = [ctx.deg[u] for u in labels]
         n4 = sum(1 for d in degs if d == 4)
         n5 = sum(1 for d in degs if d == 5)
         if n4 >= 2:
-            yield "two_fours", b
+            yield "two_fours", _R5, values
         if n5 >= 3:
-            yield "three_fives", b
+            yield "three_fives", _R5, values
         if n4 >= 1 and n5 >= 1:
-            yield "four_plus_five", b
+            yield "four_plus_five", _R5, values
 
 
 def _scan_k17(ctx: _Ctx, v: int):
@@ -317,8 +366,8 @@ def _scan_k17(ctx: _Ctx, v: int):
         n6 = sum(1 for d in degs if d == 6)
         profile = (n4, n5, n6)
         if n3 == 0 and profile in ((1, 0, 4), (0, 2, 3)) and (dbl := ctx.doubled_induced(v)):
-            b = dict(zip(_V5, labels), v=v, a=dbl[0][0], b=dbl[0][1])
-            yield ("one_four" if profile == (1, 0, 4) else "two_fives"), b
+            yield (("one_four" if profile == (1, 0, 4) else "two_fives"), _K17,
+                   (*dbl[0], v, *labels))
 
 
 def _doubled_fan_count(ctx: _Ctx, labels) -> int:
@@ -344,7 +393,8 @@ def _fan_neighbor_reduction(ctx: _Ctx, v: int, u: int, u_minus: int, u_plus: int
     triangles determine the single chord that keeps distances intact:
     two lateral triangles bridge their far vertices, a lateral plus an
     outer triangle bridges the opposite fan neighbor to the loose vertex.
-    Returns (bindings, chord) or None when the shape does not apply.
+    Returns ((u, v7, v8), chord), v7 < v8 u's two other neighbors, or None
+    when the shape does not apply.
     """
     if ctx.deg[u] != 5 or ctx.m3[u] != 4:
         return None
@@ -372,8 +422,14 @@ def _fan_neighbor_reduction(ctx: _Ctx, v: int, u: int, u_minus: int, u_plus: int
         chord = (u_plus, loose)
     else:
         return None
-    bindings = {"u": u, "v7": min(others), "v8": max(others)}
-    return bindings, chord
+    return (u, min(others), max(others)), chord
+
+
+def _deleting_u(hit, values) -> tuple:
+    """The _K18_U values of a match whose plan deletes fan neighbor u, from
+    `_fan_neighbor_reduction`'s hit and the _K18 values."""
+    (u, v7, v8), _ = hit
+    return (u, *values[:-1], v7, v8, values[-1])
 
 
 def _scan_k18(ctx: _Ctx, v: int):
@@ -386,45 +442,45 @@ def _scan_k18(ctx: _Ctx, v: int):
             continue
         n4 = sum(1 for d in degs if d == 4)
         n5 = sum(1 for d in degs if d == 5)
-        b = dict(zip(_V6, labels), v=v, x=_opposite_on_quad(ctx, faces[5], v))
-
+        x = _opposite_on_quad(ctx, faces[5], v)
+        values = (v, *labels, x)
         if n4 == 2 and degs[0] == 4 and degs[5] == 4 and n5 >= 2:
-            yield "a", b
+            yield "a", _K18, values
         if n4 == 1 and degs[0] == 4:
             if n5 >= 4:
-                yield "b", b
+                yield "b", _K18, values
             elif n5 == 3 and ctx.doubled_induced(v):
-                yield "c", b
+                yield "c", _K18, values
         if n4 == 0 and n5 == 6:
-            yield "d", b
+            yield "d", _K18, values
         if n4 == 0 and n5 == 5 and 6 in degs[:3] and ctx.doubled_induced(v):
-            yield "e", b
+            yield "e", _K18, values
         if n4 == 0 and n5 == 4:
             if degs[0] == 6 and degs[5] == 6:
                 for u, um, up in ((labels[2], labels[1], labels[3]),
                                   (labels[3], labels[2], labels[4])):
                     hit = _fan_neighbor_reduction(ctx, v, u, um, up)
                     if hit:
-                        yield "f", {**b, **hit[0]}
+                        yield "f", _K18_U, _deleting_u(hit, values)
             elif _doubled_fan_count(ctx, labels) >= 2:
                 for i in range(1, 5):
                     if degs[i] == 5:
-                        yield f"g{i+1}", {**b, "vi": labels[i]}
+                        yield f"g{i+1}", _K18_VI, (v, *labels, labels[i], x)
         if n4 == 0 and n5 == 3:
             positions = {i + 1 for i in range(6) if degs[i] == 5}
             if positions in _SIX_PROFILE_V6 and ctx.deg[labels[5]] == 5 \
                     and ctx.m3[labels[5]] == 4:
-                yield "h_last", b
+                yield "h_last", _K18, values
             elif positions in _SIX_PROFILE_V4:
                 hit = _fan_neighbor_reduction(ctx, v, labels[3], labels[2], labels[4])
                 if hit:
-                    yield "h_mid", {**b, **hit[0]}
+                    yield "h_mid", _K18_U, _deleting_u(hit, values)
             elif positions in _SIX_PROFILE_V3:
                 hit = _fan_neighbor_reduction(ctx, v, labels[2], labels[1], labels[3])
                 if hit:
-                    yield "h_mid", {**b, **hit[0]}
+                    yield "h_mid", _K18_U, _deleting_u(hit, values)
             elif positions in _SIX_PROFILE_3DBL and _doubled_fan_count(ctx, labels) >= 3:
-                yield "h_triple", b
+                yield "h_triple", _K18, values
 
 
 def _scan_k19(ctx: _Ctx, v: int):
@@ -437,92 +493,92 @@ def _scan_k19(ctx: _Ctx, v: int):
             continue
         n4 = sum(1 for d in degs if d == 4)
         n5 = sum(1 for d in degs if d == 5)
-        b = dict(zip(_V6, labels), v=v)
+        values = (v, *labels)
 
         if n4 == 2 and degs[0] == 4 and degs[5] == 4 and n5 >= 3:
-            yield "a", b
+            yield "a", _R6, values
         if n4 == 1 and degs[0] == 4:
             if n5 >= 5:
-                yield "b", b
+                yield "b", _R6, values
             elif n5 == 4 and ctx.doubled_induced(v):
-                yield "c", b
+                yield "c", _R6, values
         if n4 == 0 and n5 == 6 and ctx.doubled_induced(v):
-            yield "d", b
+            yield "d", _R6, values
         if n4 == 0 and n5 == 5 and 6 in degs[:3] \
                 and _doubled_fan_count(ctx, labels) >= 2:
-            yield "e", b
+            yield "e", _R6, values
+
+
+_K20_CASES = ("near", "mid", "far")  # the second 4-face is faces[1], [2] or [3]
 
 
 def _scan_k20(ctx: _Ctx, v: int):
-    # 6-vertex: four triangles and two 4-faces.
+    # 6-vertex: four triangles and two 4-faces, so every other corner is a
+    # triangle; read from either 4-face, the other is near, mid or far.
     if ctx.deg[v] != 6 or ctx.m3[v] != 4 or ctx.m4[v] != 2:
         return
-    fd = ctx.fdeg
-    for labels, faces in ctx.labelings(v):
-        if fd[faces[0]] != 4:
+    fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
+    for p, f in enumerate(fs):
+        if fd[f] != 4:
             continue
-        degs = [ctx.deg[u] for u in labels]
-        if any(d == 3 for d in degs):
-            continue
-        n4 = sum(1 for d in degs if d == 4)
-        n5 = sum(1 for d in degs if d == 5)
-        case = None
-        if fd[faces[1]] == 4 and all(fd[faces[i]] == 3 for i in (2, 3, 4, 5)):
-            case = "near"
-        elif fd[faces[2]] == 4 and all(fd[faces[i]] == 3 for i in (1, 3, 4, 5)):
-            case = "mid"
-        elif fd[faces[3]] == 4 and all(fd[faces[i]] == 3 for i in (1, 2, 4, 5)):
-            case = "far"
-        if case is None:
-            continue
-        b = dict(zip(_V6, labels), v=v)
-        if n4 == 1 and n5 == 5:
-            yield f"{case}/one_four", b
-        if n5 == 6 and ctx.doubled_induced(v):
-            yield f"{case}/doubled", b
+        for labels, faces in _from_corner(ns, fs, p):
+            case = next((c for c, g in zip(_K20_CASES, faces[1:4]) if fd[g] == 4), None)
+            if case is None:
+                continue
+            degs = [ctx.deg[u] for u in labels]
+            if any(d == 3 for d in degs):
+                continue
+            n4 = sum(1 for d in degs if d == 4)
+            n5 = sum(1 for d in degs if d == 5)
+            if n4 == 1 and n5 == 5:
+                yield f"{case}/one_four", _R6, (v, *labels)
+            if n5 == 6 and ctx.doubled_induced(v):
+                yield f"{case}/doubled", _R6, (v, *labels)
+
+
+def _flanked(ctx: _Ctx, labels) -> Optional[str]:
+    """The K21/K22 variant: which neighbor of the 3-vertex labels[1] is a 4-vertex."""
+    if ctx.deg[labels[0]] == 4:
+        return "flank_first"
+    if ctx.deg[labels[2]] == 4:
+        return "flank_third"
+    return None
 
 
 def _scan_k21(ctx: _Ctx, v: int):
     # 6-vertex: four triangles, one 4-face, one big face, with a 3-vertex
-    # between the small faces and a 4-vertex flanking it.
+    # between the small faces and a 4-vertex flanking it. m3 = 4 leaves two
+    # corners that are not triangles: read from the 4-face, the big face next.
     if ctx.deg[v] != 6 or ctx.m3[v] != 4:
         return
-    fd = ctx.fdeg
-    for labels, faces in ctx.labelings(v):
-        if not (fd[faces[0]] == 4 and fd[faces[1]] >= 5
-                and all(fd[faces[i]] == 3 for i in (2, 3, 4, 5))):
+    fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
+    for p, f in enumerate(fs):
+        if fd[f] != 4:
             continue
-        v2 = labels[1]
-        if ctx.deg[v2] != 3:
-            continue
-        x = _opposite_on_quad(ctx, faces[0], v)
-        y = _face_neighbor(ctx, faces[1], v2, v)
-        b = dict(zip(_V6, labels), v=v, x=x, y=y)
-        if ctx.deg[labels[0]] == 4:
-            yield "flank_first", b
-        elif ctx.deg[labels[2]] == 4:
-            yield "flank_third", b
+        for labels, faces in _from_corner(ns, fs, p):
+            v2 = labels[1]
+            if fd[faces[1]] < 5 or ctx.deg[v2] != 3 or not (variant := _flanked(ctx, labels)):
+                continue
+            x = _opposite_on_quad(ctx, f, v)
+            y = _face_neighbor(ctx, faces[1], v2, v)
+            yield variant, _K21, (v, *labels, x, y)
 
 
 def _scan_k22(ctx: _Ctx, v: int):
     # As K21 but with two big faces around the 3-vertex.
     if ctx.deg[v] != 6 or ctx.m3[v] != 4:
         return
-    fd = ctx.fdeg
-    for labels, faces in ctx.labelings(v):
-        if not (fd[faces[0]] >= 5 and fd[faces[1]] >= 5
-                and all(fd[faces[i]] == 3 for i in (2, 3, 4, 5))):
+    fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
+    for p, f in enumerate(fs):
+        if fd[f] < 5:
             continue
-        v2 = labels[1]
-        if ctx.deg[v2] != 3:
-            continue
-        y = _face_neighbor(ctx, faces[0], v2, v)
-        z = _face_neighbor(ctx, faces[1], v2, v)
-        b = dict(zip(_V6, labels), v=v, y=y, z=z)
-        if ctx.deg[labels[0]] == 4:
-            yield "flank_first", b
-        elif ctx.deg[labels[2]] == 4:
-            yield "flank_third", b
+        for labels, faces in _from_corner(ns, fs, p):
+            v2 = labels[1]
+            if fd[faces[1]] < 5 or ctx.deg[v2] != 3 or not (variant := _flanked(ctx, labels)):
+                continue
+            y = _face_neighbor(ctx, f, v2, v)
+            z = _face_neighbor(ctx, faces[1], v2, v)
+            yield variant, _K22, (v, *labels, y, z)
 
 
 def _five_face_walks(ctx: _Ctx, v: int):
@@ -545,10 +601,8 @@ def _scan_k23(ctx: _Ctx, v: int):
         return
     for v1, v2, v3, v4, v5 in _five_face_walks(ctx, v):
         if ctx.deg[v4] == 3:
-            b = {"v1": v1, "v2": v2, "v3": v3, "v4": v4, "v5": v5,
-                 "v6": _third_neighbor(ctx, v1, v2, v5),
-                 "v7": _third_neighbor(ctx, v4, v3, v5)}
-            yield "", b
+            yield "", _K23, (v1, v2, v3, v4, v5, _third_neighbor(ctx, v1, v2, v5),
+                             _third_neighbor(ctx, v4, v3, v5))
 
 
 def _scan_k24(ctx: _Ctx, v: int):
@@ -557,9 +611,7 @@ def _scan_k24(ctx: _Ctx, v: int):
         return
     for v1, v2, v3, v4, v5 in _five_face_walks(ctx, v):
         if ctx.deg[v4] == 4:
-            b = {"v1": v1, "v2": v2, "v3": v3, "v4": v4, "v5": v5,
-                 "v6": _third_neighbor(ctx, v1, v2, v5)}
-            yield "", b
+            yield "", _K24, (v1, v2, v3, v4, v5, _third_neighbor(ctx, v1, v2, v5))
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +676,7 @@ def _spec_k12(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
 def _spec_k18(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
     bm = m.binding_map()
     v = bm["v"]
-    ring = tuple(bm[r] for r in _V6)
+    ring = tuple(bm[r] for r in _R6[1:])
     var = m.variant
     if var == "h_last":
         return _plan(ring[5], ((v, bm["x"]),), 19)
@@ -804,8 +856,10 @@ class _EntryIndex:
 
 
 def _found(ctx: _Ctx, entry: CatalogEntry, a: int) -> list:
-    """The sorted (variant, bindings sorted by role) of each match at a."""
-    found = [(variant, tuple(sorted(b.items()))) for variant, b in entry.scan(ctx, a)]
+    """The sorted (variant, bindings) of each match at a. A scan yields each
+    match's values against roles sorted by name, so one zip builds its
+    bindings in order."""
+    found = [(variant, tuple(zip(roles, values))) for variant, roles, values in entry.scan(ctx, a)]
     if len(found) > 1:
         found.sort()
     return found
@@ -845,28 +899,32 @@ def _entries_by_degree(catalog) -> list[tuple[CatalogEntry, ...]]:
 _CATALOG_BY_DEGREE = _entries_by_degree(CATALOG)
 
 
-def detect_all(g, catalog=None) -> list[ConfigurationMatch]:
-    """Every match in `detect_iter`'s order, building no index: one pass over
-    the vertices scans each for the entries its degree fits, as `match_count`
-    does, and the anchors that match are sorted by catalog position, then
-    center; each anchor's matches are sorted by variant, then bindings."""
+def _scans(g, catalog):
+    """g's context and, in its vertex order, each vertex with the entries
+    that its degree fits: the one pass of `detect_all` and `match_count`,
+    which build no index."""
     ctx = _Ctx.of(g)
     by_degree = _entries_by_degree(catalog) if catalog else _CATALOG_BY_DEGREE
+    return ctx, zip(ctx.deg, map(by_degree.__getitem__, ctx.deg.values()))
+
+
+def detect_all(g, catalog=None) -> list[ConfigurationMatch]:
+    """Every match in `detect_iter`'s order: the anchors that match in one
+    pass over the vertices (`_scans`) are sorted by catalog position, then
+    center; each anchor's matches are sorted by variant, then bindings."""
+    ctx, scans = _scans(g, catalog)
     rank = {e: i for i, e in enumerate(catalog or CATALOG)}
-    hits = sorted((rank[e], v, e.config_id, found) for v, d in ctx.deg.items()
-                  for e in by_degree[d] if (found := _found(ctx, e, v)))
+    hits = sorted((rank[e], v, e.config_id, found) for v, entries in scans for e in entries
+                  if (found := _found(ctx, e, v)))
     return [ConfigurationMatch(config_id, v, b, variant)
             for _, v, config_id, found in hits for variant, b in found]
 
 
 def match_count(g, catalog=None) -> int:
-    """len(detect_all(g, catalog)), counted without building a match: one
-    pass over the vertices scans each for the entries its degree fits, and
-    nothing is sorted or indexed."""
-    ctx = _Ctx.of(g)
-    by_degree = _entries_by_degree(catalog) if catalog else _CATALOG_BY_DEGREE
-    return sum(1 for v, d in ctx.deg.items() for entry in by_degree[d]
-               for _ in entry.scan(ctx, v))
+    """len(detect_all(g, catalog)), counted in the same pass without
+    building a match: nothing is zipped, sorted or indexed."""
+    ctx, scans = _scans(g, catalog)
+    return sum(1 for v, entries in scans for e in entries for _ in e.scan(ctx, v))
 
 
 def detect(g, catalog=None) -> Optional[ConfigurationMatch]:

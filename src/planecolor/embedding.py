@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     AsymmetricAdjacency,
+    BadLabel,
     ChordAlreadyEdge,
     CrossingChords,
     DanglingVertexId,
@@ -86,8 +87,9 @@ class EmbeddedGraph:
     It keeps only its rotations, labels and edge count, plus the face cache
     once a face accessor has been called. Construction validates local
     consistency only (symmetry, no loops, no parallel edges, no dangling
-    ids); whether the rotation system has genus 0 is the caller's concern
-    and is observable through the Euler count.
+    ids, each label a string on a vertex of the rotation); whether the
+    rotation system has genus 0 is the caller's concern and is observable
+    through the Euler count.
     """
 
     __slots__ = ("_rot", "_labels", "_faces", "_darts", "_edge_count")
@@ -115,9 +117,12 @@ class EmbeddedGraph:
             for u in ns:
                 if v not in nbr_sets[u]:
                     raise AsymmetricAdjacency((v, u))
+        self._labels = dict(labels) if labels else {}
+        for v, name in self._labels.items():
+            if v not in rot or not isinstance(name, str):
+                raise BadLabel(v, name)
         self._rot = rot
         self._edge_count = dart_count // 2
-        self._labels = dict(labels) if labels else {}
         self._faces: Optional[tuple[Face, ...]] = None
         self._darts: Optional[Darts] = None
 

@@ -44,6 +44,14 @@ class DanglingVertexId(GraphInputError):
         super().__init__(f"dart {dart} references an unknown vertex id")
 
 
+class BadLabel(GraphInputError):
+    def __init__(self, vertex, label):
+        self.vertex = vertex
+        self.label = label
+        super().__init__(f"label {label!r} of vertex {vertex!r}: a label names a vertex "
+                         "of the rotation with a string")
+
+
 class PositiveGenus(GraphInputError):
     """The rotation system does not embed every component in the sphere."""
 

@@ -6,7 +6,8 @@ import pytest
 
 import fixtures
 from planecolor import generators as G
-from planecolor.configurations import CATALOG, _Ctx, _fan_layout, match_count
+from planecolor.configurations import (CATALOG, _Ctx, _fan_layout, _found, _from_corner,
+                                       _labeling, match_count)
 from planecolor.embedding import build_embedded
 from planecolor.errors import DegreeTooHigh, PlanInvalid
 from planecolor.oracle import is_proper_wrt
@@ -100,14 +101,17 @@ def test_every_match_is_centered_at_its_anchor(corpus):
     # anchor's matches among themselves, never across anchors, so a scan
     # whose anchor role is bound elsewhere would be misplaced and out of
     # order. Fresh detection goes through the same index and cannot see this.
+    # Bindings come in role order, each role once, as each scan yields them.
     graphs = [fixture()[0] for fixture in fixtures.ALL_FIXTURES] + [g for _, g in corpus]
     for g in graphs:
         ctx = _Ctx(g)
         for entry in CATALOG:
             role = "v1" if entry.config_id in ("K23", "K24") else "v"
             for v in ctx.rot:
-                for variant, b in entry.scan(ctx, v):
-                    assert b[role] == v, (entry.config_id, v, variant, b)
+                for variant, b in _found(ctx, entry, v):
+                    assert dict(b)[role] == v, (entry.config_id, v, variant, b)
+                    roles = [r for r, _ in b]
+                    assert roles == sorted(set(roles)), (entry.config_id, variant, roles)
 
 
 def test_dedup_no_duplicate_matches(corpus):
@@ -117,9 +121,12 @@ def test_dedup_no_duplicate_matches(corpus):
         assert len(keys) == len(set(keys)), name
 
 
-# A fan layout fixes the distinct triangles at its anchor, and these scans
-# return at once when the count differs.
-_PREFILTER_M3 = {"K15": 4, "K16": 4, "K17": 4, "K18": 5, "K19": 5, "K21": 4, "K22": 4}
+# A layout of triangle corners fixes the distinct triangles at its anchor,
+# and these scans return at once when the count is not one of these.
+_PREFILTER_M3 = {"K06": {3, 4}, **dict.fromkeys(("K07", "K08", "K09"), {2}),
+                 **dict.fromkeys(("K10", "K11", "K12"), {1}), "K13": {5}, "K14": {5},
+                 **dict.fromkeys(("K15", "K16", "K17", "K20", "K21", "K22"), {4}),
+                 "K18": {5}, "K19": {5}}
 
 
 def _scan_graphs(corpus):
@@ -140,7 +147,7 @@ def test_anchor_degree_and_triangle_count_hold_at_every_match(corpus):
                 for _ in entry.scan(ctx, v):
                     assert entry.fits(ctx.deg[v]), (entry.config_id, v, ctx.deg[v])
                     if entry.config_id in _PREFILTER_M3:
-                        assert ctx.m3[v] == _PREFILTER_M3[entry.config_id], (entry.config_id, v)
+                        assert ctx.m3[v] in _PREFILTER_M3[entry.config_id], (entry.config_id, v)
                     matched.add(entry.config_id)
     assert matched == {e.config_id for e in CATALOG}
 
@@ -185,7 +192,9 @@ def test_match_count_counts_what_detect_all_lists_for_every_catalog_suffix(corpu
 
 
 def _labelings_generator(ctx, v):
-    """The labelings as a generator over doubled slices, the reference for the table."""
+    """All 2d labelings at v as a generator over doubled slices: rotations,
+    then reflections, each (labels, corner faces). The reference the
+    scanners' labelings are checked against."""
     rot = ctx.rot[v]
     fs = ctx.dart_faces(v)
     cf = tuple(fs[1:] + fs[:1])  # corner j: between rot[j] and rot[j + 1]
@@ -198,48 +207,23 @@ def _labelings_generator(ctx, v):
         yield tuple(rot2[d - 1 - k:2 * d - 1 - k]), cf2[d - k:2 * d - k]
 
 
-def test_labelings_table_equals_the_generator(corpus):
-    # Every entry that scans a vertex shares its table, so after all of them
-    # have run there the table must still be the reference: a scanner that
-    # changed the shared list fails here.
+def test_labelings_equal_the_generator(corpus):
+    # `_labeling` reads each rotation and reflection off the rotation and
+    # `dart_faces`, and `_from_corner` the two whose first corner is fs[p].
     degrees = set()
     for g in _scan_graphs(corpus):
         ctx = _Ctx(g)
         for v, d in ctx.deg.items():
-            if d >= 2:
-                ctx.labelings(v)
-                for entry in CATALOG:
-                    if entry.fits(d):
-                        list(entry.scan(ctx, v))
-                assert ctx.labelings(v) == list(_labelings_generator(ctx, v)), v
-                degrees.add(d)
-    assert degrees == {2, 3, 4, 5, 6}
-
-
-@pytest.mark.parametrize("g", [G.tri_grid(8, 8), G.hex_grid(4)], ids=["tri_grid", "hex_grid"])
-def test_labelings_table_is_rebuilt_after_every_step(g):
-    # The table of a neighbor of the deleted vertex is read just before the
-    # step; its rotation changes in the step, so the first read after it
-    # must be a fresh table, not the one kept from before.
-    ctx = _Ctx(g)
-    checked = 0
-    while ctx.vertex_count > 1:
-        for m in detect_iter(ctx):
-            try:
-                p = plan(ctx, m)
-            except PlanInvalid:
+            if d < 2:
                 continue
-            break
-        else:
-            break
-        v = max(ctx.rot[p.delete], key=lambda u: (ctx.deg[u], u), default=None)
-        if v is not None and ctx.deg[v] >= 2:
-            ctx.labelings(v)
-        apply_plan(ctx, p)
-        if v is not None and ctx.deg[v] >= 2:
-            assert ctx.labelings(v) == list(_labelings_generator(ctx, v)), (p, v)
-            checked += 1
-    assert ctx.vertex_count == 1 and checked >= g.vertex_count // 2, checked
+            ns, fs = ctx.rot[v], ctx.dart_faces(v)
+            built = [_labeling(ns, fs, k, forward) for forward in (True, False) for k in range(d)]
+            assert [(tuple(ls), tuple(fc)) for ls, fc in built] == list(_labelings_generator(ctx, v))
+            for p in range(d):
+                assert [faces[0] for _, faces in _from_corner(ns, fs, p)] == [fs[p]] * 2
+            assert (ns, fs) == (ctx.rot[v], ctx.dart_faces(v)), v  # read, never changed
+            degrees.add(d)
+    assert degrees == {2, 3, 4, 5, 6}
 
 
 def test_fan_layout_equals_filtering_every_labeling(corpus):
@@ -253,9 +237,10 @@ def test_fan_layout_equals_filtering_every_labeling(corpus):
             if d < 2 or ctx.m3[v] != d - 1:
                 continue
             for last in predicates:
-                filtered = [(labels, faces) for labels, faces in ctx.labelings(v)
+                filtered = [(labels, faces) for labels, faces in _labelings_generator(ctx, v)
                             if all(ctx.fdeg[f] == 3 for f in faces[:-1])
                             and last(ctx.fdeg[faces[-1]])]
-                assert list(_fan_layout(ctx, v, last)) == filtered, v
+                built = [(tuple(ls), tuple(fc)) for ls, fc in _fan_layout(ctx, v, last)]
+                assert built == filtered, v
                 checked += bool(filtered)
     assert checked

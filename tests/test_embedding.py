@@ -1,9 +1,11 @@
 import pytest
 
+from planecolor import codec
 from planecolor import generators as G
 from planecolor.embedding import EmbeddedGraph, build_embedded
 from planecolor.errors import (
     AsymmetricAdjacency,
+    BadLabel,
     ChordAlreadyEdge,
     CrossingChords,
     DanglingVertexId,
@@ -48,6 +50,18 @@ def test_parallel_edge_rejected():
 def test_dangling_id_rejected():
     with pytest.raises(DanglingVertexId):
         build_embedded(2, [[1, 5], [0]])
+
+
+@pytest.mark.parametrize("labels", [{9: "x"}, {0: 5}, {0: None}, {1: "b", 9: "x", 0: 5}],
+                         ids=["off-the-rotation", "int", "none", "mixed"])
+def test_labels_name_a_vertex_of_the_rotation_with_a_string(labels):
+    # The codec's reader refuses such labels, so a graph that kept them
+    # would write a document that does not read back.
+    with pytest.raises(BadLabel) as exc:
+        EmbeddedGraph({0: [1], 1: [0]}, labels)
+    assert exc.value.vertex in (0, 9)
+    g = EmbeddedGraph({0: [1], 1: [0]}, {0: "a", 1: ""})
+    assert codec.read_json(codec.write_json(g)) == g
 
 
 @pytest.mark.parametrize("rotations, error, dart", [

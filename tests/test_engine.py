@@ -502,29 +502,6 @@ def test_index_scans_per_step_stay_few(monkeypatch):
     assert calls / len(result.steps) <= 2, calls / len(result.steps)
 
 
-class _TableCounted(_Ctx):
-    """A context that counts the labeling tables it builds."""
-
-    def __init__(self, g):
-        self.tables = 0
-        super().__init__(g)
-
-    def labelings(self, v):
-        self.tables += v != self.labeled
-        return super().labelings(v)
-
-
-def test_labeling_tables_per_step_stay_few():
-    # Deterministic stand-in for a timing check: K06 asks for three
-    # triangles at a 4-vertex, so it counts them (m3) before it builds the
-    # vertex's labeling table. Building the table first cost 2.15 tables per
-    # step on tri_grid(16, 16); counting first costs 0.98.
-    ctx = _TableCounted(G.tri_grid(16, 16))
-    steps = sum(1 for _ in _peel(ctx, None))
-    assert ctx.vertex_count == 1
-    assert ctx.tables / steps <= 1.1, ctx.tables / steps
-
-
 def _check_face_counts(ctx):
     """At a vertex of degree >= 3 a face of size 3 or 4 fills at most one
     corner, so its triangle and 4-face corners number m3 and m4, the
