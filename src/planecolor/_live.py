@@ -40,8 +40,8 @@ from .errors import (ChordAlreadyEdge, CrossingChords, DegreeTooHigh, EndpointNo
 class _Cached(dict):
     """vertex -> value, computed on the first read after the entry is dropped."""
 
-    def __init__(self, compute):
-        super().__init__()
+    def __init__(self, compute, values=()):
+        super().__init__(values)
         self.compute = compute
 
     def __missing__(self, v):
@@ -111,7 +111,14 @@ class _Ctx(Darts):
         # a context is freed when its last reference goes instead of waiting,
         # caches and all, for the cycle collector.
         off, deg, face, fdeg = self.off, self.deg, self.face, self.fdeg
-        self.m3 = _Cached(lambda v: _count_faces(face[off[v]:off[v] + deg[v]], fdeg, 3))
+        # Every vertex's triangle count in one pass: a 3-dart face has three
+        # distinct vertices, so each face it is on counts once.
+        m3 = dict.fromkeys(deg, 0)
+        for walk in self.faces.values():
+            if len(walk) == 3:
+                for v in walk:
+                    m3[v] += 1
+        self.m3 = _Cached(lambda v: _count_faces(face[off[v]:off[v] + deg[v]], fdeg, 3), m3)
         self.m4 = _Cached(lambda v: _count_faces(face[off[v]:off[v] + deg[v]], fdeg, 4))
         self.index: dict = {}  # catalog entry -> its configurations._EntryIndex
         self.routes = None  # see `_routes`

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import getitem
 from typing import Callable, Iterator, Optional
 
 from ._live import _Ctx
@@ -110,30 +111,30 @@ def _from_corner(ns: list, fs: list, p: int):
 # ---------------------------------------------------------------------------
 # Scanners. Each yields (variant, roles, values) for every match anchored at
 # one vertex, their center: the match binds roles[i] to values[i], and roles
-# is one of the sorted tuples above. A labeling is a rotation or reflection
-# of the anchor's neighbors; each scanner builds only the labelings that its
-# corner layout or a light neighbor admits, each of them read off the
-# anchor's rotation and `dart_faces`. Only detection builds the matches.
+# is one of the sorted tuples above. A scanner runs only at a vertex whose
+# degree and triangle count fit its entry's gate (`CatalogEntry.fits`), which
+# its caller checks once, so no scanner tests either. A labeling is a
+# rotation or reflection of the anchor's neighbors; each scanner builds only
+# the labelings that its corner layout or a light neighbor admits, each of
+# them read off the anchor's rotation and `dart_faces`. Only detection builds
+# the matches.
 # ---------------------------------------------------------------------------
 
 def _scan_k01(ctx: _Ctx, v: int):
     # Degree <= 1 in a graph with something else left to color.
-    if ctx.deg[v] <= 1 and ctx.vertex_count >= 2:
-        if ctx.deg[v] == 1:
-            yield "", ("v", "v1"), (v, ctx.rot[v][0])
+    if ctx.vertex_count >= 2:
+        if ns := ctx.rot[v]:
+            yield "", ("v", "v1"), (v, ns[0])
         else:
             yield "", ("v",), (v,)
 
 
 def _scan_k02(ctx: _Ctx, v: int):
-    if ctx.deg[v] == 2:
-        yield "", ("v", "x", "y"), (v, *ctx.rot[v])
+    yield "", ("v", "x", "y"), (v, *ctx.rot[v])
 
 
 def _scan_k03(ctx: _Ctx, v: int):
     # 3-vertex with a neighbor of degree <= 5: the two labelings from it.
-    if ctx.deg[v] != 3:
-        return
     deg = ctx.deg
     a, b, c = ctx.rot[v]
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
@@ -152,8 +153,6 @@ def _corners3(ctx: _Ctx, v: int):
 
 def _scan_k04(ctx: _Ctx, v: int):
     # 3-vertex on a triangle: the two labelings that start at its corner.
-    if ctx.deg[v] != 3:
-        return
     fd = ctx.fdeg
     for x, y, z, f, _ in _corners3(ctx, v):
         if fd[f] == 3:
@@ -163,8 +162,6 @@ def _scan_k04(ctx: _Ctx, v: int):
 
 def _scan_k05(ctx: _Ctx, v: int):
     # 3-vertex between two 4-faces: the two labelings through the neighbor between them.
-    if ctx.deg[v] != 3:
-        return
     fd = ctx.fdeg
     for x, y, z, f, g in _corners3(ctx, v):
         if fd[f] == 4 and fd[g] == 4:
@@ -174,23 +171,20 @@ def _scan_k05(ctx: _Ctx, v: int):
 
 
 def _scan_k06(ctx: _Ctx, v: int):
-    # 4-vertex on three consecutive triangles. A triangle fills at most one
-    # corner of a vertex (its three vertices are distinct), so three corners
-    # need m3 >= 3: with four every labeling matches, with three the fan layouts.
-    if ctx.deg[v] != 4 or ctx.m3[v] < 3:
-        return
-    if ctx.m3[v] == 3:
-        layouts = _fan_layout(ctx, v, lambda d: True)
-    else:
-        ns, fs = ctx.rot[v], ctx.dart_faces(v)
+    # 4-vertex on three consecutive triangles, so on three or four triangles
+    # (the gate): on four every labeling matches, on three the fan layouts.
+    fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
+    if all(fd[f] == 3 for f in fs):
         layouts = (lab for p in range(4) for lab in _from_corner(ns, fs, p))
+    else:
+        layouts = _fan_layout(ctx, v, lambda d: True)
     for labels, _ in layouts:
         yield "", _R4, (v, *labels)
 
 
 def _scan_k07(ctx: _Ctx, v: int):
     # 4-vertex, exactly two triangles, plus a 4-face: the labelings from a 4-face.
-    if ctx.deg[v] != 4 or ctx.m3[v] != 2 or ctx.m4[v] < 1:
+    if ctx.m4[v] < 1:
         return
     fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
     for p, f in enumerate(fs):
@@ -220,8 +214,6 @@ def _k0789_layouts(ctx: _Ctx, v: int):
 
 def _scan_k08(ctx: _Ctx, v: int):
     # 4-vertex, exactly two triangles, some neighbor of degree <= 5.
-    if ctx.deg[v] != 4 or ctx.m3[v] != 2:
-        return
     w5 = min((u for u in ctx.rot[v] if ctx.deg[u] <= 5), default=None)
     if w5 is None:
         return
@@ -231,8 +223,6 @@ def _scan_k08(ctx: _Ctx, v: int):
 
 def _scan_k09(ctx: _Ctx, v: int):
     # 4-vertex, exactly two triangles, the first triangle's outer edge doubled.
-    if ctx.deg[v] != 4 or ctx.m3[v] != 2:
-        return
     for labels, variant in _k0789_layouts(ctx, v):
         if ctx.doubled(labels[0], labels[1]):
             yield variant, _R4, (v, *labels)
@@ -246,8 +236,6 @@ def _triangle_first(ctx: _Ctx, v: int):
 
 def _scan_k10(ctx: _Ctx, v: int):
     # 4-vertex: one triangle and three 4-faces.
-    if ctx.deg[v] != 4 or ctx.m3[v] != 1:
-        return
     fd = ctx.fdeg
     for labels, faces in _triangle_first(ctx, v):
         if fd[faces[1]] == 4 and fd[faces[2]] == 4 and fd[faces[3]] == 4:
@@ -256,7 +244,7 @@ def _scan_k10(ctx: _Ctx, v: int):
 
 def _scan_k11(ctx: _Ctx, v: int):
     # 4-vertex: one triangle, one or two 4-faces, a 4-vertex neighbor.
-    if ctx.deg[v] != 4 or ctx.m3[v] != 1 or not 1 <= ctx.m4[v] <= 2:
+    if not 1 <= ctx.m4[v] <= 2:
         return
     four = [u for u in sorted(ctx.rot[v]) if ctx.deg[u] == 4]
     if not four:
@@ -269,7 +257,7 @@ def _scan_k11(ctx: _Ctx, v: int):
 
 def _scan_k12(ctx: _Ctx, v: int):
     # 4-vertex: one triangle, one or two 4-faces, two neighbors of degree 5.
-    if ctx.deg[v] != 4 or ctx.m3[v] != 1 or not 1 <= ctx.m4[v] <= 2:
+    if not 1 <= ctx.m4[v] <= 2:
         return
     if sum(1 for u in ctx.rot[v] if ctx.deg[u] == 5) < 2:
         return
@@ -286,8 +274,6 @@ def _scan_k12(ctx: _Ctx, v: int):
 def _scan_k13(ctx: _Ctx, v: int):
     # 5-vertex in a full triangle fan with a neighbor of degree <= 5: the two
     # labelings from that neighbor.
-    if ctx.deg[v] != 5 or ctx.m3[v] != 5:
-        return
     ns = ctx.rot[v]
     for k, u in enumerate(ns):
         if ctx.deg[u] <= 5:
@@ -297,8 +283,6 @@ def _scan_k13(ctx: _Ctx, v: int):
 
 def _scan_k14(ctx: _Ctx, v: int):
     # 5-vertex in a full triangle fan with a doubled edge between neighbors.
-    if ctx.deg[v] != 5 or ctx.m3[v] != 5:
-        return
     for a, b in ctx.doubled_induced(v):
         yield "", ("v", "v1", "v2"), (v, a, b)
 
@@ -307,8 +291,9 @@ def _fan_layout(ctx: _Ctx, v: int, last_degree):
     """Labelings with a triangle in every corner but the last, which passes last_degree.
 
     A triangle fills one corner only (its three vertices are distinct), so
-    such a layout exists only where m3 is one below the degree, which the
-    callers test first. There exactly one corner, fs[p], is not a triangle,
+    such a layout exists only where m3 is one below the degree: the callers'
+    gates admit no other count, and K06 calls it only when one of its four
+    corners is not a triangle. There exactly one corner, fs[p], is not a triangle,
     and the two labelings that end at it are built: forward from ns[p],
     then backward from ns[p - 1].
     """
@@ -322,8 +307,6 @@ def _fan_layout(ctx: _Ctx, v: int, last_degree):
 
 def _scan_k15(ctx: _Ctx, v: int):
     # 5-vertex: four triangles and a 4-face, with a structural violation.
-    if ctx.deg[v] != 5 or ctx.m3[v] != 4:
-        return
     for labels, faces in _fan_layout(ctx, v, lambda d: d == 4):
         x = _opposite_on_quad(ctx, faces[4], v)
         degs = [ctx.deg[u] for u in labels]
@@ -339,8 +322,6 @@ def _scan_k15(ctx: _Ctx, v: int):
 
 def _scan_k16(ctx: _Ctx, v: int):
     # 5-vertex: four triangles and a big face, neighbor-degree violations.
-    if ctx.deg[v] != 5 or ctx.m3[v] != 4:
-        return
     for labels, _ in _fan_layout(ctx, v, lambda d: d >= 5):
         values = (v, *labels)
         degs = [ctx.deg[u] for u in labels]
@@ -356,8 +337,6 @@ def _scan_k16(ctx: _Ctx, v: int):
 
 def _scan_k17(ctx: _Ctx, v: int):
     # 5-vertex: four triangles and a big face, tight degree profile, doubled edge.
-    if ctx.deg[v] != 5 or ctx.m3[v] != 4:
-        return
     for labels, _ in _fan_layout(ctx, v, lambda d: d >= 5):
         degs = [ctx.deg[u] for u in labels]
         n3 = sum(1 for d in degs if d == 3)
@@ -434,8 +413,6 @@ def _deleting_u(hit, values) -> tuple:
 
 def _scan_k18(ctx: _Ctx, v: int):
     # 6-vertex: five triangles and one 4-face.
-    if ctx.deg[v] != 6 or ctx.m3[v] != 5:
-        return
     for labels, faces in _fan_layout(ctx, v, lambda d: d == 4):
         degs = [ctx.deg[u] for u in labels]
         if any(d == 3 for d in degs):
@@ -485,8 +462,6 @@ def _scan_k18(ctx: _Ctx, v: int):
 
 def _scan_k19(ctx: _Ctx, v: int):
     # 6-vertex: five triangles and one face of degree >= 5.
-    if ctx.deg[v] != 6 or ctx.m3[v] != 5:
-        return
     for labels, _ in _fan_layout(ctx, v, lambda d: d >= 5):
         degs = [ctx.deg[u] for u in labels]
         if any(d == 3 for d in degs):
@@ -515,7 +490,7 @@ _K20_CASES = ("near", "mid", "far")  # the second 4-face is faces[1], [2] or [3]
 def _scan_k20(ctx: _Ctx, v: int):
     # 6-vertex: four triangles and two 4-faces, so every other corner is a
     # triangle; read from either 4-face, the other is near, mid or far.
-    if ctx.deg[v] != 6 or ctx.m3[v] != 4 or ctx.m4[v] != 2:
+    if ctx.m4[v] != 2:
         return
     fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
     for p, f in enumerate(fs):
@@ -549,8 +524,6 @@ def _scan_k21(ctx: _Ctx, v: int):
     # 6-vertex: four triangles, one 4-face, one big face, with a 3-vertex
     # between the small faces and a 4-vertex flanking it. m3 = 4 leaves two
     # corners that are not triangles: read from the 4-face, the big face next.
-    if ctx.deg[v] != 6 or ctx.m3[v] != 4:
-        return
     fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
     for p, f in enumerate(fs):
         if fd[f] != 4:
@@ -566,8 +539,6 @@ def _scan_k21(ctx: _Ctx, v: int):
 
 def _scan_k22(ctx: _Ctx, v: int):
     # As K21 but with two big faces around the 3-vertex.
-    if ctx.deg[v] != 6 or ctx.m3[v] != 4:
-        return
     fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
     for p, f in enumerate(fs):
         if fd[f] < 5:
@@ -597,8 +568,6 @@ def _third_neighbor(ctx: _Ctx, u: int, a: int, b: int) -> int:
 
 def _scan_k23(ctx: _Ctx, v: int):
     # 3-vertex on a 5-face carrying a second 3-vertex two apart on the boundary.
-    if ctx.deg[v] != 3:
-        return
     for v1, v2, v3, v4, v5 in _five_face_walks(ctx, v):
         if ctx.deg[v4] == 3:
             yield "", _K23, (v1, v2, v3, v4, v5, _third_neighbor(ctx, v1, v2, v5),
@@ -607,8 +576,6 @@ def _scan_k23(ctx: _Ctx, v: int):
 
 def _scan_k24(ctx: _Ctx, v: int):
     # 3-vertex on a 5-face carrying a 4-vertex two apart on the boundary.
-    if ctx.deg[v] != 3:
-        return
     for v1, v2, v3, v4, v5 in _five_face_walks(ctx, v):
         if ctx.deg[v4] == 4:
             yield "", _K24, (v1, v2, v3, v4, v5, _third_neighbor(ctx, v1, v2, v5))
@@ -697,10 +664,14 @@ def _spec_k18(ctx: _Ctx, m: ConfigurationMatch) -> ReductionPlan:
 
 @dataclass(frozen=True, eq=False)  # entries key the indexes: hashed by identity, in C
 class CatalogEntry:
-    """One reducible configuration: its scan, its plan builder, and what the
-    scan reads, which tells the engine which anchors to re-check after a step.
+    """One reducible configuration: its scan, its plan builder, its gate, and
+    what the scan reads, which tells the engine which anchors to re-check
+    after a step.
 
-    `degree` is the degree the scan requires of its anchor (see `fits`).
+    The gate is part of the trigger: `degree` is the degree the scan requires
+    of its anchor and `triangles` the counts of distinct triangles at it that
+    it admits, None for any. `fits` is the one check of both, made once by
+    the caller before a scan; the scan itself tests neither.
     `reads_neighbors` is False when the scan reads only its anchor's
     rotation and corner faces, so fewer anchors are re-checked; True when it
     also reads the vertices around its anchor: its neighbors or, for K23 and
@@ -715,12 +686,15 @@ class CatalogEntry:
     scan: Callable
     build: Callable
     degree: int
+    triangles: Optional[tuple[int, ...]] = None
     reads_neighbors: bool = True
     reads_five_faces: bool = False
 
-    def fits(self, d: int) -> bool:
-        """Whether a vertex of degree d can anchor a match: K01 also takes degree 0."""
-        return d == self.degree or (self.degree == 1 and d == 0)
+    def fits(self, d: int, t: int) -> bool:
+        """Whether a vertex of degree d on t distinct triangles can anchor a
+        match: K01 also takes degree 0."""
+        return ((d == self.degree or (self.degree == 1 and d == 0))
+                and (self.triangles is None or t in self.triangles))
 
 
 CATALOG: tuple[CatalogEntry, ...] = (
@@ -741,48 +715,48 @@ CATALOG: tuple[CatalogEntry, ...] = (
                  degree=3, reads_neighbors=False),
     CatalogEntry("K06", "4-vertex on three triangles: delete, close the fan",
                  _scan_k06, _by_roles("v", {"": ((("v1", "v4"),), 18)}),
-                 degree=4, reads_neighbors=False),
+                 degree=4, triangles=(3, 4), reads_neighbors=False),
     CatalogEntry("K07", "4-vertex, two triangles plus a 4-face",
                  _scan_k07, _by_roles("v", {"adjacent": ((("v1", "v4"),), 19),
                                             "split": ((("v3", "v4"),), 19)}),
-                 degree=4, reads_neighbors=False),
+                 degree=4, triangles=(2,), reads_neighbors=False),
     CatalogEntry("K08", "4-vertex, two triangles, a light neighbor",
-                 _scan_k08, _by_roles("v", _TWO_TRIANGLES), degree=4),
+                 _scan_k08, _by_roles("v", _TWO_TRIANGLES), degree=4, triangles=(2,)),
     CatalogEntry("K09", "4-vertex, two triangles, triangle edge doubled",
-                 _scan_k09, _by_roles("v", _TWO_TRIANGLES), degree=4),
+                 _scan_k09, _by_roles("v", _TWO_TRIANGLES), degree=4, triangles=(2,)),
     CatalogEntry("K10", "4-vertex, one triangle and three 4-faces",
                  _scan_k10, _by_roles("v", {"": ((("v2", "v3"), ("v1", "v4")), 19)}),
-                 degree=4, reads_neighbors=False),
+                 degree=4, triangles=(1,), reads_neighbors=False),
     CatalogEntry("K11", "4-vertex with a 4-neighbor: delete, star the 4-neighbor",
-                 _scan_k11, _spec_k11, degree=4),
+                 _scan_k11, _spec_k11, degree=4, triangles=(1,)),
     CatalogEntry("K12", "4-vertex with two 5-neighbors",
-                 _scan_k12, _spec_k12, degree=4),
+                 _scan_k12, _spec_k12, degree=4, triangles=(1,)),
     CatalogEntry("K13", "5-vertex, full fan, light neighbor: plain deletion",
-                 _scan_k13, _by_roles("v", {"": ((), 19)}), degree=5),
+                 _scan_k13, _by_roles("v", {"": ((), 19)}), degree=5, triangles=(5,)),
     CatalogEntry("K14", "5-vertex, full fan, doubled neighbor edge: plain deletion",
-                 _scan_k14, _by_roles("v", {"": ((), 19)}), degree=5),
+                 _scan_k14, _by_roles("v", {"": ((), 19)}), degree=5, triangles=(5,)),
     CatalogEntry("K15", "5-vertex, four triangles + 4-face: close the gap",
                  _scan_k15, _by_roles("v", dict.fromkeys(
                      ("low_neighbor", "two_fives", "saturated_six"), ((("v5", "v1"),), 19))),
-                 degree=5),
+                 degree=5, triangles=(4,)),
     CatalogEntry("K16", "5-vertex, four triangles + big face: close the gap",
                  _scan_k16, _by_roles("v", {
                      "two_fours": ((("v1", "v5"),), 18),
                      **dict.fromkeys(("three_fives", "four_plus_five"),
                                      ((("v1", "v5"),), 19))}),
-                 degree=5),
+                 degree=5, triangles=(4,)),
     CatalogEntry("K17", "5-vertex, four triangles + big face, doubled edge",
                  _scan_k17, _by_roles("v", dict.fromkeys(
                      ("one_four", "two_fives"), ((("v5", "v1"),), 19))),
-                 degree=5),
+                 degree=5, triangles=(4,)),
     CatalogEntry("K18", "6-vertex, five triangles + 4-face family",
-                 _scan_k18, _spec_k18, degree=6),
+                 _scan_k18, _spec_k18, degree=6, triangles=(5,)),
     CatalogEntry("K19", "6-vertex, five triangles + big face family",
                  _scan_k19, _by_roles("v", {
                      **dict.fromkeys(("a", "b", "c"), (_FAN_FROM_V1, 19)),
                      **dict.fromkeys(("d", "e"),
                                      ((("v4", "v2"), ("v4", "v6"), ("v1", "v6")), 19))}),
-                 degree=6),
+                 degree=6, triangles=(5,)),
     CatalogEntry("K20", "6-vertex, four triangles + two 4-faces family",
                  _scan_k20, _by_roles("v", {
                      f"{case}/{kind}": (pairs, 19)
@@ -791,17 +765,17 @@ CATALOG: tuple[CatalogEntry, ...] = (
                          ("mid", (("v1", "v2"), ("v3", "v4"), ("v3", "v5"), ("v5", "v1"))),
                          ("far", (("v1", "v2"), ("v4", "v5"), ("v1", "v3"), ("v3", "v5"))))
                      for kind in ("one_four", "doubled")}),
-                 degree=6),
+                 degree=6, triangles=(4,)),
     CatalogEntry("K21", "3-vertex between a 4-face and a big face at a 6-vertex",
                  _scan_k21, _by_roles("v2", {
                      "flank_first": ((("v1", "y"),), 17),
                      "flank_third": ((("v3", "x"), ("v3", "y")), 17)}),
-                 degree=6),
+                 degree=6, triangles=(4,)),
     CatalogEntry("K22", "3-vertex between two big faces at a 6-vertex",
                  _scan_k22, _by_roles("v2", {
                      "flank_first": ((("v1", "y"), ("v1", "z")), 18),
                      "flank_third": ((("v3", "y"), ("v3", "z")), 18)}),
-                 degree=6),
+                 degree=6, triangles=(4,)),
     CatalogEntry("K23", "5-face with two 3-vertices",
                  _scan_k23, _by_roles("v1", {"": ((("v2", "v4"), ("v4", "v6")), 18)}),
                  degree=3, reads_five_faces=True),
@@ -820,25 +794,29 @@ _BY_ID = {e.config_id: e for e in CATALOG}
 class _EntryIndex:
     """The vertices at which one catalog entry may match on a live context.
 
-    Every entry is anchored at a vertex of its degree, the center of each
+    Every entry is anchored at a vertex its gate admits, the center of each
     match its scan yields there. `anchors` is sorted, without repeats, and
-    lists every live vertex outside `dirty` whose degree fits and whose scan
-    matches; it starts as every vertex that fits, unscanned, and may list stale ones.
+    lists every live vertex outside `dirty` whose degree and triangle count
+    fit and whose scan matches; it starts as every vertex that fits,
+    unscanned, and may list stale ones. `fit` holds the degrees some
+    triangle count fits: a step marks a vertex dirty by its degree alone,
+    since its triangle count changes only when the step touches it.
     """
 
     __slots__ = ("entry", "fit", "anchors", "dirty")
 
     def __init__(self, ctx: _Ctx, entry: CatalogEntry):
         self.entry = entry
-        self.fit = {d for d in range(7) if entry.fits(d)}
-        self.anchors = sorted(v for v, d in ctx.deg.items() if d in self.fit)
+        self.fit = {d for d in range(7) if any(entry.fits(d, t) for t in range(d + 1))}
+        m3 = ctx.m3
+        self.anchors = sorted(v for v, d in ctx.deg.items() if entry.fits(d, m3[v]))
         self.dirty: set[int] = set()
 
     def reached(self, ctx: _Ctx) -> Iterator[tuple[int, list]]:
         """List the dirty vertices, then yield each listed one that matches,
         with `_found` there. One that is gone, no longer fits or yields nothing
         is dropped, each run of them by one slice deletion before the next yield."""
-        anchors, fit, deg, entry = self.anchors, self.fit, ctx.deg, self.entry
+        anchors, deg, m3, entry = self.anchors, ctx.deg, ctx.m3, self.entry
         for a in self.dirty:
             i = bisect_left(anchors, a)
             if i == len(anchors) or anchors[i] != a:
@@ -848,7 +826,7 @@ class _EntryIndex:
         while i < len(anchors):
             a = anchors[i]
             i += 1
-            if deg.get(a) in fit and (found := _found(ctx, entry, a)):
+            if a in deg and entry.fits(deg[a], m3[a]) and (found := _found(ctx, entry, a)):
                 del anchors[keep:i - 1]
                 i = keep = keep + 1
                 yield a, found
@@ -856,10 +834,11 @@ class _EntryIndex:
 
 
 def _found(ctx: _Ctx, entry: CatalogEntry, a: int) -> list:
-    """The sorted (variant, bindings) of each match at a. A scan yields each
-    match's values against roles sorted by name, so one zip builds its
-    bindings in order."""
-    found = [(variant, tuple(zip(roles, values))) for variant, roles, values in entry.scan(ctx, a)]
+    """The (variant, roles, values) of each match at a, sorted. A scan yields
+    the same sorted role tuple for every match of one variant, so this is the
+    order of (variant, bindings), and a match's bindings are built, with one
+    zip, only when it is handed out."""
+    found = list(entry.scan(ctx, a))
     if len(found) > 1:
         found.sort()
     return found
@@ -870,13 +849,13 @@ def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
 
     `g` is an EmbeddedGraph or the engine's live context. An entry's index
     is built, or its dirty vertices listed, only when iteration reaches it,
-    and a listed vertex is scanned only when iteration reaches it, so taking
-    the first match costs the entries before it and the scans of the
-    vertices listed in front of the anchor that fires. Iteration drops stale
-    vertices from the lists, so only one detection may run on a context at
-    a time, and the context must not change while it runs. A graph gets a
-    context of its own, built (and its degrees checked) on the first
-    `next`, whose lists go with it.
+    and a listed vertex is scanned only when iteration reaches it and fits
+    the entry's gate, so taking the first match costs the entries before it
+    and the scans of the vertices listed in front of the anchor that fires.
+    Iteration drops stale vertices from the lists, so only one detection may
+    run on a context at a time, and the context must not change while it
+    runs. A graph gets a context of its own, built (and its degrees checked)
+    on the first `next`, whose lists go with it.
     """
     ctx = _Ctx.of(g)
     for entry in (catalog or CATALOG):
@@ -887,25 +866,28 @@ def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
         if not (idx.anchors or idx.dirty):
             continue
         for a, found in idx.reached(ctx):
-            for variant, b in found:
-                yield ConfigurationMatch(entry.config_id, a, b, variant)
+            for variant, roles, values in found:
+                yield ConfigurationMatch(entry.config_id, a, tuple(zip(roles, values)), variant)
 
 
-def _entries_by_degree(catalog) -> list[tuple[CatalogEntry, ...]]:
-    """Per degree 0..6, the entries that a vertex of that degree can anchor."""
-    return [tuple(e for e in catalog if e.fits(d)) for d in range(7)]
+def _entries_by_gate(catalog) -> list[list[tuple[CatalogEntry, ...]]]:
+    """Per degree d and triangle count t, 0..6 each, the entries whose gate
+    a vertex with them fits: [d][t]."""
+    return [[tuple(e for e in catalog if e.fits(d, t)) for t in range(7)] for d in range(7)]
 
 
-_CATALOG_BY_DEGREE = _entries_by_degree(CATALOG)
+_CATALOG_BY_GATE = _entries_by_gate(CATALOG)
 
 
 def _scans(g, catalog):
     """g's context and, in its vertex order, each vertex with the entries
-    that its degree fits: the one pass of `detect_all` and `match_count`,
+    whose gate it fits: the one pass of `detect_all` and `match_count`,
     which build no index."""
     ctx = _Ctx.of(g)
-    by_degree = _entries_by_degree(catalog) if catalog else _CATALOG_BY_DEGREE
-    return ctx, zip(ctx.deg, map(by_degree.__getitem__, ctx.deg.values()))
+    by_gate = _entries_by_gate(catalog) if catalog else _CATALOG_BY_GATE
+    deg = ctx.deg
+    return ctx, zip(deg, map(getitem, map(by_gate.__getitem__, deg.values()),
+                             map(ctx.m3.__getitem__, deg)))
 
 
 def detect_all(g, catalog=None) -> list[ConfigurationMatch]:
@@ -916,8 +898,8 @@ def detect_all(g, catalog=None) -> list[ConfigurationMatch]:
     rank = {e: i for i, e in enumerate(catalog or CATALOG)}
     hits = sorted((rank[e], v, e.config_id, found) for v, entries in scans for e in entries
                   if (found := _found(ctx, e, v)))
-    return [ConfigurationMatch(config_id, v, b, variant)
-            for _, v, config_id, found in hits for variant, b in found]
+    return [ConfigurationMatch(config_id, v, tuple(zip(roles, values)), variant)
+            for _, v, config_id, found in hits for variant, roles, values in found]
 
 
 def match_count(g, catalog=None) -> int:

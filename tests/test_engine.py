@@ -1,15 +1,16 @@
 """The incremental engine against fresh recomputation, step by step.
 
 After every step the live context is exported to an EmbeddedGraph. Its dart
-kernel must hold together, and its face ids, sizes and the walks it keeps
-must agree with a fresh trace of the exported rotations, walk starts
-included (`_check_kernel`); its match
+kernel must hold together, and its face ids, sizes, the walks it keeps and
+the triangle and 4-face counts it holds must agree with a fresh trace of the
+exported rotations, walk starts included (`_check_kernel`); its match
 index must list exactly what `detect_all` finds on the exported graph, in
 the same order; and the neighborhood recorded for the
 extension must be the deleted vertex's distance-2 neighborhood in the graph
 before the step. Before that detection lists the marked vertices, every index
 must also list each live vertex it has not marked dirty where a fresh scan
-matches (`_check_marks`). This is what shows the rule for marking vertices
+matches and whose degree and triangle count fit the entry's gate
+(`_check_marks`). This is what shows the rule for marking vertices
 misses nothing.
 """
 
@@ -42,14 +43,16 @@ def _check_kernel(ctx, g):
     """twin is an involution between (v, w) and (w, v); and every face of a
     fresh trace of g, the graph ctx holds, has one id over its darts, which
     no other face has, that id's fdeg is its length, and a face of size <= 5
-    has its walk kept in full under that id. Every walk kept is its face's."""
+    has its walk kept in full under that id. Every walk kept is its face's,
+    and every triangle and 4-face count held (`m3`, `m4`) is the number of
+    distinct faces of that size at a live vertex."""
     for v, ns in ctx.rot.items():
         for j, w in enumerate(ns):
             d = ctx.off[v] + j
             t = ctx.twin[d]
             assert ctx.twin[t] == d and t == ctx.off[w] + ctx.rot[w].index(v), (v, w)
             assert ctx.tail[d] == v and ctx.nxt[d] == ctx.off[v] + (j + 1) % len(ns), (v, w)
-    walks = {}
+    walks, at = {}, {3: Counter(), 4: Counter()}
     for face in g.faces():
         ids = {ctx.face[ctx.off[v] + ctx.rot[v].index(w)] for v, w in face.boundary}
         assert len(ids) == 1, face
@@ -58,20 +61,26 @@ def _check_kernel(ctx, g):
         walks[f] = face.vertex_walk()
         if face.degree <= 5:
             assert ctx.faces[f] == walks[f], face
+        if face.degree in at:
+            at[face.degree].update(set(walks[f]))
     for f, walk in ctx.faces.items():
         assert walks.get(f) == walk, f
+    for size, held in ((3, ctx.m3), (4, ctx.m4)):
+        for v, n in held.items():
+            assert v in ctx.rot and n == at[size][v], (size, v, n)
 
 
 def _check_marks(ctx):
     """Between a step and the next detection, an index lists every live
-    vertex outside `dirty` whose degree fits the entry and where a fresh
-    scan matches; it may list stale vertices too. `anchors` is sorted,
-    without repeats."""
+    vertex outside `dirty` whose degree and triangle count fit the entry and
+    where a fresh scan matches; it may list stale vertices too. `anchors` is
+    sorted, without repeats."""
     for idx in ctx.index.values():
         anchors = set(idx.anchors)
         assert idx.anchors == sorted(anchors), idx.entry.config_id
         for v, d in ctx.deg.items():
-            if v not in idx.dirty and d in idx.fit and next(idx.entry.scan(ctx, v), None):
+            if (v not in idx.dirty and idx.entry.fits(d, ctx.m3[v])
+                    and next(idx.entry.scan(ctx, v), None)):
                 assert v in anchors, (idx.entry.config_id, v)
 
 
@@ -80,10 +89,10 @@ def _check_every_step(g, catalog):
     before, steps = g, 0
     _check_kernel(ctx, g)
     for *_, deleted, _, _, near in _peel(ctx, catalog):
-        _check_marks(ctx)
         exported = ctx.to_graph()
         assert exported.euler_defect() == 0
-        _check_kernel(ctx, exported)
+        _check_kernel(ctx, exported)  # before `_check_marks` reads every count
+        _check_marks(ctx)
         assert _keys(detect_iter(ctx, catalog)) == _keys(detect_all(exported, catalog))
         assert set(near) == before.distance2_neighborhood(deleted)
         before = exported
@@ -144,10 +153,10 @@ def test_index_matches_fresh_detection_with_a_catalog_suffix(start):
 
 def _fit_checked(catalog):
     """`catalog` with each scan asserting that it runs at a live vertex whose
-    degree fits its entry."""
+    degree and triangle count fit its entry."""
     def checked(entry):
         def scan(ctx, v):
-            assert v in ctx.rot and entry.fits(ctx.deg[v]), (entry.config_id, v)
+            assert v in ctx.rot and entry.fits(ctx.deg[v], ctx.m3[v]), (entry.config_id, v)
             return entry.scan(ctx, v)
         return dataclasses.replace(entry, scan=scan)
     return tuple(map(checked, catalog))
@@ -591,7 +600,7 @@ class _Routed(_Ctx):
         super().commit(s)
         for idx in self.index.values():
             self.leaving.setdefault(idx, set()).update(
-                v for v, d in changed if idx.entry.fits(d))
+                v for v, d in changed if d in idx.fit)
 
 
 def test_dirty_anchors_fit_their_entry_now_or_before_the_step():
@@ -600,8 +609,8 @@ def test_dirty_anchors_fit_their_entry_now_or_before_the_step():
     for _ in _peel(ctx, None):
         steps += 1
         for idx in ctx.index.values():
-            fits, leaving = idx.entry.fits, ctx.leaving[idx]
+            fit, leaving = idx.fit, ctx.leaving[idx]
             stray = {u for u in idx.dirty
-                     if not (u in ctx.deg and fits(ctx.deg[u])) and u not in leaving}
+                     if not (u in ctx.deg and ctx.deg[u] in fit) and u not in leaving}
             assert not stray, (steps, idx.entry.config_id, sorted(stray))
     assert ctx.vertex_count == 1 and steps == 143
