@@ -800,23 +800,28 @@ class _EntryIndex:
     fit and whose scan matches; it starts as every vertex that fits,
     unscanned, and may list stale ones. `fit` holds the degrees some
     triangle count fits: a step marks a vertex dirty by its degree alone,
-    since its triangle count changes only when the step touches it.
+    since its triangle count changes only when the step touches it. Where
+    the gate admits any count, the degree is the whole gate, and no count
+    is read (a step drops the counts it may change, so a read can cost a
+    recount).
     """
 
     __slots__ = ("entry", "fit", "anchors", "dirty")
 
     def __init__(self, ctx: _Ctx, entry: CatalogEntry):
         self.entry = entry
-        self.fit = {d for d in range(7) if any(entry.fits(d, t) for t in range(d + 1))}
-        m3 = ctx.m3
-        self.anchors = sorted(v for v, d in ctx.deg.items() if entry.fits(d, m3[v]))
+        self.fit = fit = {d for d in range(7) if any(entry.fits(d, t) for t in range(d + 1))}
+        gated, m3 = entry.triangles is not None, ctx.m3
+        self.anchors = sorted(v for v, d in ctx.deg.items()
+                              if d in fit and (not gated or entry.fits(d, m3[v])))
         self.dirty: set[int] = set()
 
     def reached(self, ctx: _Ctx) -> Iterator[tuple[int, list]]:
         """List the dirty vertices, then yield each listed one that matches,
         with `_found` there. One that is gone, no longer fits or yields nothing
         is dropped, each run of them by one slice deletion before the next yield."""
-        anchors, deg, m3, entry = self.anchors, ctx.deg, ctx.m3, self.entry
+        anchors, fit, deg, m3, entry = self.anchors, self.fit, ctx.deg, ctx.m3, self.entry
+        gated = entry.triangles is not None
         for a in self.dirty:
             i = bisect_left(anchors, a)
             if i == len(anchors) or anchors[i] != a:
@@ -826,7 +831,8 @@ class _EntryIndex:
         while i < len(anchors):
             a = anchors[i]
             i += 1
-            if a in deg and entry.fits(deg[a], m3[a]) and (found := _found(ctx, entry, a)):
+            if ((d := deg.get(a)) in fit and (not gated or entry.fits(d, m3[a]))
+                    and (found := _found(ctx, entry, a))):
                 del anchors[keep:i - 1]
                 i = keep = keep + 1
                 yield a, found
