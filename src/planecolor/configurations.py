@@ -797,8 +797,8 @@ class _EntryIndex:
     Every entry is anchored at a vertex its gate admits, the center of each
     match its scan yields there. `anchors` is sorted, without repeats, and
     lists every live vertex outside `dirty` whose degree and triangle count
-    fit and whose scan matches; it starts as every vertex that fits,
-    unscanned, and may list stale ones. `fit` holds the degrees some
+    fit and whose scan matches; it starts as every vertex of a degree in
+    `fit`, unscanned, and may list stale ones. `fit` holds the degrees some
     triangle count fits: a step marks a vertex dirty by its degree alone,
     since its triangle count changes only when the step touches it. Where
     the gate admits any count, the degree is the whole gate, and no count
@@ -810,10 +810,8 @@ class _EntryIndex:
 
     def __init__(self, ctx: _Ctx, entry: CatalogEntry):
         self.entry = entry
-        self.fit = fit = {d for d in range(7) if any(entry.fits(d, t) for t in range(d + 1))}
-        gated, m3 = entry.triangles is not None, ctx.m3
-        self.anchors = sorted(v for v, d in ctx.deg.items()
-                              if d in fit and (not gated or entry.fits(d, m3[v])))
+        self.fit = {d for d in range(7) if any(entry.fits(d, t) for t in range(d + 1))}
+        self.anchors = sorted(v for v, d in ctx.deg.items() if d in self.fit)
         self.dirty: set[int] = set()
 
     def reached(self, ctx: _Ctx) -> Iterator[tuple[int, list]]:
