@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from planecolor import generators as G
@@ -44,6 +46,29 @@ def necklace(k):
         rot[s] = ([s - 2] if i else []) + [s + 1, s + 2] + ([s - 1] if i else [])
         rot[s + 1], rot[s + 2] = [s + 3, s], [s, s + 3]
     return EmbeddedGraph(rot)
+
+
+def k4_chain(k, seed=0):
+    """k copies of K4 with each edge subdivided once (10 vertices a copy), in
+    a row in the outer face: the vertex on copy i's outer edge BC is joined
+    to the vertex on copy i+1's outer edge AB. Each of the 2(k-1) joints is a
+    cut vertex of degree 3 that meets the outer face twice. Ids are shuffled
+    by `seed`, the joints taking the smallest, so detection reaches them
+    first."""
+    rot, joints = {}, []
+    for i in range(k):
+        a, b, c, d, ab, bc, ca, ad, bd, cd = range(10 * i, 10 * i + 10)
+        rot[a], rot[b], rot[c], rot[d] = [ab, ca, ad], [ab, bd, bc], [bc, cd, ca], [cd, bd, ad]
+        rot[ab], rot[bc], rot[ca] = [b, a], [b, c], [c, a]
+        rot[ad], rot[bd], rot[cd] = [a, d], [b, d], [c, d]
+        if i:
+            rot[ab].insert(1, ab - 9)
+            rot[ab - 9].insert(0, ab)
+            joints += [ab - 9, ab]
+    rng, rest = random.Random(seed), [v for v in rot if v not in set(joints)]
+    to = dict(zip(joints, rng.sample(range(len(joints)), len(joints))))
+    to.update(zip(rest, rng.sample(range(len(joints), len(rot)), len(rest))))
+    return EmbeddedGraph({to[v]: [to[u] for u in ns] for v, ns in rot.items()})
 
 
 def build_corpus():

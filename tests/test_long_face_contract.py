@@ -9,18 +9,21 @@ the sparsest few `random_planar` graphs of their sizes. A second digest
 covers barbells, two triangles joined by a path of up to 400 vertices, whose
 every step deletes a cut vertex on one long face, and a third necklaces,
 chains of up to 200 4-cycles each sharing one vertex with the next, whose
-shared vertices meet the outer face twice. Each graph's vertex ids are
-shuffled, as in the corpus digest. A pinned digest changes only when a
+shared vertices meet the outer face twice, and a fourth chains of up to 40
+subdivided K4s joined by bridges, whose joints are cut vertices of degree 3
+that meet the outer face twice. Each graph's vertex ids are shuffled, as in
+the corpus digest; a chain's joints take the smallest ids. A pinned digest changes only when a
 change to the engine means to change its output.
 """
 
-from conftest import barbell, necklace, windmill
+from conftest import barbell, k4_chain, necklace, windmill
 from planecolor import generators as G
 from test_trace_contract import relabel, trace_digest
 
 PINNED = "4d2cc6cdd8e37860180729547f6e35789c0262ae4403af33964a28d80e6c0f80"
 BARBELL_PINNED = "c672ede43d6781699609837b5d21efc939ce89fecc104259e1e4614198722356"
 NECKLACE_PINNED = "1548f96b55de6e9cc6c6f9e4b97841eab1d9d257607a7a55fcd33708741bf3af"
+K4_CHAIN_PINNED = "a2a4494c08b976c493ebdbdd34e9b2e9a0032796be2b1bb1f01b533ae0b890f4"
 
 
 def long_face_inputs():
@@ -53,3 +56,11 @@ def necklace_inputs():
 
 def test_necklace_traces_match_pinned_digest():
     assert trace_digest(necklace_inputs()) == NECKLACE_PINNED
+
+
+def k4_chain_inputs():
+    return [(f"k4_chain:{k}", k4_chain(k, 800 + i)) for i, k in enumerate((1, 2, 3, 5, 12, 27, 40))]
+
+
+def test_k4_chain_traces_match_pinned_digest():
+    assert trace_digest(k4_chain_inputs()) == K4_CHAIN_PINNED
