@@ -5,12 +5,14 @@ leaves. `_Ctx` keeps rotation lists, the dart kernel `Darts`, face ids and
 sizes, the vertex walks the catalog's scanners read, and one anchor index per
 catalog entry, and edits only the darts at the hole. A step pays for the
 smaller pieces of the faces it merges, not for whole faces, as in the face
-upkeep of dynamic plane embeddings (Italiano, La Poutre and Rauch 1993): in
-the common step each face left at the hole is made of segments of x's faces
-and chord darts, and keeps the id of its largest segment's face, so a chord
-relabels nothing, and `fdeg` is kept by arithmetic. Walks are kept for the
-faces of at most five darts, the only ones the scanners read in full, and
-for the faces no step has touched; `walk` traces any other on demand.
+upkeep of dynamic plane embeddings (Italiano, La Poutre and Rauch 1993):
+each face left at the hole is made of arcs of x's faces, cut at x's
+neighbors and the chord ends, and of chord darts; it keeps the id of its
+largest piece's face, so a chord relabels nothing and a face x was not on
+keeps its id, and `fdeg` is kept by arithmetic where a face's arcs stay
+together. Walks are kept for the faces of at most five darts, the only ones
+the scanners read in full, and for the faces no step has touched; `walk`
+traces any other on demand.
 
 The context agrees with EmbeddedGraph wherever a caller could tell: each
 walk starts at its smallest dart, where EmbeddedGraph's trace starts it
@@ -56,17 +58,14 @@ def _count_faces(ids, fdeg, size: int) -> int:
 
 @dataclass
 class Surgery:
-    """A validated step not yet applied: the new rotations, and how to make it."""
+    """A validated step not yet applied: the new rotations, and the ring
+    around x that `commit` reads the faces left at the hole from."""
 
     delete: int
     rot: dict[int, list[int]]  # rotation after the step of every vertex it changes
-    chords: list[tuple[int, int]]
-    pos: Optional[dict[int, int]]  # on the fast path, each neighbor's place around x
-
-    @property
-    def fast(self) -> bool:
-        """Whether `commit` may take the fast path."""
-        return self.pos is not None
+    pos: dict[int, int]  # each neighbor's and chord end's place on the ring around x
+    corner: dict[int, int]  # each chord end that is not a neighbor: its dart on the hole
+    chords: dict[int, list[int]]  # each chord end's new neighbors, in rotation order
 
 
 class _Ctx(Darts):
@@ -203,7 +202,7 @@ class _Ctx(Darts):
         at = set(fs)
         pos = {u: i for i, u in enumerate(around)}
         if not chords:
-            return Surgery(x, new_rot, chords, pos if len(at) == d else None)
+            return Surgery(x, new_rot, pos, {}, {})
         ends = list(chain.from_iterable(chords))
         for w in ends:
             if (n := len(rot.get(w, ())) - (w in new_rot) + ends.count(w)) > 6:
@@ -241,8 +240,7 @@ class _Ctx(Darts):
                 i = corner[u] - off[u]
             i = i or len(ns)  # after the neighbor before the corner
             ns[i:i] = ts
-        fast = not corner and (len(at) == d or d == 2 and len(chords) == 1)
-        return Surgery(x, new_rot, chords, pos if fast else None)
+        return Surgery(x, new_rot, pos, corner, targets)
 
     def _hole_dart(self, x: int, w: int, at) -> Optional[int]:
         """The dart of w, not a neighbor of x, that leaves its first corner
@@ -285,14 +283,11 @@ class _Ctx(Darts):
     def commit(self, s: Surgery) -> None:
         """Apply a validated surgery; new faces take the next ids.
 
-        A step where x lies on deg(x) distinct faces and every chord end is
-        a neighbor, or x is a cut vertex of degree 2 whose one chord joins
-        its neighbors, sets its faces' ids and sizes by `_pieces` while x's
-        darts still stand; any other step traces every face at a changed
-        vertex anew (`retrace`). Then `rotate` renumbers the darts of each
-        changed vertex. Each face the step leaves at the hole with at most
-        five darts is walked once; the other faces it touched lose their
-        walks.
+        `_pieces` sets the ids and sizes of the faces left at the hole while
+        x's darts still stand, then `rotate` renumbers the darts of each
+        changed vertex. Each face left with at most five darts is walked
+        once, the other faces x was on lose their walks, and every other
+        face keeps its id, size and walk.
 
         A vertex scan reads its anchor's rotation and corner faces and, for
         most entries, its neighbors' degrees, rotations, corner triangles and
@@ -324,15 +319,9 @@ class _Ctx(Darts):
         for f in set(fs):
             if fdeg[f] <= 4:
                 near.update(faces[f])
-        if s.fast:
-            made, small = self._pieces(s, fs)
-            self.rotate(s.rot, made)
-            small = [(f, off[a] + rot[a].index(b)) for f, (a, b) in small]
-        else:
-            fs = {f for v in (x, *s.rot) for f in self.dart_faces(v)}
-            new = {d: -1 for a, b in s.chords for d in ((a, b), (b, a))}  # on no face yet
-            self.rotate(s.rot, new)
-            small = [(f, d) for f, d in self.retrace(s.rot) if fdeg[f] <= 5]
+        made, small = self._pieces(s, fs)
+        self.rotate(s.rot, made)
+        small = [(f, off[a] + rot[a].index(b)) for f, (a, b) in small]
         del rot[x], deg[x]
         self.labels.pop(x, None)
         for f in fs:
@@ -366,85 +355,108 @@ class _Ctx(Darts):
                 add(v)
 
     def _pieces(self, s: Surgery, fs: list[int]):
-        """Give each face a fast-path step leaves at the hole its id and size.
+        """Give each face the step leaves at the hole its id and size, while
+        x's darts still stand.
 
-        S_j is the walk of F_j, the face of dart (x, rot[x][j]), from rot[x][j]
-        to rot[x][j - 1] without x, and the hole walk runs through S_0,
-        S_d-1, ..., S_1. Each face left is a cycle of these segments and of
-        chord darts. A chord dart (u, v) with v after u around x closes S_j,
-        v = rot[x][j], into a face that keeps F_j's id. When every chord
-        joins two neighbors next to each other, the segments and chord darts
-        left make one face; otherwise the faces left are traced: reaching the
-        j-th neighbor along a segment, a face turns into its farthest chord,
-        and along a chord into the next nearer one, or into S_j after the
-        last. Each keeps the id of its largest segment's face, the darts of
-        its other segments taking that id while x's darts still stand, so a
-        step pays for the smaller pieces of the faces it merges, and a chord
-        relabels nothing; a face of chords only gets a new id. The face of
-        the last edge of a component is left with no darts and dropped. At a
-        cut vertex of degree 2, F_0 and F_1 are one face, which the chord
-        closes at both corners: it keeps its id, two darts shorter. Returns
-        the face of each chord dart, and each face of one to five darts with
-        one of its darts, as a vertex pair.
+        The ring points cut the faces x was on into arcs. The walk of F_j,
+        the face of dart (x, rot[x][j]), leaves x for rot[x][j] and returns
+        from rot[x][k - 1], for k the next corner of F_j (k = j when x lies
+        on F_j once), and each chord end on it cuts it once more. Each face
+        left is a cycle of arcs and chord darts: reaching a ring point along
+        an arc, a face turns into its farthest chord, along a chord into the
+        next nearer one, or into the point's own arc after the last. A face
+        whose arcs all land in one cycle gives it fdeg - 2 darts per corner;
+        only a face whose arcs land in different cycles is walked, arc by
+        arc. Each cycle keeps the id of its largest piece's face, each old
+        id going to one cycle at most, and the darts of its other pieces
+        take that id: a step pays for the smaller pieces of the faces it
+        merges, a chord relabels nothing, and a face x was not on keeps its
+        id, size and walk. A cycle of chords only, or whose largest piece's
+        face went to another, gets a new id; one of no darts (the last edge
+        of a component, a neighbor left isolated) is dropped. Returns the
+        face of each chord dart, and each face of one to five darts with one
+        of its darts, as a vertex pair.
         """
-        x, fdeg, face, nxt, twin, pos = s.delete, self.fdeg, self.face, self.nxt, self.twin, s.pos
-        around, o, d = self.rot[x], self.off[x], len(self.rot[x])
-        made, small, rest, segs = {}, [], [], list(range(d))
-        for a, b in s.chords:
-            for u, v in ((a, b), (b, a)):
-                if (pos[v] - pos[u]) % d == 1:
-                    segs.remove(pos[v])
-                    f = made[u, v] = fs[pos[v]]
-                    fdeg[f] -= 1
-                    if fdeg[f] <= 5:
-                        small.append((f, (u, v)))
-                else:
-                    rest.append((u, v))
-        faces = [(segs, rest)]
-        if len(made) < len(s.chords):  # a chord between neighbors apart
-            faces, outs, seen = [], {}, {*made, *(pos[v] for u, v in made)}
-            for u, v in rest:
-                outs.setdefault(u, []).append(v)
-            for u, vs in outs.items():  # farthest along the hole first
-                vs.sort(key=lambda v: (pos[u] - pos[v]) % d, reverse=True)
-            for e in chain(segs, rest):
-                cycle = ([], [])  # its segments, its chord darts
-                while e not in seen:  # e: segment S_e, or a chord dart
-                    seen.add(e)
-                    if type(e) is int:
-                        cycle[0].append(e)
-                        u, w = None, around[e - 1]
-                    else:
-                        cycle[1].append(e)
-                        u, w = e
-                    vs = outs.get(w, ())  # after a segment or w's closing chord: its first
-                    m = vs.index(u) + 1 if u in vs else 0
-                    e = (w, vs[m]) if m < len(vs) else pos[w]
-                if cycle != ([], []):
-                    faces.append(cycle)
-        for segs, darts in faces:
-            if segs:
-                f = max((fs[j] for j in segs), key=fdeg.__getitem__)
-                size = len(darts) - 2 * len(segs)
-                for j in segs:
-                    size += fdeg[fs[j]]
-                    if fs[j] != f:  # the fdeg - 2 darts after (rot[x][j], x)
-                        e = nxt[twin[o + j]]
-                        for _ in range(fdeg[fs[j]] - 2):
-                            face[e] = f
-                            e = nxt[twin[e]]
-            elif darts:
-                f, size = self._new_face(0), len(darts)
-            else:
+        x, fdeg, face, nxt, twin = s.delete, self.fdeg, self.face, self.nxt, self.twin
+        pos, corner, outs = s.pos, s.corner, s.chords
+        around, o = self.rot[x], self.off[x]
+        ring = sorted(pos, key=pos.__getitem__) if corner else around
+        n = len(ring)
+        gap, end = range(n), range(-1, n - 1)  # arc p: along corner gap[p]'s face to point end[p]
+        if multi := n > len(set(fs)):  # a face meets x twice, or an end cuts one
+            gap, end, corners = [0] * n, list(end), {}
+            for p in range(1, n):
+                gap[p] = gap[p - 1] + (ring[p - 1] not in corner)
+            for j, f in enumerate(fs):
+                corners.setdefault(f, []).append(j)
+            for js in corners.values():  # a visit's last arc reaches the next corner's neighbor
+                for i, j in enumerate(js):
+                    end[pos[around[j - 1]] + 1 - n] = pos[around[js[i + 1 - len(js)] - 1]]
+        cycles, of, made = [], [-1] * n, {}
+
+        def turn(u, v, darts):
+            """Chord dart (u, v) and the chords after it: the point whose arc is next."""
+            while (u, v) not in made:
+                made[u, v] = len(cycles)
+                darts.append((u, v))
+                vs = outs[v]
+                if (m := vs.index(u) + 1) == len(vs):
+                    return v
+                u, v = v, vs[m]
+
+        for p in range(n):
+            arcs, darts = [], []
+            while of[p] < 0:
+                of[p] = len(cycles)
+                arcs.append(p)
+                u = ring[end[p]]
+                p = pos[turn(u, outs[u][0], darts) if u in outs else u]
+            if arcs:
+                cycles.append((arcs, darts))
+        for a, bs in outs.items():  # faces of chords only
+            for b in bs:
+                if (a, b) not in made:
+                    turn(a, b, darts := [])
+                    cycles.append(([], darts))
+        home, split = {}, set()  # split: the faces whose arcs land in two or more cycles
+        if multi:
+            split = {f for p, c in enumerate(of) if home.setdefault(f := fs[gap[p]], c) != c}
+        small, taken = [], set()
+        for arcs, darts in cycles:
+            pieces, runs = {}, {}
+            for p in arcs:
+                if (f := fs[gap[p]]) not in split:
+                    pieces[f] = fdeg[f] - 2 * fs.count(f)
+                    continue
+                v, w = ring[p], ring[end[p]]  # from the arc's first dart to the next one's
+                e = corner[v] if v in corner else nxt[twin[o + gap[p]]]
+                stop = corner[w] if w in corner else twin[o + gap[end[p]]]
+                run = runs.setdefault(f, [])
+                while e != stop:
+                    run.append(e)
+                    e = nxt[twin[e]]
+                pieces[f] = len(run)
+            if not (size := sum(pieces.values()) + len(darts)):
                 continue
+            f = max(pieces, key=pieces.__getitem__, default=None)
+            if f is None or f in taken:
+                f = self._new_face(0)
+            taken.add(f)
+            for g in pieces:
+                if g != f and g in runs:
+                    for e in runs[g]:
+                        face[e] = f
+                elif g != f:  # all of g but the two darts of x it ends with
+                    e = nxt[twin[o + fs.index(g)]]
+                    for _ in range(fdeg[g] - 2):
+                        face[e] = f
+                        e = nxt[twin[e]]
             fdeg[f] = size
-            made.update(dict.fromkeys(darts, f))
-            if 0 < size <= 5:
-                if darts:
-                    small.append((f, darts[0]))
-                else:
-                    ns = self.rot[u := around[segs[0]]]
-                    small.append((f, (u, ns[(ns.index(x) + 1) % len(ns)])))
+            for e in darts:
+                made[e] = f
+            if size <= 5:  # a chord dart, or the first dart of an arc from a neighbor
+                e = nxt[twin[o + gap[arcs[0]]]] if not darts else -1
+                small.append((f, darts[0] if darts else (ring[arcs[0]], self.tail[twin[e]])))
         return made, small
 
     # -- dart kernel edits -----------------------------------------------------
@@ -472,20 +484,6 @@ class _Ctx(Darts):
         for (a, b), f in darts.items():
             d = off[a] + rot[a].index(b)
             twin[d], face[d] = off[b] + rot[b].index(a), f
-
-    def retrace(self, vertices) -> list[tuple[int, int]]:
-        """Give every face at these vertices a new id; return each with a dart."""
-        nxt, twin, face, top, made = self.nxt, self.twin, self.face, len(self.fdeg), []
-        for u in vertices:
-            for d in range(self.off[u], self.off[u] + self.deg[u]):
-                if face[d] < top:
-                    f, e, n = self._new_face(0), d, 0
-                    while face[e] != f:
-                        face[e] = f
-                        e, n = nxt[twin[e]], n + 1
-                    self.fdeg[f] = n
-                    made.append((f, d))
-        return made
 
     def walk(self, d: int) -> tuple[int, ...]:
         """The vertex walk of dart d's face, from its smallest dart."""
