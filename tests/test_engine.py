@@ -291,9 +291,9 @@ class _Untouched(_Ctx):
 
 
 def test_a_step_keeps_the_faces_x_was_not_on():
-    # A cut vertex of degree 3 whose faces are not all distinct (the joints
-    # of a K4 chain, and a few corpus steps) once gave every face at every
-    # changed vertex a new id, those far from x included.
+    # Every step's changed vertices lie on faces x was not on; at the joints
+    # of a K4 chain, cut vertices of degree 3 that meet the outer face
+    # twice, and at the corpus's cut vertices, x lies on a face twice too.
     graphs = [g for _, g in build_corpus()] + [k4_chain(k, k) for k in (2, 5, 30)]
     before = _Untouched.checked
     for g in graphs:
@@ -315,8 +315,7 @@ def _same_step(g, x, rest, merged, chords, outcomes):
     where no chord end occurs twice on the merged face: the same error type,
     or the same graph. Where one does, the surgery may draw it at another of
     its corners than the rebuild path's first occurrence, so an accepted step
-    is held to a plane graph whose faces the context holds. Returns the
-    surgery, or the type of the error it raised."""
+    is held to a plane graph whose faces the context holds."""
     live = _Untouched(g)
     surgery = _outcome(lambda: live.surgery(x, chords))
     walk = Counter(merged.vertex_walk())
@@ -325,7 +324,7 @@ def _same_step(g, x, rest, merged, chords, outcomes):
         if isinstance(rebuilt, type):
             assert surgery == rebuilt, (g, x, chords)
             outcomes["rejected"] += 1
-            return surgery
+            return
         assert not isinstance(surgery, type), (g, x, chords, surgery)
         live.commit(surgery)
         assert live.to_graph() == rebuilt, (g, x, chords)
@@ -337,7 +336,6 @@ def _same_step(g, x, rest, merged, chords, outcomes):
         assert reduced.euler_defect() == 0, (g, x, chords)
         _check_kernel(live, reduced)
         outcomes["repeated"] += 1
-    return surgery
 
 
 def test_live_surgery_agrees_with_deleting_and_adding_chords():
