@@ -405,52 +405,55 @@ class _Ctx(Darts):
                 u, v = v, vs[m]
 
         for p in range(n):
-            arcs, darts = [], []
+            arcs, darts, pieces = [], [], {}
             while of[p] < 0:
                 of[p] = len(cycles)
                 arcs.append(p)
+                f = fs[gap[p]]
+                pieces[f] = fdeg[f] - 2 * fs.count(f)
                 u = ring[end[p]]
                 p = pos[turn(u, outs[u][0], darts) if u in outs else u]
             if arcs:
-                cycles.append((arcs, darts))
+                cycles.append((arcs, darts, pieces, {}))
         for a, bs in outs.items():  # faces of chords only
             for b in bs:
                 if (a, b) not in made:
                     turn(a, b, darts := [])
-                    cycles.append(([], darts))
+                    cycles.append(([], darts, {}, {}))
         home, split = {}, set()  # split: the faces whose arcs land in two or more cycles
         if multi:
             split = {f for p, c in enumerate(of) if home.setdefault(f := fs[gap[p]], c) != c}
+            for p, c in enumerate(of):  # from the arc's first dart to the next one's
+                if (f := fs[gap[p]]) in split:
+                    v, w = ring[p], ring[end[p]]
+                    e = corner[v] if v in corner else nxt[twin[o + gap[p]]]
+                    stop = corner[w] if w in corner else twin[o + gap[end[p]]]
+                    run = cycles[c][3].setdefault(f, [])
+                    while e != stop:
+                        run.append(e)
+                        e = nxt[twin[e]]
+                    cycles[c][2][f] = len(run)
         small, taken = [], set()
-        for arcs, darts in cycles:
-            pieces, runs = {}, {}
-            for p in arcs:
-                if (f := fs[gap[p]]) not in split:
-                    pieces[f] = fdeg[f] - 2 * fs.count(f)
-                    continue
-                v, w = ring[p], ring[end[p]]  # from the arc's first dart to the next one's
-                e = corner[v] if v in corner else nxt[twin[o + gap[p]]]
-                stop = corner[w] if w in corner else twin[o + gap[end[p]]]
-                run = runs.setdefault(f, [])
-                while e != stop:
-                    run.append(e)
-                    e = nxt[twin[e]]
-                pieces[f] = len(run)
+        for arcs, darts, pieces, runs in cycles:
             if not (size := sum(pieces.values()) + len(darts)):
                 continue
-            f = max(pieces, key=pieces.__getitem__, default=None)
-            if f is None or f in taken:
-                f = self._new_face(0)
+            if len(pieces) == 1 and not runs:  # one whole face: it keeps its id
+                f = next(iter(pieces))
+            else:
+                f = max(pieces, key=pieces.__getitem__, default=None)
+                if f is None or f in taken:  # a new id
+                    f = len(fdeg)
+                    fdeg.append(0)
+                for g in pieces:
+                    if g != f and g in runs:
+                        for e in runs[g]:
+                            face[e] = f
+                    elif g != f:  # all of g but the two darts of x it ends with
+                        e = nxt[twin[o + fs.index(g)]]
+                        for _ in range(fdeg[g] - 2):
+                            face[e] = f
+                            e = nxt[twin[e]]
             taken.add(f)
-            for g in pieces:
-                if g != f and g in runs:
-                    for e in runs[g]:
-                        face[e] = f
-                elif g != f:  # all of g but the two darts of x it ends with
-                    e = nxt[twin[o + fs.index(g)]]
-                    for _ in range(fdeg[g] - 2):
-                        face[e] = f
-                        e = nxt[twin[e]]
             fdeg[f] = size
             for e in darts:
                 made[e] = f
@@ -494,10 +497,6 @@ class _Ctx(Darts):
             e = nxt[twin[e]]
         i = ds.index(min(ds))
         return tuple(map(self.tail.__getitem__, ds[i:] + ds[:i]))
-
-    def _new_face(self, size: int) -> int:
-        self.fdeg.append(size)
-        return len(self.fdeg) - 1
 
     def _routes(self) -> tuple[list, list, bool]:
         """Per degree 0..6, the `dirty.add` of each index told of a near
