@@ -93,6 +93,136 @@ def test_stats_command(graph_file, capsys):
     assert "euler=2" in out and "vertex degrees" in out
 
 
+def _stats_inputs():
+    """(name, file name, bytes) of each input of the `stats` pin."""
+    for name, g in [("path1", G.path(1)), ("path4", G.path(4)), ("cycle5", G.cycle(5)),
+                    *((n, G.platonic(n)) for n in ("tetrahedron", "cube", "octahedron",
+                                                   "dodecahedron", "icosahedron")),
+                    ("hex3", G.hex_grid(3)), ("tri4x4", G.tri_grid(4, 4)),
+                    ("random300", G.random_planar(300, 3))]:
+        yield name, f"{name}.json", codec.write_json(g).encode()
+    yield "isolated", "isolated.json", json.dumps(
+        {"schema": "embedded-graph/1", "rotation": {"0": [1], "1": [0], "2": []}}).encode()
+    yield "empty", "empty.json", json.dumps({"schema": "embedded-graph/1", "rotation": {}}).encode()
+    yield "batch", "batch.pc", codec.write_planar_code([G.cube(), G.path(3), G.dodecahedron()])
+
+
+# The exact output of `planecolor stats` on each input of `_stats_inputs`.
+STATS_PINNED = {
+    "path1": (
+        "graph 0: |V|=1 |E|=0 |F|=0 euler=1 connected=True\n"
+        "  vertex degrees: {0: 1}\n"
+        "  face degrees:   {}\n"
+        "  degree 0 (1 vertices): avg m3=0.00 m4=0.00 m5+=0.00 n3=0.00 n4=0.00 n5=0.00 n6=0.00\n"
+    ),
+    "path4": (
+        "graph 0: |V|=4 |E|=3 |F|=1 euler=2 connected=True\n"
+        "  vertex degrees: {1: 2, 2: 2}\n"
+        "  face degrees:   {6: 1}\n"
+        "  degree 1 (2 vertices): avg m3=0.00 m4=0.00 m5+=1.00 n3=0.00 n4=0.00 n5=0.00 n6=0.00\n"
+        "  degree 2 (2 vertices): avg m3=0.00 m4=0.00 m5+=1.00 n3=0.00 n4=0.00 n5=0.00 n6=0.00\n"
+    ),
+    "cycle5": (
+        "graph 0: |V|=5 |E|=5 |F|=2 euler=2 connected=True\n"
+        "  vertex degrees: {2: 5}\n"
+        "  face degrees:   {5: 2}\n"
+        "  degree 2 (5 vertices): avg m3=0.00 m4=0.00 m5+=2.00 n3=0.00 n4=0.00 n5=0.00 n6=0.00\n"
+    ),
+    "tetrahedron": (
+        "graph 0: |V|=4 |E|=6 |F|=4 euler=2 connected=True\n"
+        "  vertex degrees: {3: 4}\n"
+        "  face degrees:   {3: 4}\n"
+        "  degree 3 (4 vertices): avg m3=3.00 m4=0.00 m5+=0.00 n3=3.00 n4=0.00 n5=0.00 n6=0.00\n"
+    ),
+    "cube": (
+        "graph 0: |V|=8 |E|=12 |F|=6 euler=2 connected=True\n"
+        "  vertex degrees: {3: 8}\n"
+        "  face degrees:   {4: 6}\n"
+        "  degree 3 (8 vertices): avg m3=0.00 m4=3.00 m5+=0.00 n3=3.00 n4=0.00 n5=0.00 n6=0.00\n"
+    ),
+    "octahedron": (
+        "graph 0: |V|=6 |E|=12 |F|=8 euler=2 connected=True\n"
+        "  vertex degrees: {4: 6}\n"
+        "  face degrees:   {3: 8}\n"
+        "  degree 4 (6 vertices): avg m3=4.00 m4=0.00 m5+=0.00 n3=0.00 n4=4.00 n5=0.00 n6=0.00\n"
+    ),
+    "dodecahedron": (
+        "graph 0: |V|=20 |E|=30 |F|=12 euler=2 connected=True\n"
+        "  vertex degrees: {3: 20}\n"
+        "  face degrees:   {5: 12}\n"
+        "  degree 3 (20 vertices): avg m3=0.00 m4=0.00 m5+=3.00 n3=3.00 n4=0.00 n5=0.00 n6=0.00\n"
+    ),
+    "icosahedron": (
+        "graph 0: |V|=12 |E|=30 |F|=20 euler=2 connected=True\n"
+        "  vertex degrees: {5: 12}\n"
+        "  face degrees:   {3: 20}\n"
+        "  degree 5 (12 vertices): avg m3=5.00 m4=0.00 m5+=0.00 n3=0.00 n4=0.00 n5=5.00 n6=0.00\n"
+    ),
+    "hex3": (
+        "graph 0: |V|=54 |E|=72 |F|=20 euler=2 connected=True\n"
+        "  vertex degrees: {2: 18, 3: 36}\n"
+        "  face degrees:   {6: 19, 30: 1}\n"
+        "  degree 2 (18 vertices): avg m3=0.00 m4=0.00 m5+=2.00 n3=1.33 n4=0.00 n5=0.00 n6=0.00\n"
+        "  degree 3 (36 vertices): avg m3=0.00 m4=0.00 m5+=3.00 n3=2.33 n4=0.00 n5=0.00 n6=0.00\n"
+    ),
+    "tri4x4": (
+        "graph 0: |V|=16 |E|=33 |F|=19 euler=2 connected=True\n"
+        "  vertex degrees: {2: 2, 3: 2, 4: 8, 6: 4}\n"
+        "  face degrees:   {3: 18, 12: 1}\n"
+        "  degree 2 (2 vertices): avg m3=1.00 m4=0.00 m5+=1.00 n3=0.00 n4=2.00 n5=0.00 n6=0.00\n"
+        "  degree 3 (2 vertices): avg m3=2.00 m4=0.00 m5+=1.00 n3=0.00 n4=2.00 n5=0.00 n6=1.00\n"
+        "  degree 4 (8 vertices): avg m3=3.00 m4=0.00 m5+=1.00 n3=0.50 n4=1.50 n5=0.00 n6=1.50\n"
+        "  degree 6 (4 vertices): avg m3=6.00 m4=0.00 m5+=0.00 n3=0.50 n4=3.00 n5=0.00 n6=2.50\n"
+    ),
+    "random300": (
+        "graph 0: |V|=300 |E|=598 |F|=300 euler=2 connected=True\n"
+        "  vertex degrees: {1: 8, 2: 31, 3: 61, 4: 92, 5: 73, 6: 35}\n"
+        "  face degrees:   {3: 231, 4: 40, 5: 7, 6: 5, 7: 5, 8: 2, 9: 4, 10: 2, 11: 1, 12: 1, 15: 1, 133: 1}\n"
+        "  degree 1 (8 vertices): avg m3=0.00 m4=0.00 m5+=1.00 n3=0.12 n4=0.25 n5=0.25 n6=0.25\n"
+        "  degree 2 (31 vertices): avg m3=0.32 m4=0.16 m5+=1.48 n3=0.55 n4=0.77 n5=0.29 n6=0.03\n"
+        "  degree 3 (61 vertices): avg m3=1.20 m4=0.33 m5+=1.44 n3=0.52 n4=1.16 n5=0.70 n6=0.31\n"
+        "  degree 4 (92 vertices): avg m3=1.96 m4=0.73 m5+=1.26 n3=0.77 n4=1.30 n5=1.05 n6=0.59\n"
+        "  degree 5 (73 vertices): avg m3=3.38 m4=0.73 m5+=0.85 n3=0.59 n4=1.33 n5=1.84 n6=1.10\n"
+        "  degree 6 (35 vertices): avg m3=5.23 m4=0.43 m5+=0.29 n3=0.54 n4=1.54 n5=2.29 n6=1.54\n"
+    ),
+    "isolated": (
+        "graph 0: |V|=3 |E|=1 |F|=1 euler=3 connected=False\n"
+        "  vertex degrees: {0: 1, 1: 2}\n"
+        "  face degrees:   {2: 1}\n"
+        "  degree 0 (1 vertices): avg m3=0.00 m4=0.00 m5+=0.00 n3=0.00 n4=0.00 n5=0.00 n6=0.00\n"
+        "  degree 1 (2 vertices): avg m3=0.00 m4=0.00 m5+=0.00 n3=0.00 n4=0.00 n5=0.00 n6=0.00\n"
+    ),
+    "empty": (
+        "graph 0: |V|=0 |E|=0 |F|=0 euler=0 connected=True\n"
+        "  vertex degrees: {}\n"
+        "  face degrees:   {}\n"
+    ),
+    "batch": (
+        "graph 0: |V|=8 |E|=12 |F|=6 euler=2 connected=True\n"
+        "  vertex degrees: {3: 8}\n"
+        "  face degrees:   {4: 6}\n"
+        "  degree 3 (8 vertices): avg m3=0.00 m4=3.00 m5+=0.00 n3=3.00 n4=0.00 n5=0.00 n6=0.00\n"
+        "graph 1: |V|=3 |E|=2 |F|=1 euler=2 connected=True\n"
+        "  vertex degrees: {1: 2, 2: 1}\n"
+        "  face degrees:   {4: 1}\n"
+        "  degree 1 (2 vertices): avg m3=0.00 m4=1.00 m5+=0.00 n3=0.00 n4=0.00 n5=0.00 n6=0.00\n"
+        "  degree 2 (1 vertices): avg m3=0.00 m4=1.00 m5+=0.00 n3=0.00 n4=0.00 n5=0.00 n6=0.00\n"
+        "graph 2: |V|=20 |E|=30 |F|=12 euler=2 connected=True\n"
+        "  vertex degrees: {3: 20}\n"
+        "  face degrees:   {5: 12}\n"
+        "  degree 3 (20 vertices): avg m3=0.00 m4=0.00 m5+=3.00 n3=3.00 n4=0.00 n5=0.00 n6=0.00\n"
+    ),
+}
+
+
+def test_stats_output_is_pinned(tmp_path, capsys):
+    for name, file_name, data in _stats_inputs():
+        path = tmp_path / file_name
+        path.write_bytes(data)
+        assert main(["stats", "--in", str(path)]) == 0, name
+        assert capsys.readouterr().out == STATS_PINNED[name], name
+
+
 def test_color_batch_of_graphs(tmp_path, capsys):
     path = tmp_path / "batch.pc"
     path.write_bytes(codec.write_planar_code(
