@@ -8,7 +8,7 @@ charge-redistribution audit, a brute-force oracle for desk-size instances,
 graph generators, and planar-code / JSON interchange.
 """
 
-from .embedding import EmbeddedGraph, Face, VertexStats, build_embedded
+from .embedding import EmbeddedGraph, Face, build_embedded
 from .squares import (
     Coloring,
     ValidityReport,
@@ -20,23 +20,21 @@ from .configurations import CATALOG, ConfigurationMatch
 from .reductions import (
     ReductionPlan,
     ReductionResult,
-    apply_plan,
     color_by_reduction,
     detect,
     detect_all,
     extend,
-    plan,
 )
-from .discharging import DischargeReport, apply_rules, audit, initial_charges
+from .discharging import DischargeReport, audit
 from .oracle import ExactResult, chi2_exact, distances_le2, is_proper_wrt
 from .generators import GeneratorSpec, generate
 
 __all__ = [
-    "EmbeddedGraph", "Face", "VertexStats", "build_embedded",
+    "EmbeddedGraph", "Face", "build_embedded",
     "Coloring", "ValidityReport", "square", "verify_coloring", "greedy_square_color",
     "CATALOG", "ConfigurationMatch", "ReductionPlan", "ReductionResult",
-    "detect", "detect_all", "plan", "apply_plan", "extend", "color_by_reduction",
-    "DischargeReport", "initial_charges", "apply_rules", "audit",
+    "detect", "detect_all", "extend", "color_by_reduction",
+    "DischargeReport", "audit",
     "ExactResult", "distances_le2", "chi2_exact", "is_proper_wrt",
     "GeneratorSpec", "generate",
 ]

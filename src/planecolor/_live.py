@@ -78,11 +78,12 @@ class _Ctx(Darts):
     handed out. Scanners read faces as ids: `dart_faces(v)`, `fdeg[f]` and
     `faces[f]` for the small faces (`walk` traces any face). A scanner
     builds the labelings it needs from `rot[v]` and `dart_faces(v)`; the
-    context keeps none, so a step has none to drop. Built from an
-    EmbeddedGraph for a one-off public call, or kept by the reduction
-    engine across its steps: `commit` then drops the face counts of the
-    vertices it touches and marks the vertices whose scans may now differ
-    in every index built so far.
+    context keeps none, so a step has none to drop. A call that takes an
+    EmbeddedGraph (`color_by_reduction`, `audit`, `detect`, `detect_all`)
+    builds exactly one; every call that reads or edits the engine's state
+    takes it. Across the steps of a reduction, `commit` drops the face
+    counts of the vertices it touches and marks the vertices whose scans
+    may now differ in every index built so far.
 
     Building one is the engine's only gate on its input, and it checks the
     paper's two hypotheses: it raises DegreeTooHigh for the first vertex of
@@ -122,10 +123,6 @@ class _Ctx(Darts):
         self.index: dict = {}  # catalog entry -> its configurations._EntryIndex
         self.routes = None  # see `_routes`
         self.pending = None  # (plan, Surgery) validated by the last `plan` call
-
-    @classmethod
-    def of(cls, g) -> "_Ctx":
-        return g if isinstance(g, _Ctx) else cls(g)
 
     # -- queries ---------------------------------------------------------------
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import codec, generators
 from .discharging import audit, report_table
-from .embedding import EmbeddedGraph
+from .embedding import Darts, EmbeddedGraph
 from .errors import Infeasible, PlanecolorError, PositiveGenus, TooLarge, TruncatedRecord
 from .oracle import chi2_exact
 from .reductions import color_by_reduction, detect, detect_all
@@ -174,35 +175,35 @@ def _cmd_gen(args) -> int:
 def _cmd_stats(args) -> int:
     graphs = _load_graphs(args.in_, args.format)
     for i, g in enumerate(graphs):
-        deg_hist: dict[int, int] = {}
-        for v in g.vertices():
-            deg_hist[g.degree(v)] = deg_hist.get(g.degree(v), 0) + 1
-        face_hist: dict[int, int] = {}
-        for f in g.faces():
-            face_hist[f.degree] = face_hist.get(f.degree, 0) + 1
+        rot = g.rotation_map()
+        darts = Darts(rot)
+        sizes = list(map(len, darts.trace()))
+        deg = {v: len(ns) for v, ns in rot.items()}
+        deg_hist = Counter(deg.values())
         print(f"graph {i}: |V|={g.vertex_count} |E|={g.edge_count} "
-              f"|F|={g.face_count()} euler={g.euler_characteristic()} "
-              f"connected={g.is_connected()}")
+              f"|F|={len(sizes)} euler={g.vertex_count - g.edge_count + len(sizes)} "
+              f"connected={len(g.connected_components()) <= 1}")
         print(f"  vertex degrees: {dict(sorted(deg_hist.items()))}")
-        print(f"  face degrees:   {dict(sorted(face_hist.items()))}")
+        print(f"  face degrees:   {dict(sorted(Counter(sizes).items()))}")
+        # Per vertex degree, summed over its vertices: the distinct faces at a
+        # vertex of size 3, 4 and 5 or more, and its neighbors of degree 3..6.
+        agg_m = {d: [0, 0, 0] for d in deg_hist}
+        agg_n = {d: [0, 0, 0, 0] for d in deg_hist}
+        for v, ns in rot.items():
+            o = darts.off[v]
+            m, n = agg_m[deg[v]], agg_n[deg[v]]
+            for f in set(darts.face[o:o + len(ns)]):
+                if sizes[f] >= 3:
+                    m[min(sizes[f], 5) - 3] += 1
+            for u in ns:
+                if 3 <= deg[u] <= 6:
+                    n[deg[u] - 3] += 1
         for d in sorted(deg_hist):
-            samples = [v for v in g.vertices() if g.degree(v) == d]
-            agg_m = [0, 0, 0]
-            agg_n = [0, 0, 0, 0]
-            for v in samples:
-                st = g.vertex_stats(v)
-                agg_m[0] += st.m3
-                agg_m[1] += st.m4
-                agg_m[2] += st.m5plus
-                agg_n[0] += st.n3
-                agg_n[1] += st.n4
-                agg_n[2] += st.n5
-                agg_n[3] += st.n6
-            k = len(samples)
+            k, m, n = deg_hist[d], agg_m[d], agg_n[d]
             print(f"  degree {d} ({k} vertices): "
-                  f"avg m3={agg_m[0]/k:.2f} m4={agg_m[1]/k:.2f} m5+={agg_m[2]/k:.2f} "
-                  f"n3={agg_n[0]/k:.2f} n4={agg_n[1]/k:.2f} "
-                  f"n5={agg_n[2]/k:.2f} n6={agg_n[3]/k:.2f}")
+                  f"avg m3={m[0]/k:.2f} m4={m[1]/k:.2f} m5+={m[2]/k:.2f} "
+                  f"n3={n[0]/k:.2f} n4={n[1]/k:.2f} "
+                  f"n5={n[2]/k:.2f} n6={n[3]/k:.2f}")
     return EXIT_OK
 
 

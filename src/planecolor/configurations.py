@@ -23,6 +23,7 @@ from operator import getitem
 from typing import Callable, Iterator, Optional
 
 from ._live import _Ctx
+from .embedding import EmbeddedGraph
 from .errors import PlanInvalid
 
 
@@ -848,20 +849,17 @@ def _found(ctx: _Ctx, entry: CatalogEntry, a: int) -> list:
     return found
 
 
-def detect_iter(g, catalog=None) -> Iterator[ConfigurationMatch]:
+def detect_iter(ctx: _Ctx, catalog=None) -> Iterator[ConfigurationMatch]:
     """Matches in priority order: catalog position, then center, variant and bindings.
 
-    `g` is an EmbeddedGraph or the engine's live context. An entry's index
-    is built, or its dirty vertices listed, only when iteration reaches it,
-    and a listed vertex is scanned only when iteration reaches it and fits
-    the entry's gate, so taking the first match costs the entries before it
-    and the scans of the vertices listed in front of the anchor that fires.
-    Iteration drops stale vertices from the lists, so only one detection may
-    run on a context at a time, and the context must not change while it
-    runs. A graph gets a context of its own, built (and its degrees checked)
-    on the first `next`, whose lists go with it.
+    An entry's index on the context is built, or its dirty vertices listed,
+    only when iteration reaches it, and a listed vertex is scanned only when
+    iteration reaches it and fits the entry's gate, so taking the first
+    match costs the entries before it and the scans of the vertices listed
+    in front of the anchor that fires. Iteration drops stale vertices from
+    the lists, so only one detection may run on a context at a time, and
+    the context must not change while it runs.
     """
-    ctx = _Ctx.of(g)
     for entry in (catalog or CATALOG):
         idx = ctx.index.get(entry)
         if idx is None:
@@ -883,40 +881,42 @@ def _entries_by_gate(catalog) -> list[list[tuple[CatalogEntry, ...]]]:
 _CATALOG_BY_GATE = _entries_by_gate(CATALOG)
 
 
-def _scans(g, catalog):
-    """g's context and, in its vertex order, each vertex with the entries
-    whose gate it fits: the one pass of `detect_all` and `match_count`,
-    which build no index."""
-    ctx = _Ctx.of(g)
+def _scans(ctx: _Ctx, catalog):
+    """In the context's vertex order, each vertex with the entries whose
+    gate it fits: the one pass of `detect_all` and `match_count`, which
+    build no index."""
     by_gate = _entries_by_gate(catalog) if catalog else _CATALOG_BY_GATE
     deg = ctx.deg
-    return ctx, zip(deg, map(getitem, map(by_gate.__getitem__, deg.values()),
-                             map(ctx.m3.__getitem__, deg)))
+    return zip(deg, map(getitem, map(by_gate.__getitem__, deg.values()),
+                        map(ctx.m3.__getitem__, deg)))
 
 
-def detect_all(g, catalog=None) -> list[ConfigurationMatch]:
-    """Every match in `detect_iter`'s order: the anchors that match in one
-    pass over the vertices (`_scans`) are sorted by catalog position, then
-    center; each anchor's matches are sorted by variant, then bindings."""
-    ctx, scans = _scans(g, catalog)
+def detect_all(g: EmbeddedGraph, catalog=None) -> list[ConfigurationMatch]:
+    """Every match of g in `detect_iter`'s order, on one context: the anchors
+    that match in one pass over the vertices (`_scans`) are sorted by
+    catalog position, then center; each anchor's matches are sorted by
+    variant, then bindings."""
+    ctx = _Ctx(g)
     rank = {e: i for i, e in enumerate(catalog or CATALOG)}
-    hits = sorted((rank[e], v, e.config_id, found) for v, entries in scans for e in entries
+    hits = sorted((rank[e], v, e.config_id, found)
+                  for v, entries in _scans(ctx, catalog) for e in entries
                   if (found := _found(ctx, e, v)))
     return [ConfigurationMatch(config_id, v, tuple(zip(roles, values)), variant)
             for _, v, config_id, found in hits for variant, roles, values in found]
 
 
-def match_count(g, catalog=None) -> int:
-    """len(detect_all(g, catalog)), counted in the same pass without
-    building a match: nothing is zipped, sorted or indexed."""
-    ctx, scans = _scans(g, catalog)
-    return sum(1 for v, entries in scans for e in entries for _ in e.scan(ctx, v))
+def match_count(ctx: _Ctx, catalog=None) -> int:
+    """len(detect_all) of the context's graph, counted in the same pass
+    without building a match: nothing is zipped, sorted or indexed."""
+    return sum(1 for v, entries in _scans(ctx, catalog) for e in entries
+               for _ in e.scan(ctx, v))
 
 
-def detect(g, catalog=None) -> Optional[ConfigurationMatch]:
-    return next(detect_iter(g, catalog), None)
+def detect(g: EmbeddedGraph, catalog=None) -> Optional[ConfigurationMatch]:
+    """The first match of g in `detect_iter`'s order, on one context."""
+    return next(detect_iter(_Ctx(g), catalog), None)
 
 
-def build_plan_spec(g, match: ConfigurationMatch) -> ReductionPlan:
+def build_plan_spec(ctx: _Ctx, match: ConfigurationMatch) -> ReductionPlan:
     """The raw plan for a match, before validation."""
-    return _BY_ID[match.config_id].build(_Ctx.of(g), match)
+    return _BY_ID[match.config_id].build(ctx, match)

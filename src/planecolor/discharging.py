@@ -124,28 +124,24 @@ def _charge_map(vertex: dict[int, int], face: list[int], faces: dict[int, tuple[
     return out
 
 
-def initial_charges(g) -> dict[Element, Fraction]:
-    """Degree-minus-4 on every vertex and every face; `g` as for apply_rules."""
-    ctx = cfg._Ctx.of(g)
+def initial_charges(ctx: cfg._Ctx) -> dict[Element, Fraction]:
+    """Degree-minus-4 on every vertex and every face of the context."""
     return _charge_map({v: d - 4 for v, d in ctx.deg.items()}, [n - 4 for n in ctx.fdeg],
                        ctx.faces, 1)
 
 
-def apply_rules(g) -> tuple[dict[Element, Fraction], Ledger]:
+def apply_rules(ctx: cfg._Ctx) -> tuple[dict[Element, Fraction], Ledger]:
     """Run all nine rules simultaneously from the initial state.
 
-    `g` is an EmbeddedGraph or a context built from one by
-    `_live._Ctx`, whose degrees, corner face ids, face walks and
-    triangle counts the rules read; building that context is what rejects
-    a vertex of degree above 6 (DegreeTooHigh), so the rules check nothing
-    themselves.
+    The rules read the context's degrees, corner face ids, face walks and
+    triangle counts; building the context is what rejects a vertex of
+    degree above 6 (DegreeTooHigh), so the rules check nothing themselves.
     Each rule adds its amount, in units of 1/UNIT, to integer charges per
     vertex and per face as it fires, and records the move. Amounts are
     fixed per qualifying incidence, so the outcome does not depend on any
     ordering; the ledger sorts the moves by rule then element ids when it
     is first read.
     """
-    ctx = cfg._Ctx.of(g)
     deg, rot, faces, fdeg, face, off, m3 = (
         ctx.deg, ctx.rot, ctx.faces, ctx.fdeg, ctx.face, ctx.off, ctx.m3)
     vu = {v: (d - 4) * UNIT for v, d in deg.items()}

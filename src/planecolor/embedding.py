@@ -3,12 +3,12 @@
 A graph is given by its rotation system: for every vertex, the cyclic sequence
 of its neighbors in clockwise order. The face set is not part of the input; it
 is traced from the rotations on demand by the integer dart kernel `Darts`.
-Only the face accessors (`faces`, `face_of_dart` and the methods built on
-them) cache faces on the graph, as `Face` objects; the reduction engine and
-the audit keep a kernel of their own (`_live._Ctx`, which also edits the
-faces at a hole) and leave the graph as it was built. Two surgery
-primitives return new graphs: vertex deletion (the faces around the hole
-merge into one returned face) and chord insertion inside a face.
+Only `faces` and `face_of_dart` cache faces on the graph, as `Face` objects.
+The reduction engine and the audit trace into a kernel of their own
+(`_live._Ctx`, which also edits the faces at a hole), and `planecolor stats`
+reads its profiles off one `Darts` trace; none of them changes the graph.
+Two surgery primitives return new graphs: vertex deletion (the faces around
+the hole merge into one returned face) and chord insertion inside a face.
 
 Vertex ids are stable across surgery: deleting vertex 5 from a graph on
 {0..9} yields a graph on {0..4, 6..9}. This is what lets reduced graphs be
@@ -63,22 +63,6 @@ class Face:
 
     def vertices(self) -> frozenset[int]:
         return frozenset(map(_tail, self.boundary))
-
-
-@dataclass(frozen=True)
-class VertexStats:
-    """Local profile of one vertex: degree, incident face sizes, neighbor degrees."""
-
-    vertex: int
-    degree: int
-    m3: int
-    m4: int
-    m5plus: int
-    n3: int
-    n4: int
-    n5: int
-    n6: int
-    incident_faces: tuple[int, ...]
 
 
 class EmbeddedGraph:
@@ -145,9 +129,6 @@ class EmbeddedGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._rot[v]
 
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return frozenset(self._rot[v])
-
     def degree(self, v: int) -> int:
         return len(self._rot[v])
 
@@ -196,23 +177,6 @@ class EmbeddedGraph:
         a, b = dart
         return faces[self._darts.face[self._darts.off[a] + self._rot[a].index(b)]]
 
-    def face_count(self) -> int:
-        return len(self.faces())
-
-    def corner_faces(self, v: int) -> tuple[Face, ...]:
-        """Face at each rotation corner of v.
-
-        Entry j is the face in the corner between neighbors rotation[j] and
-        rotation[j+1]; it contains the dart (v, rotation[j+1]).
-        """
-        faces = self.faces()
-        o = self._darts.off[v]
-        ids = self._darts.face[o:o + len(self._rot[v])]
-        return tuple(faces[f] for f in ids[1:] + ids[:1])
-
-    def euler_characteristic(self) -> int:
-        return self.vertex_count - self.edge_count + self.face_count()
-
     def euler_defect(self) -> int:
         """V - E + F + I - 2C, with I the isolated vertices (they trace no face).
 
@@ -223,31 +187,6 @@ class EmbeddedGraph:
         return euler_defect_of(self._rot, self._edge_count, len(Darts(self._rot).trace()),
                                len(components(self._rot)))
 
-    # -- local statistics ----------------------------------------------------
-
-    def vertex_stats(self, v: int) -> VertexStats:
-        ns = self._rot[v]
-        incident = self.corner_faces(v)
-        distinct = {}
-        for f in incident:
-            distinct[f.id] = f
-        m3 = sum(1 for f in distinct.values() if f.degree == 3)
-        m4 = sum(1 for f in distinct.values() if f.degree == 4)
-        m5p = sum(1 for f in distinct.values() if f.degree >= 5)
-        degs = [len(self._rot[u]) for u in ns]
-        return VertexStats(
-            vertex=v,
-            degree=len(ns),
-            m3=m3,
-            m4=m4,
-            m5plus=m5p,
-            n3=sum(1 for d in degs if d == 3),
-            n4=sum(1 for d in degs if d == 4),
-            n5=sum(1 for d in degs if d == 5),
-            n6=sum(1 for d in degs if d == 6),
-            incident_faces=tuple(f.id for f in incident),
-        )
-
     def distance2_neighborhood(self, v: int) -> frozenset[int]:
         return within_distance2(self._rot, v)
 
@@ -255,9 +194,6 @@ class EmbeddedGraph:
 
     def connected_components(self) -> list[frozenset[int]]:
         return components(self._rot)
-
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
 
     # -- surgery ---------------------------------------------------------------
 
@@ -297,7 +233,7 @@ class EmbeddedGraph:
         new_rot = dict(self._rot)
         new_rot.update(place_chords(face.vertex_walk(), chords, self.rotation, self.has_edge))
         g2 = EmbeddedGraph(new_rot, self._labels)
-        if g2.face_count() != self.face_count() + len(chords):
+        if len(g2.faces()) != len(self.faces()) + len(chords):
             raise CrossingChords(tuple(chords))
         return g2
 

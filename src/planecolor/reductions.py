@@ -55,16 +55,16 @@ class ReductionResult:
     max_forbidden: int
 
 
-def plan(g, match: ConfigurationMatch) -> ReductionPlan:
-    """Validated plan for a match, or PlanInvalid when it cannot be executed.
+def plan(ctx: cfg._Ctx, match: ConfigurationMatch) -> ReductionPlan:
+    """Validated plan for a match on the context, or PlanInvalid when it
+    cannot be executed.
 
     Chords already present in the graph are dropped: a distance-1 pair needs
     no help staying within distance 2. Rejection reasons are DegreeOverflow,
     NotOnMergedFace, and ChordCrossing; the caller is expected to try the next
-    match rather than abort. `g` is an EmbeddedGraph or the engine's live
-    context, which keeps the validated surgery for `apply_plan`.
+    match rather than abort. The context keeps the validated surgery for
+    `apply_plan`.
     """
-    ctx = cfg._Ctx.of(g)
     raw = cfg.build_plan_spec(ctx, match)
     delete = raw.delete
     chords = []
@@ -93,19 +93,14 @@ def plan(g, match: ConfigurationMatch) -> ReductionPlan:
     return p
 
 
-def apply_plan(g, p: ReductionPlan):
-    """Execute a validated plan: delete, then draw its chords into the hole.
-
-    On an EmbeddedGraph this returns the reduced graph; the engine's live
-    context is reduced in place and returned.
-    """
-    ctx = cfg._Ctx.of(g)
+def apply_plan(ctx: cfg._Ctx, p: ReductionPlan) -> None:
+    """Execute a validated plan on the context, in place: delete, then draw
+    its chords into the hole. `ctx.to_graph()` reads the reduced graph."""
     if ctx.pending is not None and ctx.pending[0] is p:
         surgery = ctx.pending[1]
     else:
         surgery = ctx.surgery(p.delete, list(p.add_edges))
     ctx.commit(surgery)
-    return ctx if ctx is g else ctx.to_graph()
 
 
 def extend(g: EmbeddedGraph, phi: Coloring, v: int, *,

@@ -13,6 +13,11 @@ GRID_SIZES = [(2, 2), (2, 3), (3, 3), (2, 5), (3, 4), (4, 4), (3, 6), (5, 5),
 RANDOM_COUNT = 150
 
 
+def euler_characteristic(g) -> int:
+    """V - E + F of g, its faces traced by the graph itself."""
+    return g.vertex_count - g.edge_count + len(g.faces())
+
+
 def random_size(seed: int) -> int:
     return 5 + (seed * 37) % 96
 

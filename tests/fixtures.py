@@ -7,6 +7,8 @@ construction mistake cannot leak into the tests that consume it.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from planecolor.embedding import EmbeddedGraph
 from planecolor import generators as G
 
@@ -14,7 +16,10 @@ from hubs import Hub, hub_with
 
 
 def _stats(g, v):
-    return g.vertex_stats(v)
+    """v's degree, and its distinct faces of size 3 (m3) and 4 (m4), read
+    from the graph's own faces so that no fixture leans on the engine."""
+    sizes = [f.degree for f in g.faces() if v in f.vertices()]
+    return SimpleNamespace(degree=g.degree(v), m3=sizes.count(3), m4=sizes.count(4))
 
 
 # -- low-degree entries ------------------------------------------------------

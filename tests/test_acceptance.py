@@ -13,6 +13,7 @@ import pytest
 
 from planecolor import codec
 from planecolor import generators as G
+from planecolor.configurations import _Ctx
 from planecolor.discharging import apply_rules, audit, replay_ledger
 from planecolor.oracle import chi2_exact, is_proper_wrt
 from planecolor.reductions import apply_plan, color_by_reduction, detect_all, plan
@@ -93,8 +94,9 @@ def test_criterion_5_reduction_soundness(small_corpus):
     matches_checked = 0
     for name, g in small_corpus:
         for m in detect_all(g):
-            p = plan(g, m)  # criterion: every found match must plan cleanly
-            g2 = apply_plan(g, p)
+            ctx = _Ctx(g)
+            apply_plan(ctx, plan(ctx, m))  # criterion: every found match must plan cleanly
+            g2 = ctx.to_graph()
             assert g2.max_degree() <= 6, (name, m.config_id)
             assert g2.vertex_count + g2.edge_count < g.vertex_count + g.edge_count
             ok, witness = is_proper_wrt(g, g2)
@@ -119,11 +121,11 @@ def test_criterion_6_forbidden_bound(corpus, colored):
 def test_criterion_7_rule_arithmetic_fixtures():
     from test_discharging import _pentagon_charge_fixture
     g = G.octahedron()
-    final, _ = apply_rules(g)
+    final, _ = apply_rules(_Ctx(g))
     triangle_ok = all(final[("f", f.id)] == 0 for f in g.faces())
 
     gp, fid = _pentagon_charge_fixture()
-    finalp, _ = apply_rules(gp)
+    finalp, _ = apply_rules(_Ctx(gp))
     pentagon_ok = finalp[("f", fid)] == Fraction(2, 45)
 
     _line(7, triangle_ok and pentagon_ok,

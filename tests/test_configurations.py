@@ -5,6 +5,7 @@ from itertools import islice
 import pytest
 
 import fixtures
+from planecolor import configurations
 from planecolor import generators as G
 from planecolor.configurations import (CATALOG, _Ctx, _fan_layout, _found, _from_corner,
                                        _labeling, match_count)
@@ -74,12 +75,14 @@ def test_fixture_detected_and_sound(fixture):
     assert matches, f"{config_id}/{variant} not detected"
     executed = 0
     for m in matches:
+        ctx = _Ctx(g)
         try:
-            p = plan(g, m)
+            p = plan(ctx, m)
         except PlanInvalid:
             continue
         assert p.forbidden_bound <= 19
-        g2 = apply_plan(g, p)
+        apply_plan(ctx, p)
+        g2 = ctx.to_graph()
         assert g2.max_degree() <= 6
         assert g2.vertex_count + g2.edge_count < g.vertex_count + g.edge_count
         ok, witness = is_proper_wrt(g, g2)
@@ -159,29 +162,29 @@ def _keyed(matches):
     return [(m.config_id, m.center, m.variant, m.bindings) for m in matches]
 
 
-def test_one_off_detection_builds_no_index_and_agrees_with_the_index(corpus):
+def test_one_off_detection_builds_no_index_and_agrees_with_the_index(corpus, monkeypatch):
     # After 10 engine steps some indexes are built, some of them have dirty
     # anchors, and some entries have none yet.
     for name, g in corpus:
         for steps in (0, 10):
             live = _Ctx(g)
             list(islice(_peel(live, None), steps))
-            once = _Ctx(live.to_graph())
-            found = _keyed(detect_all(once))
-            assert not once.index, name
-            assert _keyed(detect_all(live)) == found, (name, steps)
+            reduced = live.to_graph()
+            with monkeypatch.context() as patch:
+                patch.setattr(configurations, "_EntryIndex", None)  # building one would fail
+                found = _keyed(detect_all(reduced))
             assert _keyed(detect_iter(live)) == found, (name, steps)
-            assert _keyed(detect_iter(live.to_graph())) == found, (name, steps)
+            assert _keyed(detect_iter(_Ctx(reduced))) == found, (name, steps)
             assert len(live.index) == len(CATALOG)
 
 
 def test_match_count_counts_what_detect_all_lists(corpus):
     for g in _scan_graphs(corpus):
-        assert match_count(g) == len(detect_all(g))
         ctx = _Ctx(g)
-        assert match_count(ctx) == len(detect_all(ctx))
+        assert match_count(ctx) == len(detect_all(g))
         assert not ctx.index
-    assert match_count(G.octahedron(), CATALOG[6:]) == len(detect_all(G.octahedron(), CATALOG[6:]))
+    octa = G.octahedron()
+    assert match_count(_Ctx(octa), CATALOG[6:]) == len(detect_all(octa, CATALOG[6:]))
 
 
 def test_match_count_counts_what_detect_all_lists_for_every_catalog_suffix(corpus):
@@ -191,7 +194,7 @@ def test_match_count_counts_what_detect_all_lists_for_every_catalog_suffix(corpu
     for g in graphs:
         ctx = _Ctx(g)
         for j in range(len(CATALOG)):
-            assert match_count(ctx, CATALOG[j:]) == len(detect_all(ctx, CATALOG[j:])), j
+            assert match_count(ctx, CATALOG[j:]) == len(detect_all(g, CATALOG[j:])), j
 
 
 def _labelings_generator(ctx, v):

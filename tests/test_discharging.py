@@ -4,6 +4,7 @@ import pytest
 
 from planecolor import discharging
 from planecolor import generators as G
+from planecolor.configurations import _Ctx
 from planecolor.discharging import (
     Transfer,
     apply_rules,
@@ -18,26 +19,26 @@ from planecolor.errors import DegreeTooHigh
 
 def test_initial_charges_platonic():
     g = G.icosahedron()
-    charges = initial_charges(g)
+    charges = initial_charges(_Ctx(g))
     assert all(charges[("v", v)] == 1 for v in g.vertices())
     assert all(charges[("f", f.id)] == -1 for f in g.faces())
     assert sum(charges.values()) == -8
 
     cube = G.cube()
-    charges = initial_charges(cube)
+    charges = initial_charges(_Ctx(cube))
     assert all(charges[("v", v)] == -1 for v in cube.vertices())
     assert all(charges[("f", f.id)] == 0 for f in cube.faces())
     assert sum(charges.values()) == -8
 
     octa = G.octahedron()
-    charges = initial_charges(octa)
+    charges = initial_charges(_Ctx(octa))
     assert all(charges[("v", v)] == 0 for v in octa.vertices())
     assert sum(charges.values()) == -8
 
 
 def test_icosahedron_only_triangle_rule_fires():
     g = G.icosahedron()
-    final, ledger = apply_rules(g)
+    final, ledger = apply_rules(_Ctx(g))
     assert {t.rule for t in ledger} == {"R1"}
     assert all(final[("f", f.id)] == 0 for f in g.faces())
     assert all(final[("v", v)] == Fraction(-2, 3) for v in g.vertices())
@@ -45,22 +46,22 @@ def test_icosahedron_only_triangle_rule_fires():
 
 
 def test_cube_no_rule_fires():
-    g = G.cube()
-    final, ledger = apply_rules(g)
+    ctx = _Ctx(G.cube())
+    final, ledger = apply_rules(ctx)
     assert ledger == ()
-    assert final == initial_charges(g)
+    assert final == initial_charges(ctx)
 
 
 def test_octahedron_vertices_pay_for_triangles():
     g = G.octahedron()
-    final, _ = apply_rules(g)
+    final, _ = apply_rules(_Ctx(g))
     assert all(final[("v", v)] == Fraction(-4, 3) for v in g.vertices())
     assert all(final[("f", f.id)] == 0 for f in g.faces())
 
 
 def test_triangle_faces_end_at_zero_in_triangulations():
     for g in (G.icosahedron(), G.octahedron(), G.tri_grid(4, 4)):
-        final, _ = apply_rules(g)
+        final, _ = apply_rules(_Ctx(g))
         for f in g.faces():
             if f.degree == 3:
                 assert final[("f", f.id)] == 0
@@ -68,7 +69,7 @@ def test_triangle_faces_end_at_zero_in_triangulations():
 
 def test_four_faces_never_transfer():
     g = G.square_grid(4, 4)
-    _, ledger = apply_rules(g)
+    _, ledger = apply_rules(_Ctx(g))
     quad_ids = {f.id for f in g.faces() if f.degree == 4}
     for t in ledger:
         for el in (t.source, t.target):
@@ -77,7 +78,7 @@ def test_four_faces_never_transfer():
 
 def test_dodecahedron_faces_go_negative():
     g = G.platonic("dodecahedron")
-    final, ledger = apply_rules(g)
+    final, ledger = apply_rules(_Ctx(g))
     assert {t.rule for t in ledger} == {"R3"}
     assert all(final[("v", v)] == 0 for v in g.vertices())
     assert all(final[("f", f.id)] == Fraction(-2, 3) for f in g.faces())
@@ -108,7 +109,7 @@ def _pentagon_charge_fixture() -> tuple[EmbeddedGraph, int]:
 
 def test_pentagon_with_one_three_vertex_keeps_two_forty_fifths():
     g, fid = _pentagon_charge_fixture()
-    final, ledger = apply_rules(g)
+    final, ledger = apply_rules(_Ctx(g))
     assert final[("f", fid)] == Fraction(2, 45)
     outgoing = sorted((t.rule, t.target) for t in ledger if t.source == ("f", fid))
     assert outgoing == [("R3", ("v", 0)), ("R6", ("v", 2)), ("R6", ("v", 3)),
@@ -117,7 +118,7 @@ def test_pentagon_with_one_three_vertex_keeps_two_forty_fifths():
 
 def test_charge_denominators_divide_45(corpus):
     for name, g in corpus[:50]:
-        final, _ = apply_rules(g)
+        final, _ = apply_rules(_Ctx(g))
         for q in final.values():
             assert 45 % q.denominator == 0, (name, q)
 
@@ -182,7 +183,7 @@ def test_audit_cube_and_icosahedron_examples():
 def test_rules_reject_high_degree():
     star = build_embedded(8, [[1, 2, 3, 4, 5, 6, 7]] + [[0]] * 7)
     with pytest.raises(DegreeTooHigh):
-        apply_rules(star)
+        apply_rules(_Ctx(star))
 
 
 def test_component_totals_multi_component():
@@ -241,12 +242,12 @@ def test_ledger_is_built_once_on_first_read(monkeypatch):
 
 
 def test_ledger_reads_as_its_tuple():
-    _, ledger = apply_rules(G.tri_grid(4, 4))
+    _, ledger = apply_rules(_Ctx(G.tri_grid(4, 4)))
     transfers = tuple(ledger)
     assert ledger == transfers and transfers == ledger
     assert ledger[0] == transfers[0] and ledger[-2:] == transfers[-2:]
     assert ledger + () == transfers
-    _, empty = apply_rules(G.cube())
+    _, empty = apply_rules(_Ctx(G.cube()))
     assert len(empty) == 0 and empty == () and not empty
 
 

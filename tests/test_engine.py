@@ -439,7 +439,8 @@ def test_live_surgery_across_fragments_keeps_the_graph_plane():
             around = set(g.neighbors(x))
             if sum(1 for c in rest.connected_components() if c & around) < 2:
                 continue
-            hole = sorted({v for f in g.corner_faces(x) for v in f.vertex_walk()} - {x})
+            hole = sorted({v for f in g.faces() if x in f.vertices() for v in f.vertex_walk()}
+                          - {x})
             others = [u for u in rest.vertices() if u not in hole]
             frag = {v: i for i, c in enumerate(rest.connected_components()) for v in c}
             for _ in range(60):

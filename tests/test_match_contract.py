@@ -18,7 +18,7 @@ from itertools import product
 import fixtures
 import hubs
 from conftest import build_corpus
-from planecolor.configurations import _Ctx, detect_all
+from planecolor.configurations import detect_all
 from planecolor.embedding import EmbeddedGraph
 from test_engine import _random_graphs
 
@@ -76,7 +76,7 @@ def match_digest(graphs) -> tuple[str, int]:
     count = 0
     for name, g in graphs:
         digest.update(f"{name}\n".encode())
-        for m in detect_all(_Ctx(g)):
+        for m in detect_all(g):
             rec = [m.config_id, m.variant, m.center, [list(b) for b in m.bindings]]
             digest.update(json.dumps(rec, separators=(",", ":")).encode() + b"\n")
             count += 1

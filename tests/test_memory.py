@@ -45,7 +45,7 @@ def run_everything(graphs):
         assert squares.verify_coloring(g, result.coloring).valid
         discharging.audit(g)
         configurations.detect_all(g)
-        configurations.match_count(g)
+        configurations.match_count(configurations._Ctx(g))
 
 
 def test_decoded_graphs_hold_little_beyond_their_rotations(blob, corpus):

@@ -1,6 +1,7 @@
 import pytest
 
 from planecolor import generators as G
+from planecolor.configurations import _Ctx
 from planecolor.embedding import build_embedded
 from planecolor.errors import Infeasible, TooLarge, VertexSetMismatch
 from planecolor.oracle import chi2_exact, distances_le2, is_proper_wrt
@@ -94,7 +95,9 @@ def test_chi2_agrees_with_exhaustive_enumeration():
 
 def test_proper_c4_reduction():
     g = G.cycle(4)
-    g2 = apply_plan(g, plan(g, detect(g)))
+    ctx = _Ctx(g)
+    apply_plan(ctx, plan(ctx, detect(g)))
+    g2 = ctx.to_graph()
     ok, witness = is_proper_wrt(g, g2)
     assert ok and witness is None
 
@@ -111,7 +114,9 @@ def test_proper_cube_reduction():
     g = G.cube()
     m = detect(g)
     assert m.config_id == "K03"
-    g2 = apply_plan(g, plan(g, m))
+    ctx = _Ctx(g)
+    apply_plan(ctx, plan(ctx, m))
+    g2 = ctx.to_graph()
     ok, _ = is_proper_wrt(g, g2)
     assert ok
 

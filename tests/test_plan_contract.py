@@ -29,8 +29,8 @@ def plan_digest(graphs) -> tuple[str, int]:
     count = 0
     for name, g in graphs:
         digest.update(f"{name}\n".encode())
-        ctx = _Ctx(g)  # one context per graph, as `audit` does
-        for m in detect_all(ctx):
+        ctx = _Ctx(g)  # one context for all of the graph's plans
+        for m in detect_all(g):
             spec = build_plan_spec(ctx, m)
             chords = sorted({(min(a, b), max(a, b)) for a, b in spec.add_edges})
             rec = [m.config_id, m.variant, m.center, spec.delete,

@@ -1,6 +1,7 @@
 import pytest
 
 import fixtures
+from conftest import euler_characteristic
 from planecolor import embedding
 from planecolor import configurations as cfg
 from planecolor import discharging as dis
@@ -20,17 +21,23 @@ from planecolor.reductions import (
 from planecolor.squares import Coloring, verify_coloring
 
 
+def _reduced(g, m):
+    """The validated plan of match m of g, and g after it, on one context."""
+    ctx = cfg._Ctx(g)
+    p = plan(ctx, m)
+    apply_plan(ctx, p)
+    return p, ctx.to_graph()
+
+
 def test_plan_c4_gives_triangle():
     g = G.cycle(4)
-    p = plan(g, detect(g))
-    g2 = apply_plan(g, p)
+    _, g2 = _reduced(g, detect(g))
     assert (g2.vertex_count, g2.edge_count) == (3, 3)
 
 
 def test_plan_c5_gives_c4():
     g = G.cycle(5)
-    p = plan(g, detect(g))
-    g2 = apply_plan(g, p)
+    _, g2 = _reduced(g, detect(g))
     assert (g2.vertex_count, g2.edge_count) == (4, 4)
     assert all(g2.degree(v) == 2 for v in g2.vertices())
 
@@ -38,18 +45,16 @@ def test_plan_c5_gives_c4():
 def test_plan_octahedron_drops_existing_chord():
     g = G.octahedron()
     m = next(m for m in detect_all(g) if m.config_id == "K06")
-    p = plan(g, m)
+    p, g2 = _reduced(g, m)
     assert p.add_edges == ()  # the closing chord is already a ring edge
-    g2 = apply_plan(g, p)
-    assert (g2.vertex_count, g2.edge_count, g2.face_count()) == (5, 8, 5)
+    assert (g2.vertex_count, g2.edge_count, len(g2.faces())) == (5, 8, 5)
 
 
 def test_plan_icosahedron_plain_deletion():
     g = G.icosahedron()
     m = next(m for m in detect_all(g) if m.config_id == "K13")
-    p = plan(g, m)
+    p, g2 = _reduced(g, m)
     assert p.add_edges == ()
-    g2 = apply_plan(g, p)
     ok, _ = is_proper_wrt(g, g2)
     assert ok
 
@@ -57,8 +62,7 @@ def test_plan_icosahedron_plain_deletion():
 def test_plan_cube_light_neighbor_gains_two():
     g = G.cube()
     m = detect(g)
-    p = plan(g, m)
-    g2 = apply_plan(g, p)
+    _, g2 = _reduced(g, m)
     assert g2.vertex_count == 7
     assert g2.degree(m.binding("v1")) == 4  # lost the center, gained two chords
     assert g2.max_degree() <= 6
@@ -127,7 +131,7 @@ def test_plan_rejects_degree_overflow(monkeypatch):
     monkeypatch.setattr(cfg, "build_plan_spec",
                         lambda graph, match: ReductionPlan(m.binding("v"), ((center, far),), 19))
     with pytest.raises(PlanInvalid) as exc:
-        plan(g, m)
+        plan(cfg._Ctx(g), m)
     assert exc.value.reason == "DegreeOverflow"
 
 
@@ -159,12 +163,16 @@ def test_color_rejects_high_degree():
 
 
 _K01 = ConfigurationMatch("K01", 1, (("v", 1), ("v1", 0)))
-# Every public call that builds an engine context from a graph.
+# Every call that builds an engine context from a graph, and every engine
+# call that takes a context, reached from a graph through the one context
+# built for it.
 _ENTRIES = [
-    cfg.detect, cfg.detect_all, lambda g: list(cfg.detect_iter(g)), cfg.match_count,
-    lambda g: plan(g, _K01), lambda g: cfg.build_plan_spec(g, _K01),
-    lambda g: apply_plan(g, ReductionPlan(1, (), 6)),
-    dis.initial_charges, dis.apply_rules, dis.audit, color_by_reduction,
+    cfg.detect, cfg.detect_all, lambda g: list(cfg.detect_iter(cfg._Ctx(g))),
+    lambda g: cfg.match_count(cfg._Ctx(g)),
+    lambda g: plan(cfg._Ctx(g), _K01), lambda g: cfg.build_plan_spec(cfg._Ctx(g), _K01),
+    lambda g: apply_plan(cfg._Ctx(g), ReductionPlan(1, (), 6)),
+    lambda g: dis.initial_charges(cfg._Ctx(g)), lambda g: dis.apply_rules(cfg._Ctx(g)),
+    dis.audit, color_by_reduction,
 ]
 _ENTRY_IDS = ["detect", "detect_all", "detect_iter", "match_count", "plan", "build_plan_spec",
               "apply_plan", "initial_charges", "apply_rules", "audit", "color_by_reduction"]
@@ -232,10 +240,9 @@ def test_soundness_of_all_matches_on_fixtures():
         g, _, _ = fx()
         for m in detect_all(g):
             try:
-                p = plan(g, m)
+                _, g2 = _reduced(g, m)
             except PlanInvalid:
                 continue
-            g2 = apply_plan(g, p)
             ok, witness = is_proper_wrt(g, g2)
             assert ok, (fx.__name__, m.config_id, m.variant, witness)
 
@@ -271,7 +278,7 @@ def grid_with_reversed_rotation():
 @pytest.mark.parametrize("make, euler", [(toroidal_k7, 0), (grid_with_reversed_rotation, -2)])
 def test_color_rejects_positive_genus(make, euler):
     g = make()
-    assert g.euler_characteristic() == euler
+    assert euler_characteristic(g) == euler
     with pytest.raises(PositiveGenus):
         color_by_reduction(g)
 
@@ -297,9 +304,9 @@ def test_plan_ignores_an_isolated_vertex_elsewhere():
     c5 = G.cycle(5)
     with_isolated = build_embedded(6, [c5.rotation(v) for v in c5.vertices()] + [()])
     m = next(m for m in detect_all(c5) if m.config_id == "K02")
-    p = plan(c5, m)
+    p = plan(cfg._Ctx(c5), m)
     assert p.add_edges == ((1, 4),)
-    assert plan(with_isolated, m) == p
+    assert plan(cfg._Ctx(with_isolated), m) == p
 
 
 def _rebuilt_before(g, steps, vertex):
