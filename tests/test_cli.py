@@ -333,13 +333,46 @@ def test_fallback_exit_code(tmp_path, monkeypatch, capsys):
     assert "FALLBACK" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", ["toroidal_k7", "grid_with_reversed_rotation"])
-def test_positive_genus_is_input_error(tmp_path, name):
-    import test_reductions
+def _genus_inputs():
+    """(name, file name, bytes) of inputs that embed some graph in no sphere."""
+    from test_reductions import grid_with_reversed_rotation, toroidal_k7
 
-    path = tmp_path / "g.json"
-    path.write_text(codec.write_json(getattr(test_reductions, name)()))
-    assert main(["color", "--in", str(path)]) == 1
+    k7 = toroidal_k7()
+    yield "toroidal_k7", "k7.json", codec.write_json(k7).encode()
+    yield ("grid_with_reversed_rotation", "grid.json",
+           codec.write_json(grid_with_reversed_rotation()).encode())
+    # The torus is the second graph: a batch is refused at the first such graph.
+    yield "batch", "batch.pc", codec.write_planar_code([G.cube(), k7])
+    # A pendant vertex at vertex 0 of K7 keeps the genus and makes a 7-vertex.
+    rot = {**k7.rotation_map(), 7: (0,)}
+    rot[0] = (7, *rot[0])
+    yield "degree7_genus1", "k7_pendant.json", codec.write_json(EmbeddedGraph(rot)).encode()
+
+
+_GRAPH_COMMANDS = ["color", "discharge", "configs", "stats", "exact", "verify"]
+
+
+@pytest.mark.parametrize("name", ["toroidal_k7", "grid_with_reversed_rotation", "batch",
+                                  "degree7_genus1"])
+@pytest.mark.parametrize("command", _GRAPH_COMMANDS)
+def test_positive_genus_is_input_error(tmp_path, capsys, command, name):
+    # Every command that reads graphs exits 1 on one that has a handle, and
+    # the documents of --trace and --report are not written.
+    file_name, data = next((f, d) for n, f, d in _genus_inputs() if n == name)
+    path = tmp_path / file_name
+    path.write_bytes(data)
+    written = tmp_path / "out.json"
+    if command == "verify":
+        coloring = tmp_path / "coloring.json"
+        coloring.write_text(codec.write_json(Coloring({v: v + 1 for v in range(8)}, 20)))
+        argv = ["verify", "--graph", str(path), "--coloring", str(coloring)]
+    else:
+        argv = [command, "--in", str(path)]
+        argv += {"color": ["--trace", str(written)],
+                 "discharge": ["--report", str(written)]}.get(command, [])
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not written.exists()
 
 
 def test_gen_non_integer_param_is_input_error(tmp_path, capsys):
