@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import codec, generators
 from .discharging import audit, report_table
-from .embedding import Darts, EmbeddedGraph
+from .embedding import Darts, EmbeddedGraph, euler_defect_of
 from .errors import Infeasible, PlanecolorError, PositiveGenus, TooLarge, TruncatedRecord
 from .oracle import chi2_exact
 from .reductions import color_by_reduction, detect, detect_all
@@ -29,8 +29,9 @@ EXIT_FALLBACK = 3
 
 
 def _load_graphs(path: str, fmt: str) -> list[EmbeddedGraph]:
-    """Decode the input file; rotation systems of genus above 0, and planar
-    code with no graph after its header, are input errors."""
+    """Decode the input file; planar code with no graph after its header is
+    an input error. Each command refuses a graph of genus above 0 itself,
+    from the one trace of its faces it makes."""
     data = Path(path).read_bytes()
     if fmt == "auto":
         fmt = "planarcode" if data.startswith(codec.PLANAR_CODE_HEADER) else "json"
@@ -38,13 +39,15 @@ def _load_graphs(path: str, fmt: str) -> list[EmbeddedGraph]:
         graphs = codec.read_planar_code(data)
         if not graphs:
             raise TruncatedRecord("planar code holds no graph")
-    else:
-        graphs = [codec.graph_from_doc(json.loads(data.decode("utf-8")))]
-    for g in graphs:
-        defect = g.euler_defect()
-        if defect:
-            raise PositiveGenus(defect)
-    return graphs
+        return graphs
+    return [codec.graph_from_doc(json.loads(data.decode("utf-8")))]
+
+
+def _planar(g: EmbeddedGraph) -> EmbeddedGraph:
+    """g, unless its rotation system has genus above 0 (PositiveGenus)."""
+    if defect := g.euler_defect():
+        raise PositiveGenus(defect)
+    return g
 
 
 def _save_graph(g: EmbeddedGraph, path: str) -> None:
@@ -89,7 +92,7 @@ def _cmd_verify(args) -> int:
     phi = codec.coloring_from_doc(json.loads(Path(args.coloring).read_text()))
     code = EXIT_OK
     for i, g in enumerate(graphs):
-        report = verify_coloring(g, phi)
+        report = verify_coloring(_planar(g), phi)
         print(f"graph {i}: {'valid' if report.valid else 'INVALID'}, "
               f"{report.colors_used} colors used")
         for u, w, dist, color in report.violations[:20]:
@@ -102,7 +105,7 @@ def _cmd_verify(args) -> int:
 def _cmd_exact(args) -> int:
     graphs = _load_graphs(args.in_, args.format)
     for i, g in enumerate(graphs):
-        result = chi2_exact(g, upper_bound=args.ub, vertex_limit=args.limit)
+        result = chi2_exact(_planar(g), upper_bound=args.ub, vertex_limit=args.limit)
         print(f"graph {i}: chi2 = {result.chi2} "
               f"({result.nodes_explored} nodes explored)")
     return EXIT_OK
@@ -178,11 +181,14 @@ def _cmd_stats(args) -> int:
         rot = g.rotation_map()
         darts = Darts(rot)
         sizes = list(map(len, darts.trace()))
+        parts = len(g.connected_components())
+        if defect := euler_defect_of(rot, g.edge_count, len(sizes), parts):
+            raise PositiveGenus(defect)
         deg = {v: len(ns) for v, ns in rot.items()}
         deg_hist = Counter(deg.values())
         print(f"graph {i}: |V|={g.vertex_count} |E|={g.edge_count} "
               f"|F|={len(sizes)} euler={g.vertex_count - g.edge_count + len(sizes)} "
-              f"connected={len(g.connected_components()) <= 1}")
+              f"connected={parts <= 1}")
         print(f"  vertex degrees: {dict(sorted(deg_hist.items()))}")
         print(f"  face degrees:   {dict(sorted(Counter(sizes).items()))}")
         # Per vertex degree, summed over its vertices: the distinct faces at a

@@ -375,6 +375,27 @@ def test_positive_genus_is_input_error(tmp_path, capsys, command, name):
     assert not written.exists()
 
 
+@pytest.mark.parametrize("argv", [[c] for c in _GRAPH_COMMANDS] + [["configs", "--all"]],
+                         ids=lambda argv: "-".join(argv))
+def test_each_command_traces_each_graph_once(tmp_path, monkeypatch, argv):
+    # The engine's context is a Darts, so this counts its trace too.
+    from planecolor import embedding
+
+    calls = []
+    trace = embedding.Darts.trace
+    monkeypatch.setattr(embedding.Darts, "trace", lambda darts: calls.append(1) or trace(darts))
+    path = tmp_path / "two.pc"
+    path.write_bytes(codec.write_planar_code([G.cube(), G.octahedron()]))
+    if argv == ["verify"]:
+        coloring = tmp_path / "coloring.json"
+        coloring.write_text(codec.write_json(Coloring({v: v + 1 for v in range(8)}, 20)))
+        argv = argv + ["--graph", str(path), "--coloring", str(coloring)]
+    else:
+        argv = argv + ["--in", str(path)]
+    assert main(argv) == 0
+    assert len(calls) == 2
+
+
 def test_gen_non_integer_param_is_input_error(tmp_path, capsys):
     out = tmp_path / "x.pc"
     assert main(["gen", "--kind", "tri_grid", "--params", "rows=abc", "--out", str(out)]) == 1
