@@ -109,6 +109,16 @@ def _from_corner(ns: list, fs: list, p: int):
     yield _labeling(ns, fs, p, False)
 
 
+def _from_corners(ctx: _Ctx, v: int, size):
+    """For each corner of v in rotation order whose face size passes `size`,
+    the two labelings `_from_corner` builds there, so faces[0] is that
+    corner's face. No labeling is built at a corner that fails."""
+    fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
+    for p, f in enumerate(fs):
+        if size(fd[f]):
+            yield from _from_corner(ns, fs, p)
+
+
 # ---------------------------------------------------------------------------
 # Scanners. Each yields (variant, roles, values) for every match anchored at
 # one vertex, their center: the match binds roles[i] to values[i], and roles
@@ -117,8 +127,9 @@ def _from_corner(ns: list, fs: list, p: int):
 # its caller checks once, so no scanner tests either. A labeling is a
 # rotation or reflection of the anchor's neighbors; each scanner builds only
 # the labelings that its corner layout or a light neighbor admits, each of
-# them read off the anchor's rotation and `dart_faces`. Only detection builds
-# the matches.
+# them read off the anchor's rotation and `dart_faces`: those that start at a
+# corner of some size by `_from_corners`, those that end at a fan's one other
+# corner by `_fan_layout`. Only detection builds the matches.
 # ---------------------------------------------------------------------------
 
 def _scan_k01(ctx: _Ctx, v: int):
@@ -144,39 +155,26 @@ def _scan_k03(ctx: _Ctx, v: int):
             yield "", _R3, (v, x, z, y)
 
 
-def _corners3(ctx: _Ctx, v: int):
-    """At a 3-vertex, each neighbor y in rotation order with the one before
-    it, x, the one after it, z, and the faces of the corners (x, y), (y, z)."""
-    a, b, c = ctx.rot[v]
-    f_ca, f_ab, f_bc = ctx.dart_faces(v)
-    return ((c, a, b, f_ca, f_ab), (a, b, c, f_ab, f_bc), (b, c, a, f_bc, f_ca))
-
-
 def _scan_k04(ctx: _Ctx, v: int):
     # 3-vertex on a triangle: the two labelings that start at its corner.
-    fd = ctx.fdeg
-    for x, y, z, f, _ in _corners3(ctx, v):
-        if fd[f] == 3:
-            yield "", _R3, (v, x, y, z)
-            yield "", _R3, (v, y, x, z)
+    for labels, _ in _from_corners(ctx, v, lambda d: d == 3):
+        yield "", _R3, (v, *labels)
 
 
 def _scan_k05(ctx: _Ctx, v: int):
-    # 3-vertex between two 4-faces: the two labelings through the neighbor between them.
+    # 3-vertex between two 4-faces: the labelings whose first two corners they are.
     fd = ctx.fdeg
-    for x, y, z, f, g in _corners3(ctx, v):
-        if fd[f] == 4 and fd[g] == 4:
-            p, q = _opposite_on_quad(ctx, f, v), _opposite_on_quad(ctx, g, v)
-            yield "", _K05, (v, x, y, z, p, q)
-            yield "", _K05, (v, z, y, x, q, p)
+    for labels, faces in _from_corners(ctx, v, lambda d: d == 4):
+        if fd[faces[1]] == 4:
+            yield "", _K05, (v, *labels, _opposite_on_quad(ctx, faces[0], v),
+                             _opposite_on_quad(ctx, faces[1], v))
 
 
 def _scan_k06(ctx: _Ctx, v: int):
     # 4-vertex on three consecutive triangles, so on three or four triangles
     # (the gate): on four every labeling matches, on three the fan layouts.
-    fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
-    if all(fd[f] == 3 for f in fs):
-        layouts = (lab for p in range(4) for lab in _from_corner(ns, fs, p))
+    if ctx.m3[v] == 4:
+        layouts = _from_corners(ctx, v, lambda d: True)
     else:
         layouts = _fan_layout(ctx, v, lambda d: True)
     for labels, _ in layouts:
@@ -187,30 +185,23 @@ def _scan_k07(ctx: _Ctx, v: int):
     # 4-vertex, exactly two triangles, plus a 4-face: the labelings from a 4-face.
     if ctx.m4[v] < 1:
         return
-    fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
-    for p, f in enumerate(fs):
-        if fd[f] != 4:
-            continue
-        x = _opposite_on_quad(ctx, f, v)
-        for labels, faces in _from_corner(ns, fs, p):
-            if fd[faces[1]] == 3 and fd[faces[2]] == 3:
-                yield "adjacent", _K07, (v, *labels, x)
-            if fd[faces[1]] == 3 and fd[faces[3]] == 3:
-                yield "split", _K07, (v, *labels, x)
+    fd = ctx.fdeg
+    for labels, faces in _from_corners(ctx, v, lambda d: d == 4):
+        if fd[faces[1]] == 3 and fd[faces[2]] == 3:
+            yield "adjacent", _K07, (v, *labels, _opposite_on_quad(ctx, faces[0], v))
+        if fd[faces[1]] == 3 and fd[faces[3]] == 3:
+            yield "split", _K07, (v, *labels, _opposite_on_quad(ctx, faces[0], v))
 
 
 def _k0789_layouts(ctx: _Ctx, v: int):
     """Common 4-vertex / two-triangle layouts, read from each triangle:
     yields (labels, "adjacent" or "split")."""
-    fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
-    for p, f in enumerate(fs):
-        if fd[f] != 3:
-            continue
-        for labels, faces in _from_corner(ns, fs, p):
-            if fd[faces[1]] == 3:
-                yield labels, "adjacent"
-            elif fd[faces[2]] == 3:
-                yield labels, "split"
+    fd = ctx.fdeg
+    for labels, faces in _from_corners(ctx, v, lambda d: d == 3):
+        if fd[faces[1]] == 3:
+            yield labels, "adjacent"
+        elif fd[faces[2]] == 3:
+            yield labels, "split"
 
 
 def _scan_k08(ctx: _Ctx, v: int):
@@ -229,16 +220,10 @@ def _scan_k09(ctx: _Ctx, v: int):
             yield variant, _R4, (v, *labels)
 
 
-def _triangle_first(ctx: _Ctx, v: int):
-    """At a vertex with one triangle, the two labelings that start at it."""
-    fd, fs = ctx.fdeg, ctx.dart_faces(v)
-    return _from_corner(ctx.rot[v], fs, next(p for p, f in enumerate(fs) if fd[f] == 3))
-
-
 def _scan_k10(ctx: _Ctx, v: int):
     # 4-vertex: one triangle and three 4-faces.
     fd = ctx.fdeg
-    for labels, faces in _triangle_first(ctx, v):
+    for labels, faces in _from_corners(ctx, v, lambda d: d == 3):
         if fd[faces[1]] == 4 and fd[faces[2]] == 4 and fd[faces[3]] == 4:
             yield "", _K10, (v, *labels, *(_opposite_on_quad(ctx, f, v) for f in faces[1:]))
 
@@ -251,7 +236,7 @@ def _scan_k11(ctx: _Ctx, v: int):
     if not four:
         return
     variant = f"m4={ctx.m4[v]}"
-    for labels, _ in _triangle_first(ctx, v):
+    for labels, _ in _from_corners(ctx, v, lambda d: d == 3):
         for vi in four:
             yield variant, _K11, (v, *labels, vi)
 
@@ -263,7 +248,7 @@ def _scan_k12(ctx: _Ctx, v: int):
     if sum(1 for u in ctx.rot[v] if ctx.deg[u] == 5) < 2:
         return
     fd = ctx.fdeg
-    for labels, faces in _triangle_first(ctx, v):
+    for labels, faces in _from_corners(ctx, v, lambda d: d == 3):
         if ctx.m4[v] == 2:
             yield "m4=2", _R4, (v, *labels)
         elif fd[faces[1]] == 4:
@@ -493,23 +478,20 @@ def _scan_k20(ctx: _Ctx, v: int):
     # triangle; read from either 4-face, the other is near, mid or far.
     if ctx.m4[v] != 2:
         return
-    fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
-    for p, f in enumerate(fs):
-        if fd[f] != 4:
+    fd = ctx.fdeg
+    for labels, faces in _from_corners(ctx, v, lambda d: d == 4):
+        case = next((c for c, g in zip(_K20_CASES, faces[1:4]) if fd[g] == 4), None)
+        if case is None:
             continue
-        for labels, faces in _from_corner(ns, fs, p):
-            case = next((c for c, g in zip(_K20_CASES, faces[1:4]) if fd[g] == 4), None)
-            if case is None:
-                continue
-            degs = [ctx.deg[u] for u in labels]
-            if any(d == 3 for d in degs):
-                continue
-            n4 = sum(1 for d in degs if d == 4)
-            n5 = sum(1 for d in degs if d == 5)
-            if n4 == 1 and n5 == 5:
-                yield f"{case}/one_four", _R6, (v, *labels)
-            if n5 == 6 and ctx.doubled_induced(v):
-                yield f"{case}/doubled", _R6, (v, *labels)
+        degs = [ctx.deg[u] for u in labels]
+        if any(d == 3 for d in degs):
+            continue
+        n4 = sum(1 for d in degs if d == 4)
+        n5 = sum(1 for d in degs if d == 5)
+        if n4 == 1 and n5 == 5:
+            yield f"{case}/one_four", _R6, (v, *labels)
+        if n5 == 6 and ctx.doubled_induced(v):
+            yield f"{case}/doubled", _R6, (v, *labels)
 
 
 def _flanked(ctx: _Ctx, labels) -> Optional[str]:
@@ -521,36 +503,31 @@ def _flanked(ctx: _Ctx, labels) -> Optional[str]:
     return None
 
 
-def _scan_k21(ctx: _Ctx, v: int):
-    # 6-vertex: four triangles, one 4-face, one big face, with a 3-vertex
-    # between the small faces and a 4-vertex flanking it. m3 = 4 leaves two
-    # corners that are not triangles: read from the 4-face, the big face next.
-    fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
-    for p, f in enumerate(fs):
-        if fd[f] != 4:
+def _scan_k21_k22(ctx: _Ctx, v: int, first, roles, far):
+    """6-vertex on four triangles: m3 = 4 leaves two corners that are not
+    triangles. Read from the first, whose size passes `first`, with a big face
+    next: the 3-vertex v2 = labels[1] between them, flanked by a 4-vertex.
+    The values end with far(f, v2), f the first corner's face, then v2's
+    neighbor on the big face."""
+    fd = ctx.fdeg
+    for labels, faces in _from_corners(ctx, v, first):
+        v2 = labels[1]
+        if fd[faces[1]] < 5 or ctx.deg[v2] != 3 or not (variant := _flanked(ctx, labels)):
             continue
-        for labels, faces in _from_corner(ns, fs, p):
-            v2 = labels[1]
-            if fd[faces[1]] < 5 or ctx.deg[v2] != 3 or not (variant := _flanked(ctx, labels)):
-                continue
-            x = _opposite_on_quad(ctx, f, v)
-            y = _face_neighbor(ctx, faces[1], v2, v)
-            yield variant, _K21, (v, *labels, x, y)
+        yield variant, roles, (v, *labels, far(faces[0], v2),
+                               _face_neighbor(ctx, faces[1], v2, v))
+
+
+def _scan_k21(ctx: _Ctx, v: int):
+    # A 4-face, then a big face: x is the 4-face's vertex across from v.
+    return _scan_k21_k22(ctx, v, lambda d: d == 4, _K21,
+                         lambda f, v2: _opposite_on_quad(ctx, f, v))
 
 
 def _scan_k22(ctx: _Ctx, v: int):
-    # As K21 but with two big faces around the 3-vertex.
-    fd, ns, fs = ctx.fdeg, ctx.rot[v], ctx.dart_faces(v)
-    for p, f in enumerate(fs):
-        if fd[f] < 5:
-            continue
-        for labels, faces in _from_corner(ns, fs, p):
-            v2 = labels[1]
-            if fd[faces[1]] < 5 or ctx.deg[v2] != 3 or not (variant := _flanked(ctx, labels)):
-                continue
-            y = _face_neighbor(ctx, f, v2, v)
-            z = _face_neighbor(ctx, faces[1], v2, v)
-            yield variant, _K22, (v, *labels, y, z)
+    # Two big faces: y is the 3-vertex's neighbor on the first.
+    return _scan_k21_k22(ctx, v, lambda d: d >= 5, _K22,
+                         lambda f, v2: _face_neighbor(ctx, f, v2, v))
 
 
 def _five_face_walks(ctx: _Ctx, v: int):

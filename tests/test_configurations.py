@@ -8,7 +8,7 @@ import fixtures
 from planecolor import configurations
 from planecolor import generators as G
 from planecolor.configurations import (CATALOG, _Ctx, _fan_layout, _found, _from_corner,
-                                       _labeling, match_count)
+                                       _from_corners, _labeling, match_count)
 from planecolor.embedding import build_embedded
 from planecolor.errors import DegreeTooHigh, PlanInvalid
 from planecolor.oracle import is_proper_wrt
@@ -216,6 +216,9 @@ def _labelings_generator(ctx, v):
 def test_labelings_equal_the_generator(corpus):
     # `_labeling` reads each rotation and reflection off the rotation and
     # `dart_faces`, and `_from_corner` the two whose first corner is fs[p].
+    # `_from_corners` takes, corner by corner in rotation order, the forward
+    # then the backward labeling from each corner whose size passes.
+    sizes = (lambda s: s == 3, lambda s: s == 4, lambda s: s >= 5, lambda s: True)
     degrees = set()
     for g in _scan_graphs(corpus):
         ctx = _Ctx(g)
@@ -227,6 +230,12 @@ def test_labelings_equal_the_generator(corpus):
             assert [(tuple(ls), tuple(fc)) for ls, fc in built] == list(_labelings_generator(ctx, v))
             for p in range(d):
                 assert [faces[0] for _, faces in _from_corner(ns, fs, p)] == [fs[p]] * 2
+            every = list(_labelings_generator(ctx, v))  # forward from ns[k], then backward
+            for size in sizes:
+                expected = [lab for p in range(d) if size(ctx.fdeg[fs[p]])
+                            for lab in (every[(p - 1) % d], every[d + p])]
+                built = [(tuple(ls), tuple(fc)) for ls, fc in _from_corners(ctx, v, size)]
+                assert built == expected, (v, d)
             assert (ns, fs) == (ctx.rot[v], ctx.dart_faces(v)), v  # read, never changed
             degrees.add(d)
     assert degrees == {2, 3, 4, 5, 6}
