@@ -352,6 +352,16 @@ def _genus_inputs():
 _GRAPH_COMMANDS = ["color", "discharge", "configs", "stats", "exact", "verify"]
 
 
+def _reading(tmp_path, argv, path):
+    """argv of a graph-reading command on the file `path`: `verify` takes it
+    as --graph, with a coloring of eight vertices."""
+    if argv[0] != "verify":
+        return [*argv, "--in", str(path)]
+    coloring = tmp_path / "coloring.json"
+    coloring.write_text(codec.write_json(Coloring({v: v + 1 for v in range(8)}, 20)))
+    return [*argv, "--graph", str(path), "--coloring", str(coloring)]
+
+
 @pytest.mark.parametrize("name", ["toroidal_k7", "grid_with_reversed_rotation", "batch",
                                   "degree7_genus1"])
 @pytest.mark.parametrize("command", _GRAPH_COMMANDS)
@@ -362,14 +372,8 @@ def test_positive_genus_is_input_error(tmp_path, capsys, command, name):
     path = tmp_path / file_name
     path.write_bytes(data)
     written = tmp_path / "out.json"
-    if command == "verify":
-        coloring = tmp_path / "coloring.json"
-        coloring.write_text(codec.write_json(Coloring({v: v + 1 for v in range(8)}, 20)))
-        argv = ["verify", "--graph", str(path), "--coloring", str(coloring)]
-    else:
-        argv = [command, "--in", str(path)]
-        argv += {"color": ["--trace", str(written)],
-                 "discharge": ["--report", str(written)]}.get(command, [])
+    argv = _reading(tmp_path, [command], path) + {
+        "color": ["--trace", str(written)], "discharge": ["--report", str(written)]}.get(command, [])
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
     assert not written.exists()
@@ -386,13 +390,7 @@ def test_each_command_traces_each_graph_once(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(embedding.Darts, "trace", lambda darts: calls.append(1) or trace(darts))
     path = tmp_path / "two.pc"
     path.write_bytes(codec.write_planar_code([G.cube(), G.octahedron()]))
-    if argv == ["verify"]:
-        coloring = tmp_path / "coloring.json"
-        coloring.write_text(codec.write_json(Coloring({v: v + 1 for v in range(8)}, 20)))
-        argv = argv + ["--graph", str(path), "--coloring", str(coloring)]
-    else:
-        argv = argv + ["--in", str(path)]
-    assert main(argv) == 0
+    assert main(_reading(tmp_path, argv, path)) == 0
     assert len(calls) == 2
 
 
